@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-o", "--output", help="distance matrix output path (default: stdout)")
     solve.add_argument("--directed", action="store_true", help="treat edges as directed")
     solve.add_argument("--width", type=int, choices=(32, 64), default=64)
-    solve.add_argument("--block", type=int, default=64, help="dense block edge")
     solve.add_argument(
         "--sparse-threshold", type=float, default=None, help="density cutoff for the sparse kernel"
     )
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--m-attach", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--directed", action="store_true")
-    bench.add_argument("--block", type=int, default=64)
     bench.add_argument("--sparse-threshold", type=float, default=0.10)
     bench.add_argument("-o", "--output", help="CSV output path (default: stdout)")
 
@@ -89,8 +87,7 @@ def _solve_options(args) -> SolveOptions:
             "(kernel override conflicts with auto-selection)"
         )
     choice = KernelChoice(
-        threshold=args.sparse_threshold if args.sparse_threshold is not None else 0.10,
-        block=args.block,
+        threshold=args.sparse_threshold if args.sparse_threshold is not None else 0.10
     )
     return SolveOptions(
         width=args.width,
@@ -158,7 +155,7 @@ def cmd_bench(args) -> int:
     else:
         graph = generate_scale_free(GenSpec(n=args.n, m_attach=args.m_attach, seed=args.seed))
     w = to_distance_matrix(graph)
-    choice = KernelChoice(threshold=args.sparse_threshold, block=args.block)
+    choice = KernelChoice(threshold=args.sparse_threshold)
     rows = []
 
     start = time.perf_counter()

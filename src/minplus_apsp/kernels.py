@@ -2,7 +2,7 @@
 
 All kernels accumulate in float64 regardless of the stored width, and return
 a matrix of the input dtype. The naive triple loop is the reference oracle;
-the blocked kernel is the production dense path; CSR is the sparse path;
+the BLAS product is the production dense path; CSR is the sparse path;
 Strassen exists for benchmark comparison only and is never auto-selected.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ try:
     import numba
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is optional
     _HAVE_NUMBA = False
 
 SPARSE = "sparse"
@@ -28,19 +28,17 @@ DENSE_BLOCKED = "dense_blocked"
 
 @dataclass(frozen=True)
 class KernelChoice:
-    """Kernel-selection policy: density threshold and dense block edge."""
+    """Kernel-selection policy: density threshold below which the sparse
+    kernel runs."""
 
     kind: str = "auto"
     threshold: float = 0.10
-    block: int = 64
 
     def __post_init__(self):
         if self.kind not in ("auto", SPARSE, DENSE_BLOCKED):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold {self.threshold} out of (0, 1)")
-        if self.block < 1:
-            raise ValueError(f"block must be >= 1, got {self.block}")
 
 
 @dataclass(frozen=True)
@@ -123,22 +121,10 @@ def multiply_naive(a: EncodedMatrix, b: EncodedMatrix) -> EncodedMatrix:
         return EncodedMatrix(c.astype(a.data.dtype, copy=False))
 
 
-def multiply_dense_blocked(a: EncodedMatrix, b: EncodedMatrix, block: int = 64) -> EncodedMatrix:
-    """Cache-blocked dense product: the output is tiled into block-wide
-    panels and each column panel of b is made contiguous once."""
+def multiply_dense_blocked(a: EncodedMatrix, b: EncodedMatrix) -> EncodedMatrix:
+    """Dense product as one BLAS call, which blocks for the cache itself."""
     _check_dims(a, b)
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    n = a.n
-    a64 = a.data.astype(np.float64, copy=False)
-    b64 = b.data.astype(np.float64, copy=False)
-    c = np.empty((n, n), dtype=np.float64)
-    for j0 in range(0, n, block):
-        j1 = min(j0 + block, n)
-        bj = np.ascontiguousarray(b64[:, j0:j1])
-        for i0 in range(0, n, block):
-            i1 = min(i0 + block, n)
-            c[i0:i1, j0:j1] = np.dot(a64[i0:i1, :], bj)
+    c = np.matmul(a.data.astype(np.float64, copy=False), b.data.astype(np.float64, copy=False))
     with np.errstate(over="ignore"):
         return EncodedMatrix(c.astype(a.data.dtype, copy=False))
 

@@ -14,11 +14,24 @@ _HEADER = struct.Struct("<4sQI")  # magic, n, width
 
 
 def distance_csv(m: DistMatrix) -> str:
-    """Rows of comma-separated integers with the literal INF for unreachable."""
-    lines = []
-    for row in m.data:
-        lines.append(",".join("INF" if not np.isfinite(x) else str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    """Rows of comma-separated integers with the literal INF for unreachable.
+
+    Each entry becomes an index into a table of its formatted token, so only
+    the distinct values are formatted in Python.
+    """
+    a = m.data
+    finite = np.isfinite(a)
+    top = int(np.amax(a, initial=0.0, where=finite))
+    if top < a.size:
+        # entries are integers 0..top, so each is its own index; top + 1 is INF
+        codes = np.where(finite, a, top + 1).astype(np.intp)
+        tokens = [str(v) for v in range(top + 1)] + ["INF"]
+    else:
+        # a table of every integer up to top would outgrow the matrix
+        values, codes = np.unique(a, return_inverse=True)
+        tokens = ["INF" if v == INF else str(int(v)) for v in values]
+    table = np.array(tokens, dtype=object)[codes.reshape(a.shape)]
+    return "\n".join(",".join(row) for row in table.tolist()) + "\n"
 
 
 def write_distance_csv(m: DistMatrix, path: str | Path) -> None:

@@ -3,7 +3,8 @@ judgments, plus a Floyd-Warshall oracle and per-epoch statistics.
 
 One epoch = encode -> select kernel by density -> multiply -> decode. The
 squared matrix doubles the path-edge budget, so convergence needs at most
-ceil(log2(n - 1)) improving epochs plus one confirming epoch.
+ceil(log2(n - 1)) improving epochs plus one confirming epoch. The confirming
+epoch is skipped when a bound on path weights already proves convergence.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .codec import EncodeParams, FeasibilityError, decode, encode, max_finite
-from .graph import DistMatrix, density
+from .graph import INF, DensityReport, DistMatrix
 from .kernels import DENSE_BLOCKED, SPARSE, KernelChoice
 
 NAIVE = "naive"
@@ -74,6 +75,13 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of a solve.
+
+    kernel_trace names the kernel of every distance product that ran. An epoch
+    confirmed by the path-weight bound (see power_law_bound) has an entry in
+    epochs but none in kernel_trace.
+    """
+
     distances: DistMatrix
     epochs: list[EpochStats]
     converged: bool
@@ -122,8 +130,19 @@ def epoch_stats(before: DistMatrix, after: DistMatrix, epoch: int) -> EpochStats
     )
 
 
-def _distance_product(l: DistMatrix, opts: SolveOptions) -> tuple[DistMatrix, str]:
-    p = EncodeParams(base=l.n + 1, x_tilde=max_finite(l), width=opts.width)
+def _finite_summary(m: DistMatrix) -> tuple[int, int]:
+    """(finite entry count, largest finite entry) of m from one isfinite pass."""
+    a = m.data
+    mask = np.isfinite(a)
+    return int(np.count_nonzero(mask)), int(np.amax(a, initial=0.0, where=mask))
+
+
+def _distance_product(
+    l: DistMatrix, opts: SolveOptions, summary: tuple[int, int] | None = None
+) -> tuple[DistMatrix, str]:
+    """One epoch's product; summary is l's (finite count, max) when known."""
+    finite, top = summary if summary is not None else _finite_summary(l)
+    p = EncodeParams(base=l.n + 1, x_tilde=top, width=opts.width)
     if opts.enforce_precision and not p.is_feasible():
         raise FeasibilityError(
             f"max element {p.x_tilde} exceeds the safe diameter limit for "
@@ -131,7 +150,7 @@ def _distance_product(l: DistMatrix, opts: SolveOptions) -> tuple[DistMatrix, st
             f"(exponent budget {p.exponent_budget():.1f} > {opts.width}-bit limit)"
         )
     if opts.kernel == "auto":
-        kind = kernels.choose_kernel(density(l), opts.kernel_choice)
+        kind = kernels.choose_kernel(DensityReport(finite, l.n * l.n), opts.kernel_choice)
     else:
         kind = opts.kernel
     enc = encode(l, p, enforce=opts.enforce_precision)
@@ -145,7 +164,7 @@ def _distance_product(l: DistMatrix, opts: SolveOptions) -> tuple[DistMatrix, st
         prod = kernels.from_csr(prod_csr)
         del prod_csr
     elif kind in (DENSE_BLOCKED, "blocked"):
-        prod = kernels.multiply_dense_blocked(enc, enc, opts.kernel_choice.block)
+        prod = kernels.multiply_dense_blocked(enc, enc)
         del enc
     elif kind == NAIVE:
         prod = kernels.multiply_naive(enc, enc)
@@ -170,12 +189,41 @@ def _epoch_budget(n: int) -> int:
     return 0 if n < 3 else math.ceil(math.log2(n - 1))
 
 
+def _min_off_diagonal(w: DistMatrix) -> float:
+    """Smallest off-diagonal entry (inf when there is none or all are inf)."""
+    n = w.n
+    # in row-major order the diagonal sits every n + 1 entries, so the n - 1
+    # rows of this (n - 1, n + 1) view hold the diagonal in column 0 only
+    off = w.data.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:]
+    return float(off.min()) if off.size else INF
+
+
+def _bound_proves_converged(
+    n: int, m: int, w_min: float, finite: int, finite_before: int, top: int
+) -> bool:
+    """True when the matrix after an epoch that covers every path of at most
+    m edges already holds every shortest distance.
+
+    Every path of more than m edges weighs at least (m + 1) * w_min, so when
+    the largest finite entry is below that, no longer path can improve a
+    finite entry. Every reachable pair is already finite when either the
+    largest entry is below m * w_min (a pair m hops apart would weigh at least
+    that), every entry is finite, or the epoch made no new pair finite (then
+    no pair lies more than m / 2 hops apart).
+    """
+    all_reachable_found = top < m * w_min or finite == n * n or finite == finite_before
+    return all_reachable_found and top < (m + 1) * w_min
+
+
 def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveResult:
     """Solve APSP by repeated min-plus squaring with convergence detection.
 
     Stops when an epoch leaves the matrix unchanged, when the doubled path
-    budget reaches a trusted diameter hint, or when the epoch budget runs out
-    (converged=False on the partial result in that case).
+    budget reaches a trusted diameter hint, when the path-weight bound proves
+    that the next epoch would change nothing, or when the epoch budget runs
+    out (converged=False on the partial result in that case). A stop by the
+    bound still records the confirming epoch, with no change, in epochs, but
+    runs no product for it.
     """
     opts = opts or SolveOptions()
     n = w.n
@@ -185,13 +233,21 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     trace: list[str] = []
     is_converged = False
     current = w
+    finite, top = _finite_summary(w)
+    w_min = _min_off_diagonal(w)
     m = 1
     for epoch in range(1, total + 1):
-        nxt, kind = _distance_product(current, opts)
+        nxt, kind = _distance_product(current, opts, (finite, top))
         trace.append(kind)
-        stats.append(epoch_stats(current, nxt, epoch))
+        nxt_finite, nxt_top = _finite_summary(nxt)
+        stats.append(
+            EpochStats(
+                epoch=epoch, max_element=nxt_top, finite_before=finite, finite_after=nxt_finite
+            )
+        )
         same = converged(current, nxt)
         current = nxt
+        finite_before, finite, top = finite, nxt_finite, nxt_top
         if same:
             is_converged = True
             break
@@ -203,7 +259,15 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
         ):
             is_converged = True
             break
-    unreachable = n * n - int(np.isfinite(current.data).sum())
+        if _bound_proves_converged(n, m, w_min, finite, finite_before, top):
+            stats.append(
+                EpochStats(
+                    epoch=epoch + 1, max_element=top, finite_before=finite, finite_after=finite
+                )
+            )
+            is_converged = True
+            break
+    unreachable = n * n - finite
     for st in stats:
         st.finalize(unreachable, n)
     return SolveResult(

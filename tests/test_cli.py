@@ -68,7 +68,10 @@ class TestSolve:
 
     def test_kernel_override(self, p3_file, capsys):
         assert main(["solve", p3_file, "--kernel", "naive"]) == 0
-        assert "kernels=naive,naive" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0,1,2\n1,0,1\n2,1,0\n" in out
+        listed = out.split("kernels=")[1].split()[0].split(",")
+        assert listed and all(kind == "naive" for kind in listed)
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.txt")]) == 1

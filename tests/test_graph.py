@@ -4,6 +4,7 @@ import pytest
 from minplus_apsp import (
     INF,
     DensityReport,
+    DistMatrix,
     Graph,
     GraphFormatError,
     density,
@@ -88,6 +89,27 @@ class TestToDistanceMatrix:
     def test_directed_asymmetry_preserved(self):
         g = parse_edge_list("0 1", directed=True)
         assert to_distance_matrix(g).data.tolist() == [[0.0, 1.0], [INF, 0.0]]
+
+
+class TestDistMatrixValidation:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, float("nan")], [1, 0]],
+            [[0, -INF], [1, 0]],
+            [[0, -1], [1, 0]],
+            [[0, 1.5], [1, 0]],
+            [[0, 1], [1, 2]],
+        ],
+        ids=["nan", "minus_inf", "negative", "fraction", "nonzero_diagonal"],
+    )
+    def test_rejected(self, rows):
+        with pytest.raises(ValueError):
+            DistMatrix.from_rows(rows)
+
+    def test_inf_and_integers_accepted(self):
+        m = DistMatrix.from_rows([[0, INF, 3], [7, 0, INF], [INF, 12, 0]])
+        assert m.n == 3
 
 
 class TestDensity:

@@ -49,24 +49,20 @@ class TestDenseBlocked:
     def test_single_block_degenerates_to_naive(self):
         rng = np.random.default_rng(1)
         a, b = enc(rng.random((7, 7))), enc(rng.random((7, 7)))
-        got = multiply_dense_blocked(a, b, block=7)
+        got = multiply_dense_blocked(a, b)
         np.testing.assert_allclose(got.data, multiply_naive(a, b).data, rtol=1e-13)
 
     def test_p3_squared_with_small_block(self):
         a = enc(P3_ENCODED)
         np.testing.assert_allclose(
-            multiply_dense_blocked(a, a, block=2).data, P3_SQUARED, rtol=1e-13
+            multiply_dense_blocked(a, a).data, P3_SQUARED, rtol=1e-13
         )
 
     def test_tail_blocks_n65(self):
         rng = np.random.default_rng(2)
         a, b = enc(rng.random((65, 65))), enc(rng.random((65, 65)))
-        got = multiply_dense_blocked(a, b, block=64)
+        got = multiply_dense_blocked(a, b)
         np.testing.assert_allclose(got.data, multiply_naive(a, b).data, rtol=1e-12)
-
-    def test_bad_block(self):
-        with pytest.raises(ValueError):
-            multiply_dense_blocked(enc(np.eye(2)), enc(np.eye(2)), block=0)
 
 
 class TestStrassen:
@@ -194,8 +190,7 @@ class TestKernelAgreementAfterDecode:
             e = encode(m, p)
             want = decode(multiply_naive(e, e), p).data
             for got in (
-                multiply_dense_blocked(e, e, block=16),
-                multiply_dense_blocked(e, e, block=64),
+                multiply_dense_blocked(e, e),
                 multiply_strassen(e, e, cutoff=8),
                 from_csr(multiply_sparse(to_csr(e), to_csr(e))),
             ):

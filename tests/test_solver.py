@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from minplus_apsp import (
     INF,
@@ -98,11 +99,45 @@ class TestPowerLawBound:
         assert r.distances.data.tolist() == [[0.0]]
 
     def test_diameter_between_4_and_8_doubling_pattern(self):
-        # path on 9 nodes: diameter 8, three improving epochs + confirmation
+        # path on 9 nodes: diameter 8, three improving epochs + confirmation;
+        # every pair is finite after epoch 3 and 8 < 9 * w_min, so the
+        # confirmation is proved by the bound and runs no product
         r = power_law_bound(path_matrix(9))
         assert r.converged
         assert [st.max_element for st in r.epochs] == [2, 4, 8, 8]
         assert len(r.epochs) == 4
+        assert len(r.kernel_trace) == 3
+        assert r.epochs[-1].delta == 0
+
+    def test_confirming_product_runs_when_weight_bound_fails(self):
+        # after epoch 1 every pair is finite, but the largest entry 6 is not
+        # below 3 * w_min = 3: a longer path could still be shorter
+        m = DistMatrix.from_rows([[0, 1, INF], [1, 0, 5], [INF, 5, 0]])
+        r = power_law_bound(m)
+        assert r.converged
+        assert len(r.kernel_trace) == 2
+        assert [st.max_element for st in r.epochs] == [6, 6]
+        assert r.distances.data.tolist() == [[0, 1, 6], [1, 0, 5], [6, 5, 0]]
+
+    def test_early_stop_matches_csgraph_random(self):
+        rng = np.random.default_rng(16)
+        stopped = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 40))
+            directed = bool(rng.integers(2))
+            m = random_dist_matrix(
+                rng,
+                n,
+                max_weight=int(rng.integers(1, 9)),
+                density=float(rng.uniform(0.01, 0.3)),
+                directed=directed,
+            )
+            r = power_law_bound(m)
+            assert r.converged
+            want = shortest_path(m.data, method="D", directed=directed)
+            assert np.array_equal(r.distances.data, want)
+            stopped += len(r.kernel_trace) < len(r.epochs)
+        assert stopped > 0
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(12)
