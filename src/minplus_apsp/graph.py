@@ -11,6 +11,7 @@ INF = float("inf")
 # full elementwise validation is skipped above this edge length; the cheap
 # checks (shape, dtype, diagonal) still run
 _FULL_VALIDATION_LIMIT = 2048
+_VALIDATION_ROWS = 64
 
 _HEADER_RE = re.compile(r"#n\s+(\d+)\s*$")
 
@@ -61,8 +62,13 @@ class DistMatrix:
             # NaN fails both tests; inf equals its own floor, -inf is negative
             if not np.amin(a, initial=0.0) >= 0:
                 raise ValueError("entries must be nonnegative integers or inf (no NaN)")
-            if not (np.floor(a) == a).all():
-                raise ValueError("finite entries must be nonnegative integers")
+            # row blocks through one small buffer: an n x n temporary would
+            # cost more in fresh pages than the comparison itself
+            buf = np.empty((_VALIDATION_ROWS, self.n))
+            for i in range(0, self.n, _VALIDATION_ROWS):
+                rows = a[i : i + _VALIDATION_ROWS]
+                if not np.array_equal(np.floor(rows, out=buf[: len(rows)]), rows):
+                    raise ValueError("finite entries must be nonnegative integers")
 
     @property
     def n(self) -> int:
