@@ -12,16 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import kernels
-from .codec import EncodeParams, FeasibilityError, decode, encode, max_finite
+from .codec import EncodedMatrix, EncodeParams, decode, encode, max_finite
 from .graph import INF, DensityReport, DistMatrix
-from .kernels import DENSE_BLOCKED, SPARSE, KernelChoice
+from .kernels import DENSE, SPARSE, KernelChoice
 
-NAIVE = "naive"
-STRASSEN = "strassen"
-
-_KERNEL_NAMES = ("auto", NAIVE, "blocked", STRASSEN, SPARSE)
+_KERNEL_NAMES = ("auto", DENSE, SPARSE)
 
 
 @dataclass
@@ -143,12 +141,6 @@ def _distance_product(
     """One epoch's product; summary is l's (finite count, max) when known."""
     finite, top = summary if summary is not None else _finite_summary(l)
     p = EncodeParams(base=l.n + 1, x_tilde=top, width=opts.width)
-    if opts.enforce_precision and not p.is_feasible():
-        raise FeasibilityError(
-            f"max element {p.x_tilde} exceeds the safe diameter limit for "
-            f"width {opts.width} at n={l.n} "
-            f"(exponent budget {p.exponent_budget():.1f} > {opts.width}-bit limit)"
-        )
     if opts.kernel == "auto":
         kind = kernels.choose_kernel(DensityReport(finite, l.n * l.n), opts.kernel_choice)
     else:
@@ -157,26 +149,13 @@ def _distance_product(
     # free each intermediate as soon as possible: at scale every full matrix
     # is a large fraction of RAM
     if kind == SPARSE:
-        csr = kernels.to_csr(enc)
+        s = sp.csr_array(enc.data)
         del enc
-        prod_csr = kernels.multiply_sparse(csr, csr)
-        del csr
-        prod = kernels.from_csr(prod_csr)
-        del prod_csr
-    elif kind in (DENSE_BLOCKED, "blocked"):
-        prod = kernels.multiply_dense_blocked(enc, enc)
-        del enc
-    elif kind == NAIVE:
-        prod = kernels.multiply_naive(enc, enc)
-        del enc
-    elif kind == STRASSEN:
-        prod = kernels.multiply_strassen(enc, enc)
-        del enc
+        prod = EncodedMatrix(kernels.multiply_sparse(s, s).toarray())
     else:
-        raise ValueError(f"unknown kernel {kind!r}")
-    result = decode(prod, p)
-    trace_kind = DENSE_BLOCKED if kind == "blocked" else kind
-    return result, trace_kind
+        prod = kernels.multiply_dense(enc, enc)
+        del enc
+    return decode(prod, p), kind
 
 
 def distance_product(l: DistMatrix, opts: SolveOptions | None = None) -> DistMatrix:

@@ -13,10 +13,17 @@ def p3():
     return DistMatrix.from_rows(P3_ROWS)
 
 
-def minplus_square(m: DistMatrix) -> DistMatrix:
-    """Direct min-plus product oracle, straight from the definition."""
+def minplus_square(m: DistMatrix, rows: int = 64) -> DistMatrix:
+    """Direct min-plus product oracle, straight from the definition:
+    c[i, j] = min over k of a[i, k] + a[k, j].
+
+    Runs over blocks of rows, so the temporary holds rows * n * n entries
+    (128 MB at n = 512) instead of n ** 3.
+    """
     a = m.data
-    c = np.min(a[:, :, None] + a[None, :, :], axis=1)
+    c = np.empty_like(a)
+    for i in range(0, m.n, rows):
+        c[i : i + rows] = np.min(a[i : i + rows, :, None] + a[None, :, :], axis=1)
     return DistMatrix(c)
 
 

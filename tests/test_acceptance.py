@@ -9,11 +9,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from minplus_apsp import (
     EpochStats,
     FeasibilityError,
     DistMatrix,
+    EncodedMatrix,
     GenSpec,
     KernelChoice,
     NonFiniteEntryError,
@@ -22,20 +24,16 @@ from minplus_apsp import (
     density,
     encode,
     floyd_warshall,
-    from_csr,
     generate_scale_free,
     max_finite,
-    multiply_dense_blocked,
-    multiply_naive,
+    multiply_dense,
     multiply_sparse,
-    multiply_strassen,
     params_for,
     power_law_bound,
     precision_limits,
-    to_csr,
     to_distance_matrix,
 )
-from conftest import random_dist_matrix
+from conftest import minplus_square, random_dist_matrix
 
 
 def test_criterion_1_oracle_equivalence():
@@ -129,23 +127,23 @@ def test_criterion_5_kernel_cross_validation():
             m = random_dist_matrix(rng, n, max_weight=3, density=0.15, directed=directed)
             p = params_for(m)
             e = encode(m, p)
-            want = decode(multiply_naive(e, e), p).data
+            want = minplus_square(m).data
+            s = sp.csr_array(e.data)
             results = {
-                "dense": multiply_dense_blocked(e, e),
-                "strassen": multiply_strassen(e, e),
-                "sparse": from_csr(multiply_sparse(to_csr(e), to_csr(e))),
+                "dense": multiply_dense(e, e),
+                "sparse": EncodedMatrix(multiply_sparse(s, s).toarray()),
             }
             for name, got in results.items():
                 assert np.array_equal(decode(got, p).data, want), (n, name)
             cases += 1
-    print(f"ACCEPTANCE 5 kernel cross-validation: PASS ({cases} cases, 3 kernels each)")
+    print(f"ACCEPTANCE 5 kernel cross-validation: PASS ({cases} cases, 2 kernels each)")
 
 
 def test_criterion_6_sparseness_routing():
     from minplus_apsp import DensityReport, choose_kernel
 
     assert choose_kernel(DensityReport(999, 10000), KernelChoice()) == "sparse"
-    assert choose_kernel(DensityReport(1000, 10000), KernelChoice()) == "dense_blocked"
+    assert choose_kernel(DensityReport(1000, 10000), KernelChoice()) == "dense"
 
     # 0.9%-dense scale-free graph: the solve must start sparse and go dense
     g = generate_scale_free(GenSpec(n=1600, m_attach=7, seed=11))
@@ -156,29 +154,31 @@ def test_criterion_6_sparseness_routing():
     assert result.converged
     trace = result.kernel_trace
     assert trace[0] == "sparse"
-    assert "dense_blocked" in trace
-    first_dense = trace.index("dense_blocked")
-    assert all(kind == "dense_blocked" for kind in trace[first_dense:])
+    assert "dense" in trace
+    first_dense = trace.index("dense")
+    assert all(kind == "dense" for kind in trace[first_dense:])
     print(f"ACCEPTANCE 6 sparseness routing: PASS (density {d.density:.4f}, trace {trace})")
 
 
 def test_criterion_7_performance_ordering():
-    from minplus_apsp import EncodedMatrix, fixed_squaring
+    from minplus_apsp import distance_product, fixed_squaring
 
+    # the encoded product must beat the direct min-plus product it replaces
     rng = np.random.default_rng(7)
-    n = 512
-    e = EncodedMatrix(rng.random((n, n)) + 0.5)
+    m = random_dist_matrix(rng, 512, max_weight=4, density=0.15)
+    opts = SolveOptions(kernel="dense")
 
     start = time.perf_counter()
-    multiply_naive(e, e)  # includes any jit warm-up
-    multiply_naive(e, e)
-    naive_t = (time.perf_counter() - start) / 2
+    direct = minplus_square(m)
+    minplus_square(m)
+    direct_t = (time.perf_counter() - start) / 2
 
     start = time.perf_counter()
-    multiply_dense_blocked(e, e)
-    multiply_dense_blocked(e, e)
-    blocked_t = (time.perf_counter() - start) / 2
-    assert blocked_t < naive_t
+    encoded = distance_product(m, opts)
+    distance_product(m, opts)
+    encoded_t = (time.perf_counter() - start) / 2
+    assert np.array_equal(encoded.data, direct.data)
+    assert encoded_t < direct_t
 
     epoch_checks = []
     for n, m_attach in ((512, 2), (700, 3)):
@@ -190,8 +190,8 @@ def test_criterion_7_performance_ordering():
         assert len(result.epochs) <= baseline_iters
         epoch_checks.append((n, len(result.epochs), baseline_iters))
     print(
-        f"ACCEPTANCE 7 performance ordering: PASS (blocked {blocked_t*1e3:.0f}ms < "
-        f"naive {naive_t*1e3:.0f}ms at n=512; epochs vs baseline {epoch_checks})"
+        f"ACCEPTANCE 7 performance ordering: PASS (encoded {encoded_t*1e3:.0f}ms < "
+        f"min-plus {direct_t*1e3:.0f}ms at n=512; epochs vs baseline {epoch_checks})"
     )
 
 

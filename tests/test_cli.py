@@ -64,14 +64,19 @@ class TestSolve:
 
     def test_kernel_override_conflicts_with_threshold(self, p3_file):
         with pytest.raises(SystemExit):
-            main(["solve", p3_file, "--kernel", "blocked", "--sparse-threshold", "0.2"])
+            main(["solve", p3_file, "--kernel", "dense", "--sparse-threshold", "0.2"])
 
     def test_kernel_override(self, p3_file, capsys):
-        assert main(["solve", p3_file, "--kernel", "naive"]) == 0
+        assert main(["solve", p3_file, "--kernel", "dense"]) == 0
         out = capsys.readouterr().out
         assert "0,1,2\n1,0,1\n2,1,0\n" in out
         listed = out.split("kernels=")[1].split()[0].split(",")
-        assert listed and all(kind == "naive" for kind in listed)
+        assert listed and all(kind == "dense" for kind in listed)
+
+    def test_removed_kernel_rejected(self, p3_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", p3_file, "--kernel", "strassen"])
+        assert exc.value.code != 0
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.txt")]) == 1

@@ -14,7 +14,7 @@ from minplus_apsp import (
     decode,
     encode,
     max_finite,
-    multiply_naive,
+    multiply_dense,
     params_for,
     precision_limits,
 )
@@ -88,7 +88,7 @@ class TestEncode:
 class TestDecode:
     def test_p3_squared_worked_example(self, p3):
         p = params_for(p3)
-        sq = multiply_naive(encode(p3, p), encode(p3, p))
+        sq = multiply_dense(encode(p3, p), encode(p3, p))
         # 4*4 + 1*1 + 0*0 = 17 on the diagonal corner, 4*0 + 1*1 + 0*4 = 1
         # for the two-hop pair
         assert sq.data[0, 0] == 17
@@ -119,7 +119,7 @@ class TestDecode:
             m = random_dist_matrix(rng, n)
             p = params_for(m)
             ident = DistMatrix(np.where(np.eye(n, dtype=bool), 0.0, INF))
-            prod = multiply_naive(encode(m, p), encode(ident, p))
+            prod = multiply_dense(encode(m, p), encode(ident, p))
             assert np.array_equal(decode(prod, p).data, m.data)
 
     def test_random_against_direct_minplus_oracle(self):
@@ -128,7 +128,7 @@ class TestDecode:
             n = int(rng.integers(2, 30))
             m = random_dist_matrix(rng, n, directed=bool(rng.integers(2)))
             p = params_for(m)
-            prod = multiply_naive(encode(m, p), encode(m, p))
+            prod = multiply_dense(encode(m, p), encode(m, p))
             assert np.array_equal(decode(prod, p).data, minplus_square(m).data)
 
     def test_width_32_round_trip(self):
@@ -136,7 +136,7 @@ class TestDecode:
         for _ in range(10):
             m = random_dist_matrix(rng, 8, max_weight=2)
             p = params_for(m, width=32)
-            prod = multiply_naive(encode(m, p), encode(m, p))
+            prod = multiply_dense(encode(m, p), encode(m, p))
             assert np.array_equal(decode(prod, p).data, minplus_square(m).data)
 
 

@@ -45,10 +45,26 @@ class TestDistanceProduct:
 
     def test_equals_direct_definition(self):
         rng = np.random.default_rng(11)
-        for kernel in ("auto", "naive", "blocked", "sparse", "strassen"):
+        for kernel in ("auto", "dense", "sparse"):
             m = random_dist_matrix(rng, 20, max_weight=3)
             got = distance_product(m, SolveOptions(kernel=kernel))
             assert np.array_equal(got.data, minplus_square(m).data)
+
+    def test_width32_equals_direct_definition(self):
+        rng = np.random.default_rng(12)
+        for kernel in ("dense", "sparse"):
+            for _ in range(20):
+                n = int(rng.integers(2, 40))
+                m = random_dist_matrix(
+                    rng, n, max_weight=3, density=0.2, directed=bool(rng.integers(2))
+                )
+                got = distance_product(m, SolveOptions(width=32, kernel=kernel))
+                assert np.array_equal(got.data, minplus_square(m).data), (kernel, n)
+
+    def test_unknown_kernel_rejected(self):
+        for kernel in ("naive", "blocked", "strassen", "dense_blocked"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                SolveOptions(kernel=kernel)
 
     def test_feasibility_error_before_multiplying(self):
         m = DistMatrix.from_rows([[0, 45], [45, 0]])
