@@ -18,7 +18,8 @@ from .graph import INF, DistMatrix
 EMAX = {32: 127.9, 64: 1024.0}
 
 # additive guard inside the floored log; base**k is not always exactly
-# representable, so values can round to just below an integer boundary
+# representable, so values can round to just below an integer boundary.
+# decode lowers it further at large n
 FLOOR_LOG_GUARD = {32: 1e-5, 64: 1e-9}
 
 _DTYPES = {32: np.float32, 64: np.float64}
@@ -115,47 +116,59 @@ def encode(m: DistMatrix, p: EncodeParams, *, enforce: bool = True) -> EncodedMa
             f"{p.exponent_budget():.1f} bits, above the {p.width}-bit limit "
             f"{EMAX[p.width]}"
         )
-    dtype = _DTYPES[p.width]
     a = m.data
-    mask = np.isfinite(a)
-    # exponent lookup table keeps the hot path at one gather per entry;
-    # staged in int32 to bound peak memory at scale
-    exps = np.where(mask, a, 0.0).astype(np.int32)
-    np.subtract(p.x_tilde, exps, out=exps)
-    if exps.min() < 0:
+    # one pass writes each entry's table index (inf clips to the zero slot at
+    # x_tilde + 1), one gather reads the table
+    unreachable = p.x_tilde + 1
+    idx = np.empty(a.shape, np.int16 if unreachable <= np.iinfo(np.int16).max else np.intp)
+    np.minimum(a, unreachable, out=idx, casting="unsafe")
+    # entries are nonnegative integers or inf, so only inf may clip to the
+    # zero slot when no finite entry exceeds x_tilde
+    if np.count_nonzero(idx == unreachable) != np.count_nonzero(a == INF):
         raise ValueError("x_tilde is smaller than the largest finite entry")
+    dtype = _DTYPES[p.width]
+    table = np.zeros(unreachable + 1, dtype=dtype)
     with np.errstate(over="ignore"):
-        powers = dtype(p.base) ** np.arange(p.x_tilde + 1, dtype=dtype)
-    out = powers[exps]
-    del exps
-    out[~mask] = 0
-    return EncodedMatrix(out)
+        table[:unreachable] = dtype(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=dtype)
+    # indexing, unlike take, gathers without first widening idx to intp
+    return EncodedMatrix(table[idx])
+
+
+def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Distances of bare product entries encoded with p, as float64.
+
+    Entry v > 0 becomes 2*x_tilde - floor(log_base(v) + guard); 0 becomes inf,
+    because log(0) = -inf. out, when given, is a float64 array of arr's shape
+    (arr itself to decode in place); otherwise a new array is returned.
+    """
+    # NaN and inf both make the max non-finite
+    if not math.isfinite(np.max(arr, initial=0.0)):
+        raise NonFiniteEntryError(
+            "non-finite entry in product matrix: float exponent range "
+            "overflowed (feasibility guard failed or was overridden)"
+        )
+    if np.min(arr, initial=0.0) < 0:
+        raise NegativeEntryError("negative entry in product matrix")
+    # n tied witnesses give n * base**s, which lies log_base((n+1)/n) below
+    # the integer s + 1; a guard of half that gap keeps the floor exact at
+    # every n, not only while the gap exceeds the fixed guard
+    gap = math.log1p(1 / (p.base - 1)) / math.log(p.base)
+    guard = min(FLOOR_LOG_GUARD[32 if arr.dtype == np.float32 else 64], 0.5 * gap)
+    with np.errstate(divide="ignore"):
+        logs = np.log(arr, out=out, dtype=np.float64)
+    logs /= math.log(p.base)
+    logs += guard
+    np.floor(logs, out=logs)
+    return np.subtract(2 * p.x_tilde, logs, out=logs)
 
 
 def decode(c_prime: EncodedMatrix, p: EncodeParams) -> DistMatrix:
     """Recover distances from a product of two encoded matrices.
 
     Entry v > 0 becomes 2*x_tilde - floor(log_base(v) + guard); 0 becomes inf.
+    The product is left unchanged.
     """
-    arr = c_prime.data
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntryError(
-            "non-finite entry in product matrix: float exponent range "
-            "overflowed (feasibility guard failed or was overridden)"
-        )
-    if arr.min() < 0:
-        raise NegativeEntryError("negative entry in product matrix")
-    guard = FLOOR_LOG_GUARD[c_prime.width]
-    mask = arr > 0
-    logs = np.zeros(arr.shape, dtype=np.float64)
-    np.log(arr, out=logs, where=mask)
-    logs /= math.log(p.base)
-    logs += guard
-    np.floor(logs, out=logs)
-    np.negative(logs, out=logs)
-    logs += 2 * p.x_tilde
-    logs[~mask] = INF
-    return DistMatrix(logs)
+    return DistMatrix._trusted(decode_values(c_prime.data, p))
 
 
 def precision_limits(n: int, width: int) -> PrecisionLimits:

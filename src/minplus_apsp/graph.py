@@ -8,9 +8,6 @@ import numpy as np
 
 INF = float("inf")
 
-# full elementwise validation is skipped above this edge length; the cheap
-# checks (shape, dtype, diagonal) still run
-_FULL_VALIDATION_LIMIT = 2048
 _VALIDATION_ROWS = 64
 
 _HEADER_RE = re.compile(r"#n\s+(\d+)\s*$")
@@ -58,21 +55,28 @@ class DistMatrix:
             raise ValueError(f"expected float64 entries, got {a.dtype}")
         if np.isnan(a.diagonal()).any() or (a.diagonal() != 0).any():
             raise ValueError("diagonal entries must be exactly 0")
-        if self.n <= _FULL_VALIDATION_LIMIT:
-            # NaN fails both tests; inf equals its own floor, -inf is negative
-            if not np.amin(a, initial=0.0) >= 0:
-                raise ValueError("entries must be nonnegative integers or inf (no NaN)")
-            # row blocks through one small buffer: an n x n temporary would
-            # cost more in fresh pages than the comparison itself
-            buf = np.empty((_VALIDATION_ROWS, self.n))
-            for i in range(0, self.n, _VALIDATION_ROWS):
-                rows = a[i : i + _VALIDATION_ROWS]
-                if not np.array_equal(np.floor(rows, out=buf[: len(rows)]), rows):
-                    raise ValueError("finite entries must be nonnegative integers")
+        # NaN fails both tests; inf equals its own floor, -inf is negative
+        if not np.amin(a, initial=0.0) >= 0:
+            raise ValueError("entries must be nonnegative integers or inf (no NaN)")
+        # row blocks through one small buffer: an n x n temporary would
+        # cost more in fresh pages than the comparison itself
+        buf = np.empty((_VALIDATION_ROWS, self.n))
+        for i in range(0, self.n, _VALIDATION_ROWS):
+            rows = a[i : i + _VALIDATION_ROWS]
+            if not np.array_equal(np.floor(rows, out=buf[: len(rows)]), rows):
+                raise ValueError("finite entries must be nonnegative integers")
 
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+    @classmethod
+    def _trusted(cls, data: np.ndarray) -> "DistMatrix":
+        """Wrap a float64 array that codec or solver built integral by
+        construction, without validating it."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "DistMatrix":
@@ -149,10 +153,15 @@ def to_distance_matrix(g: Graph) -> DistMatrix:
     """Adjacency in distance form: 0 diagonal, edge weights, inf elsewhere."""
     a = np.full((g.n, g.n), INF, dtype=np.float64)
     np.fill_diagonal(a, 0.0)
-    for u, v, w in g.edges:
-        a[u, v] = min(a[u, v], w)
+    if g.edges:
+        src, dst, weight = zip(*g.edges)
+        src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+        weight = np.array(weight, dtype=np.float64)
         if not g.directed:
-            a[v, u] = min(a[v, u], w)
+            src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+            weight = np.concatenate((weight, weight))
+        # minimum.at keeps the lightest of duplicate edges
+        np.minimum.at(a, (src, dst), weight)
     return DistMatrix(a)
 
 

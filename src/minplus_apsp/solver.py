@@ -15,11 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .codec import EncodedMatrix, EncodeParams, decode, encode, max_finite
+from .codec import EncodeParams, decode, decode_values, encode, max_finite
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE, KernelChoice
 
 _KERNEL_NAMES = ("auto", DENSE, SPARSE)
+_SCATTER_ROWS = 64
 
 
 @dataclass
@@ -137,12 +138,16 @@ def _finite_summary(m: DistMatrix) -> tuple[int, int]:
 
 def _distance_product(
     l: DistMatrix, opts: SolveOptions, summary: tuple[int, int] | None = None
-) -> tuple[DistMatrix, str]:
-    """One epoch's product; summary is l's (finite count, max) when known."""
+) -> tuple[DistMatrix, str, tuple[int, int]]:
+    """One epoch's product, its kernel and its (finite count, max).
+
+    summary is l's (finite count, max) when known.
+    """
+    n = l.n
     finite, top = summary if summary is not None else _finite_summary(l)
-    p = EncodeParams(base=l.n + 1, x_tilde=top, width=opts.width)
+    p = EncodeParams(base=n + 1, x_tilde=top, width=opts.width)
     if opts.kernel == "auto":
-        kind = kernels.choose_kernel(DensityReport(finite, l.n * l.n), opts.kernel_choice)
+        kind = kernels.choose_kernel(DensityReport(finite, n * n), opts.kernel_choice)
     else:
         kind = opts.kernel
     enc = encode(l, p, enforce=opts.enforce_precision)
@@ -151,16 +156,47 @@ def _distance_product(
     if kind == SPARSE:
         s = sp.csr_array(enc.data)
         del enc
-        prod = EncodedMatrix(kernels.multiply_sparse(s, s).toarray())
-    else:
-        prod = kernels.multiply_dense(enc, enc)
-        del enc
-    return decode(prod, p), kind
+        prod = kernels.multiply_sparse(s, s)
+        del s
+        # every stored product entry is positive, so each decodes to a finite
+        # distance; decode in place when the values are already float64
+        vals = prod.data
+        vals = decode_values(vals, p, out=vals if vals.dtype == np.float64 else None)
+        result = _scatter_rows(prod.indptr, prod.indices, vals, n)
+        return result, kind, (len(vals), int(vals.max()))
+    prod = kernels.multiply_dense(enc, enc)
+    del enc
+    result = decode(prod, p)
+    del prod
+    # a finite maximum means every pair is reachable
+    top = result.data.max()
+    if top < INF:
+        return result, kind, (n * n, int(top))
+    return result, kind, _finite_summary(result)
+
+
+def _scatter_rows(
+    indptr: np.ndarray, indices: np.ndarray, vals: np.ndarray, n: int
+) -> DistMatrix:
+    """Dense n x n distances from CSR parts, inf where no value is stored.
+
+    Works over blocks of rows, so no row-index array as long as nnz is built.
+    """
+    out = np.full((n, n), INF)
+    flat = out.reshape(-1)
+    for i in range(0, n, _SCATTER_ROWS):
+        j = min(i + _SCATTER_ROWS, n)
+        lo, hi = indptr[i], indptr[j]
+        # flat position of each stored value: its row's offset plus its column
+        pos = np.repeat(np.arange(i * n, j * n, n), np.diff(indptr[i : j + 1]))
+        pos += indices[lo:hi]
+        flat[pos] = vals[lo:hi]
+    return DistMatrix._trusted(out)
 
 
 def distance_product(l: DistMatrix, opts: SolveOptions | None = None) -> DistMatrix:
     """Min-plus square of l via the encode/multiply/decode pipeline."""
-    result, _ = _distance_product(l, opts or SolveOptions())
+    result, _, _ = _distance_product(l, opts or SolveOptions())
     return result
 
 
@@ -216,9 +252,8 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     w_min = _min_off_diagonal(w)
     m = 1
     for epoch in range(1, total + 1):
-        nxt, kind = _distance_product(current, opts, (finite, top))
+        nxt, kind, (nxt_finite, nxt_top) = _distance_product(current, opts, (finite, top))
         trace.append(kind)
-        nxt_finite, nxt_top = _finite_summary(nxt)
         stats.append(
             EpochStats(
                 epoch=epoch, max_element=nxt_top, finite_before=finite, finite_after=nxt_finite
@@ -261,7 +296,7 @@ def fixed_squaring(w: DistMatrix, opts: SolveOptions | None = None) -> tuple[Dis
     iterations = max(1, _epoch_budget(w.n))
     current = w
     for _ in range(iterations):
-        current, _ = _distance_product(current, opts)
+        current, _, _ = _distance_product(current, opts)
     return current, iterations
 
 

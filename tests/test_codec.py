@@ -18,6 +18,7 @@ from minplus_apsp import (
     params_for,
     precision_limits,
 )
+from minplus_apsp.codec import decode_values
 from conftest import minplus_square, random_dist_matrix
 
 
@@ -66,6 +67,12 @@ class TestEncode:
         m = DistMatrix.from_rows([[0, 100], [100, 0]])
         enc = encode(m, params_for(m, width=32), enforce=False)
         assert np.isinf(enc.data[0, 0])
+
+    def test_enforce_off_above_int16_range(self):
+        # 40000 table slots: the entry indices no longer fit in int16
+        m = DistMatrix.from_rows([[0, 39999], [INF, 0]])
+        enc = encode(m, EncodeParams(base=3, x_tilde=40000), enforce=False)
+        assert enc.data.tolist() == [[INF, 3.0], [0.0, INF]]
 
     def test_base_mismatch_rejected(self, p3):
         with pytest.raises(ValueError, match="base"):
@@ -138,6 +145,79 @@ class TestDecode:
             p = params_for(m, width=32)
             prod = multiply_dense(encode(m, p), encode(m, p))
             assert np.array_equal(decode(prod, p).data, minplus_square(m).data)
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(29)
+        for width in (32, 64):
+            m = random_dist_matrix(rng, 25, directed=True)
+            p = params_for(m, width=width)
+            prod = multiply_dense(encode(m, p), encode(m, p))
+            before = prod.data.copy()
+            decode(prod, p)
+            assert prod.data.dtype == before.dtype
+            assert prod.data.tobytes() == before.tobytes()
+
+    def test_nan_raises(self):
+        p = EncodeParams(base=4, x_tilde=1)
+        bad = EncodedMatrix(np.array([[17.0, np.nan], [1.0, 17.0]]))
+        with pytest.raises(NonFiniteEntryError):
+            decode(bad, p)
+
+    def test_decode_values_in_place(self):
+        p = EncodeParams(base=4, x_tilde=1)
+        vals = np.array([17.0, 1.0, 4.0, 0.0])
+        out = decode_values(vals, p, out=vals)
+        assert out is vals
+        assert vals.tolist() == [0.0, 2.0, 1.0, INF]
+
+
+def _largest_feasible_x_tilde(n: int, width: int) -> int:
+    x = 0
+    while EncodeParams(base=n + 1, x_tilde=x + 1, width=width).is_feasible():
+        x += 1
+    return x
+
+
+class TestDecodeExactAtLargeN:
+    """c tied witnesses at distance d give the product entry c * base**(2x - d),
+    which lies log_base((n+1)/n) below the next power of base when c = n.
+
+    At width 32 and n = 10**6 the guard is 4e-8, so these cases also fail
+    when the log is taken in float32.
+    """
+
+    def test_n_tied_witnesses_width_32(self):
+        for n in (11_000, 20_000, 100_000):
+            p = EncodeParams(base=n + 1, x_tilde=2, width=32)
+            assert p.is_feasible()
+            b = float(p.base)
+            prod = np.array([[b**4, n * b**2], [0.0, b**4]], dtype=np.float32)
+            assert decode(EncodedMatrix(prod), p).data[0, 1] == 2
+
+    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("n", [10, 1000, 11_000, 20_000, 100_000, 10**6])
+    def test_witness_counts(self, n, width):
+        dtype = np.float32 if width == 32 else np.float64
+        top = _largest_feasible_x_tilde(n, width)
+        assert top >= 1
+        for x in sorted({1, 2, top} & set(range(1, top + 1))):
+            p = EncodeParams(base=n + 1, x_tilde=x, width=width)
+            # the factors as encode stores them, multiplied and summed in
+            # float64 and stored at the product's width, as the kernels do
+            powers = dtype(p.base) ** np.arange(x + 1, dtype=dtype)
+            entries, expected = [], []
+            for d in range(2 * x + 1):
+                a = min(d, x)
+                term = float(powers[x - a]) * float(powers[x - (d - a)])
+                for c in (n, n - 1, 1):
+                    entries.append(c * term)
+                    expected.append(d)
+            k = len(entries) + 1
+            prod = np.zeros((k, k))
+            np.fill_diagonal(prod, float(powers[x]) ** 2)
+            prod[0, 1:] = entries
+            dec = decode(EncodedMatrix(prod.astype(dtype)), p)
+            assert dec.data[0, 1:].tolist() == expected, (n, width, x)
 
 
 class TestPrecisionLimits:

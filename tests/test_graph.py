@@ -90,6 +90,30 @@ class TestToDistanceMatrix:
         g = parse_edge_list("0 1", directed=True)
         assert to_distance_matrix(g).data.tolist() == [[0.0, 1.0], [INF, 0.0]]
 
+    def test_equals_edge_loop_with_duplicates(self):
+        def loop(g):
+            a = np.full((g.n, g.n), INF, dtype=np.float64)
+            np.fill_diagonal(a, 0.0)
+            for u, v, w in g.edges:
+                a[u, v] = min(a[u, v], w)
+                if not g.directed:
+                    a[v, u] = min(a[v, u], w)
+            return a
+
+        rng = np.random.default_rng(7)
+        for directed in (False, True):
+            for _ in range(20):
+                n = int(rng.integers(2, 30))
+                edges = []
+                for _ in range(int(rng.integers(1, 4 * n))):
+                    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+                    edges.append((u, v, int(rng.integers(1, 9))))
+                # the same pair again, in both orientations, heavier and lighter
+                u, v, w = edges[0]
+                edges += [(u, v, w + 3), (v, u, w + 1), (u, v, max(1, w - 1))]
+                g = Graph(n=n, edges=edges, directed=directed)
+                assert np.array_equal(to_distance_matrix(g).data, loop(g))
+
 
 class TestDistMatrixValidation:
     @pytest.mark.parametrize(
@@ -106,6 +130,14 @@ class TestDistMatrixValidation:
     def test_rejected(self, rows):
         with pytest.raises(ValueError):
             DistMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0, float("nan"), -INF], ids=str)
+    def test_rejected_above_2048(self, bad):
+        a = np.full((2100, 2100), INF)
+        np.fill_diagonal(a, 0.0)
+        a[2099, 7] = bad
+        with pytest.raises(ValueError):
+            DistMatrix(a)
 
     def test_inf_and_integers_accepted(self):
         m = DistMatrix.from_rows([[0, INF, 3], [7, 0, INF], [INF, 12, 0]])

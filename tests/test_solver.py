@@ -20,6 +20,7 @@ from minplus_apsp import (
     max_finite,
     power_law_bound,
 )
+from minplus_apsp.solver import _distance_product, _finite_summary
 from conftest import P3_SOLVED, minplus_square, random_dist_matrix
 
 
@@ -61,6 +62,37 @@ class TestDistanceProduct:
                 got = distance_product(m, SolveOptions(width=32, kernel=kernel))
                 assert np.array_equal(got.data, minplus_square(m).data), (kernel, n)
 
+    def test_dense_and_sparse_branches_equal_definition(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(1, 50))
+            m = random_dist_matrix(
+                rng, n, density=float(rng.uniform(0, 0.4)), directed=bool(rng.integers(2))
+            )
+            want = minplus_square(m).data
+            for kernel in ("dense", "sparse"):
+                assert np.array_equal(distance_product(m, SolveOptions(kernel=kernel)).data, want)
+
+    def test_summary_is_finite_summary_of_result(self):
+        rng = np.random.default_rng(14)
+        cases = [DistMatrix.from_rows([[0]]), DistMatrix(np.where(np.eye(6, dtype=bool), 0.0, INF))]
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            cases.append(
+                random_dist_matrix(
+                    rng, n, max_weight=3, density=float(rng.uniform(0, 0.5)),
+                    directed=bool(rng.integers(2)),
+                )
+            )
+        for m in cases:
+            for kernel in ("dense", "sparse"):
+                for width in (32, 64):
+                    result, kind, summary = _distance_product(
+                        m, SolveOptions(kernel=kernel, width=width)
+                    )
+                    assert kind == kernel
+                    assert summary == _finite_summary(result)
+
     def test_unknown_kernel_rejected(self):
         for kernel in ("naive", "blocked", "strassen", "dense_blocked"):
             with pytest.raises(ValueError, match="unknown kernel"):
@@ -70,6 +102,33 @@ class TestDistanceProduct:
         m = DistMatrix.from_rows([[0, 45], [45, 0]])
         with pytest.raises(FeasibilityError):
             distance_product(m, SolveOptions(width=32))
+
+
+class TestResultsValidate:
+    """Internal matrices skip validation; every one a caller receives must
+    still pass it."""
+
+    def test_every_returned_matrix_is_valid(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            m = random_dist_matrix(
+                rng, n, density=float(rng.uniform(0, 0.4)), directed=bool(rng.integers(2))
+            )
+            for kernel in ("auto", "dense", "sparse"):
+                for width in (32, 64):
+                    opts = SolveOptions(kernel=kernel, width=width)
+                    try:
+                        got = [
+                            power_law_bound(m, opts).distances,
+                            fixed_squaring(m, opts)[0],
+                            distance_product(m, opts),
+                        ]
+                    except FeasibilityError:
+                        continue
+                    for d in got:
+                        assert d.data.dtype == np.float64
+                        DistMatrix(d.data)
 
 
 class TestFloydWarshall:
