@@ -11,7 +11,7 @@ import numpy as np
 from . import matio
 from .codec import DecodeError, FeasibilityError, precision_limits
 from .graph import GraphFormatError, parse_edge_list, to_distance_matrix
-from .kernels import KernelChoice
+from .kernels import KERNEL_NAMES
 from .netgen import GenSpec, diameter, estimate_diameter, generate_scale_free
 from .solver import (
     SolveOptions,
@@ -36,18 +36,17 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--directed", action="store_true", help="treat edges as directed")
     solve.add_argument("--width", type=int, choices=(32, 64), default=64)
     solve.add_argument(
-        "--sparse-threshold", type=float, default=None, help="density cutoff for the sparse kernel"
-    )
-    solve.add_argument(
         "--kernel",
-        choices=("auto", "dense", "sparse"),
+        choices=KERNEL_NAMES,
         default="auto",
+        help="auto picks sparse below 10%% finite entries, dense otherwise",
     )
-    solve.add_argument("--diameter", type=int, default=None, help="diameter hint for the loop bound")
     solve.add_argument(
         "--trust-diameter",
-        action="store_true",
-        help="skip the confirming epoch once the hint is covered",
+        type=int,
+        metavar="D",
+        help="stop as converged once paths of D edges are covered, with no confirming "
+        "epoch; D is not checked, and one below the true diameter gives wrong distances",
     )
     solve.add_argument("--oracle", action="store_true", help="cross-check against scipy's Dijkstra")
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--m-attach", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--directed", action="store_true")
-    bench.add_argument("--sparse-threshold", type=float, default=0.10)
     bench.add_argument("-o", "--output", help="CSV output path (default: stdout)")
 
     check = sub.add_parser("check", help="print precision limits for a node count")
@@ -82,20 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solve_options(args) -> SolveOptions:
-    if args.kernel != "auto" and args.sparse_threshold is not None:
-        raise SystemExit(
-            "error: --sparse-threshold only applies with --kernel auto "
-            "(kernel override conflicts with auto-selection)"
-        )
-    choice = KernelChoice(
-        threshold=args.sparse_threshold if args.sparse_threshold is not None else 0.10
-    )
     return SolveOptions(
         width=args.width,
-        kernel_choice=choice,
         kernel=args.kernel,
-        diameter_hint=args.diameter,
-        trust_hint=args.trust_diameter,
+        trusted_diameter=args.trust_diameter,
         enforce_precision=not args.unsafe_precision,
     )
 
@@ -113,7 +101,7 @@ def cmd_solve(args) -> int:
         start = time.perf_counter()
         result = power_law_bound(w, opts)
         elapsed = time.perf_counter() - start
-    except (GraphFormatError, FeasibilityError, DecodeError, ValueError) as exc:
+    except (GraphFormatError, FeasibilityError, DecodeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -159,7 +147,6 @@ def cmd_bench(args) -> int:
     else:
         graph = generate_scale_free(GenSpec(n=args.n, m_attach=args.m_attach, seed=args.seed))
     w = to_distance_matrix(graph)
-    choice = KernelChoice(threshold=args.sparse_threshold)
     rows = []
 
     start = time.perf_counter()
@@ -167,12 +154,12 @@ def cmd_bench(args) -> int:
     rows.append(("floyd_warshall", "-", time.perf_counter() - start))
 
     start = time.perf_counter()
-    _, iters = fixed_squaring(w, SolveOptions(kernel_choice=choice))
+    _, iters = fixed_squaring(w)
     rows.append(("fixed_squaring", str(iters), time.perf_counter() - start))
 
-    for kernel in ("auto", "dense", "sparse"):
+    for kernel in KERNEL_NAMES:
         start = time.perf_counter()
-        result = power_law_bound(w, SolveOptions(kernel_choice=choice, kernel=kernel))
+        result = power_law_bound(w, SolveOptions(kernel=kernel))
         rows.append(
             (f"power_law_bound[{kernel}]", str(len(result.epochs)), time.perf_counter() - start)
         )

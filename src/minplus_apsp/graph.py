@@ -28,12 +28,19 @@ class Graph:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError(f"node count must be positive, got {self.n}")
+        n = self.n
         for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            try:
+                # | refuses a float id, which to_distance_matrix would truncate
+                in_range = (u | v) >= 0 and u < n and v < n
+            except TypeError:
+                raise ValueError(f"edge ({u},{v}) has a non-integer node id") from None
+            if not in_range:
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if w < 1 or int(w) != w:
+            # the chained test also refuses inf and NaN before int() sees them
+            if not 1 <= w < INF or int(w) != w:
                 raise ValueError(f"edge ({u},{v}) has invalid weight {w}")
 
 

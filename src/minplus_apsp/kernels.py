@@ -6,8 +6,6 @@ return the input dtype.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -16,22 +14,15 @@ from .graph import DensityReport
 
 SPARSE = "sparse"
 DENSE = "dense"
+# the values of SolveOptions.kernel: the density rule, or one kernel forced
+KERNEL_NAMES = ("auto", DENSE, SPARSE)
+# the paper's sparseness judgment: fewer than 10 % of entries finite
+SPARSE_THRESHOLD = 0.10
 
 
-@dataclass(frozen=True)
-class KernelChoice:
-    """Density threshold below which the sparse kernel runs."""
-
-    threshold: float = 0.10
-
-    def __post_init__(self):
-        if not 0 < self.threshold < 1:
-            raise ValueError(f"threshold {self.threshold} out of (0, 1)")
-
-
-def choose_kernel(d: DensityReport, c: KernelChoice) -> str:
-    """Sparse strictly below the density threshold, dense otherwise."""
-    return SPARSE if d.density < c.threshold else DENSE
+def choose_kernel(d: DensityReport) -> str:
+    """Sparse strictly below SPARSE_THRESHOLD, dense otherwise."""
+    return SPARSE if d.density < SPARSE_THRESHOLD else DENSE
 
 
 def multiply_dense(a: EncodedMatrix, b: EncodedMatrix) -> EncodedMatrix:

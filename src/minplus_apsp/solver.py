@@ -9,17 +9,16 @@ epoch is skipped when a bound on path weights already proves convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .codec import EncodeParams, decode, decode_values, encode, max_finite
+from .codec import EncodeParams, decode, decode_values, encode
 from .graph import INF, DensityReport, DistMatrix
-from .kernels import DENSE, SPARSE, KernelChoice
+from .kernels import KERNEL_NAMES, SPARSE
 
-_KERNEL_NAMES = ("auto", DENSE, SPARSE)
 _SCATTER_ROWS = 64
 
 
@@ -27,25 +26,28 @@ _SCATTER_ROWS = 64
 class SolveOptions:
     """Knobs for the solve loop.
 
-    max_epochs caps improving epochs (default ceil(log2(n - 1))); one extra
-    confirming epoch is always allowed on top. diameter_hint with
-    trust_hint=True stops as soon as the doubled path budget covers the hint,
-    skipping the confirming epoch.
+    kernel is "auto" (the density rule of kernels.choose_kernel) or names the
+    one kernel every epoch runs. max_epochs caps improving epochs (default
+    ceil(log2(n - 1))); one extra confirming epoch is always allowed on top.
+    trusted_diameter D stops the solve, reported converged, as soon as the
+    doubled path budget reaches D, with no confirming epoch. D is not
+    checked: below the true diameter, the result holds distances that are
+    too long, or inf, and still reads converged=True.
     """
 
     width: int = 64
-    kernel_choice: KernelChoice = field(default_factory=KernelChoice)
     kernel: str = "auto"
     max_epochs: int | None = None
-    diameter_hint: int | None = None
-    trust_hint: bool = False
+    trusted_diameter: int | None = None
     enforce_precision: bool = True
 
     def __post_init__(self):
-        if self.kernel not in _KERNEL_NAMES:
+        if self.kernel not in KERNEL_NAMES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.max_epochs is not None and self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.trusted_diameter is not None and self.trusted_diameter < 1:
+            raise ValueError("trusted_diameter must be >= 1")
 
 
 @dataclass
@@ -118,17 +120,6 @@ def converged(before: DistMatrix, after: DistMatrix) -> bool:
     return bool(np.array_equal(before.data, after.data))
 
 
-def epoch_stats(before: DistMatrix, after: DistMatrix, epoch: int) -> EpochStats:
-    if before.n != after.n:
-        raise ValueError(f"dimension mismatch: {before.n} vs {after.n}")
-    return EpochStats(
-        epoch=epoch,
-        max_element=max_finite(after),
-        finite_before=int(np.isfinite(before.data).sum()),
-        finite_after=int(np.isfinite(after.data).sum()),
-    )
-
-
 def _finite_summary(m: DistMatrix) -> tuple[int, int]:
     """(finite entry count, largest finite entry) of m from one isfinite pass."""
     a = m.data
@@ -147,7 +138,7 @@ def _distance_product(
     finite, top = summary if summary is not None else _finite_summary(l)
     p = EncodeParams(base=n + 1, x_tilde=top, width=opts.width)
     if opts.kernel == "auto":
-        kind = kernels.choose_kernel(DensityReport(finite, n * n), opts.kernel_choice)
+        kind = kernels.choose_kernel(DensityReport(finite, n * n))
     else:
         kind = opts.kernel
     enc = encode(l, p, enforce=opts.enforce_precision)
@@ -234,7 +225,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     """Solve APSP by repeated min-plus squaring with convergence detection.
 
     Stops when an epoch leaves the matrix unchanged, when the doubled path
-    budget reaches a trusted diameter hint, when the path-weight bound proves
+    budget reaches the trusted diameter, when the path-weight bound proves
     that the next epoch would change nothing, or when the epoch budget runs
     out (converged=False on the partial result in that case). A stop by the
     bound still records the confirming epoch, with no change, in epochs, but
@@ -266,11 +257,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
             is_converged = True
             break
         m *= 2
-        if (
-            opts.diameter_hint is not None
-            and opts.trust_hint
-            and m >= opts.diameter_hint
-        ):
+        if opts.trusted_diameter is not None and m >= opts.trusted_diameter:
             is_converged = True
             break
         if _bound_proves_converged(n, m, w_min, finite, finite_before, top):

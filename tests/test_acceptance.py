@@ -17,7 +17,6 @@ from minplus_apsp import (
     DistMatrix,
     EncodedMatrix,
     GenSpec,
-    KernelChoice,
     NonFiniteEntryError,
     SolveOptions,
     decode,
@@ -73,7 +72,7 @@ def test_criterion_2_precision_limits():
 def test_criterion_3_epoch_count_bound():
     start = time.perf_counter()
     checked = []
-    opts = SolveOptions(kernel_choice=KernelChoice())
+    opts = SolveOptions()
     for n in (1000, 10000):
         for m_attach in (2, 3, 5):
             g = generate_scale_free(GenSpec(n=n, m_attach=m_attach, seed=7))
@@ -142,8 +141,8 @@ def test_criterion_5_kernel_cross_validation():
 def test_criterion_6_sparseness_routing():
     from minplus_apsp import DensityReport, choose_kernel
 
-    assert choose_kernel(DensityReport(999, 10000), KernelChoice()) == "sparse"
-    assert choose_kernel(DensityReport(1000, 10000), KernelChoice()) == "dense"
+    assert choose_kernel(DensityReport(999, 10000)) == "sparse"
+    assert choose_kernel(DensityReport(1000, 10000)) == "dense"
 
     # 0.9%-dense scale-free graph: the solve must start sparse and go dense
     g = generate_scale_free(GenSpec(n=1600, m_attach=7, seed=11))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minplus_apsp import cli
 from minplus_apsp.cli import main
 from minplus_apsp.matio import read_distance_binary
 
@@ -62,9 +63,11 @@ class TestSolve:
         assert main(["solve", str(path), "--width", "32"]) == 1
         assert "limit" in capsys.readouterr().err
 
-    def test_kernel_override_conflicts_with_threshold(self, p3_file):
-        with pytest.raises(SystemExit):
-            main(["solve", p3_file, "--kernel", "dense", "--sparse-threshold", "0.2"])
+    @pytest.mark.parametrize("flag", ["--sparse-threshold", "--diameter"])
+    def test_removed_tuning_flags_rejected(self, p3_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", p3_file, flag, "2"])
+        assert exc.value.code != 0
 
     def test_kernel_override(self, p3_file, capsys):
         assert main(["solve", p3_file, "--kernel", "dense"]) == 0
@@ -95,8 +98,20 @@ class TestSolve:
         assert "0,1\nINF,0\n" in capsys.readouterr().out
 
     def test_trust_diameter(self, p3_file, capsys):
-        assert main(["solve", p3_file, "--diameter", "2", "--trust-diameter"]) == 0
+        assert main(["solve", p3_file, "--trust-diameter", "2"]) == 0
         assert "epochs=1" in capsys.readouterr().out
+
+    def test_trust_diameter_below_one(self, p3_file, capsys):
+        assert main(["solve", p3_file, "--trust-diameter", "0"]) == 1
+        assert "trusted_diameter must be >= 1" in capsys.readouterr().err
+
+    def test_out_of_memory_reported(self, p3_file, monkeypatch, capsys):
+        def no_memory(graph):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(cli, "to_distance_matrix", no_memory)
+        assert main(["solve", p3_file]) == 1
+        assert "error: Unable to allocate 298. GiB" in capsys.readouterr().err
 
 
 class TestGen:

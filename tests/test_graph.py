@@ -76,6 +76,21 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(n=0, edges=[])
 
+    @pytest.mark.parametrize("edge", [(0.5, 1, 1), (0, 1.0, 1), (0, np.float64(2), 1)])
+    def test_non_integer_node_id(self, edge):
+        # to_distance_matrix would otherwise truncate the id silently
+        with pytest.raises(ValueError, match="non-integer node id"):
+            Graph(n=3, edges=[edge])
+
+    @pytest.mark.parametrize("weight", [INF, float("nan"), 1.5, 0])
+    def test_invalid_weight(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(0,1\) has invalid weight"):
+            Graph(n=2, edges=[(0, 1, weight)])
+
+    def test_numpy_integers_accepted(self):
+        g = Graph(n=3, edges=[(np.int64(0), np.int64(2), np.int64(3))])
+        assert to_distance_matrix(g).data[0, 2] == 3
+
 
 class TestToDistanceMatrix:
     def test_path_graph(self, p3):

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from minplus_apsp import (
     DensityReport,
     EncodedMatrix,
-    KernelChoice,
     choose_kernel,
     decode,
     encode,
@@ -117,21 +116,15 @@ class TestWidth32:
 class TestChooseKernel:
     def test_sparse_below_threshold(self):
         d = DensityReport(finite_count=86, n_squared=10000)
-        assert choose_kernel(d, KernelChoice()) == "sparse"
+        assert choose_kernel(d) == "sparse"
 
     def test_dense_at_threshold_exactly(self):
         d = DensityReport(finite_count=1000, n_squared=10000)
-        assert choose_kernel(d, KernelChoice()) == "dense"
+        assert choose_kernel(d) == "dense"
 
     def test_dense_when_dense(self):
         d = DensityReport(finite_count=9900, n_squared=10000)
-        assert choose_kernel(d, KernelChoice()) == "dense"
-
-    def test_invalid_choice(self):
-        with pytest.raises(ValueError):
-            KernelChoice(threshold=0.0)
-        with pytest.raises(ValueError):
-            KernelChoice(threshold=1.0)
+        assert choose_kernel(d) == "dense"
 
 
 class TestKernelAgreementAfterDecode:

@@ -9,11 +9,9 @@ from minplus_apsp import (
     DistMatrix,
     EpochStats,
     FeasibilityError,
-    KernelChoice,
     SolveOptions,
     converged,
     distance_product,
-    epoch_stats,
     epoch_stats_csv,
     fixed_squaring,
     floyd_warshall,
@@ -256,16 +254,23 @@ class TestPowerLawBound:
         assert max_finite(r.distances) == 4
 
     def test_trusted_diameter_hint_skips_confirmation(self):
-        r = power_law_bound(
-            path_matrix(9), SolveOptions(diameter_hint=8, trust_hint=True)
-        )
+        r = power_law_bound(path_matrix(9), SolveOptions(trusted_diameter=8))
         assert r.converged
         assert len(r.epochs) == 3
         assert np.array_equal(r.distances.data, floyd_warshall(path_matrix(9)).data)
 
-    def test_kernel_trace_records_selection(self, p3):
-        r = power_law_bound(p3, SolveOptions(kernel_choice=KernelChoice(threshold=0.9)))
+    def test_trusted_diameter_is_not_checked(self):
+        # a hint below the true diameter 8 stops early and still reads converged
+        r = power_law_bound(path_matrix(9), SolveOptions(trusted_diameter=2))
+        assert r.converged
+        assert len(r.epochs) == 1
+        assert max_finite(r.distances) == 2
+
+    def test_kernel_trace_records_selection(self):
+        # 40 + 2 * 39 finite entries of 1600: 7.4 %, below the 10 % threshold
+        r = power_law_bound(path_matrix(40))
         assert r.kernel_trace[0] == "sparse"
+        assert r.kernel_trace[-1] == "dense"
 
     def test_fixed_squaring_baseline(self):
         m = path_matrix(17)
@@ -275,9 +280,21 @@ class TestPowerLawBound:
         assert len(power_law_bound(m).epochs) <= iters + 1
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("removed", ["kernel_choice", "diameter_hint", "trust_hint"])
+    def test_removed_options_rejected(self, removed):
+        with pytest.raises(TypeError):
+            SolveOptions(**{removed: None})
+
+    @pytest.mark.parametrize("field", ["max_epochs", "trusted_diameter"])
+    def test_bounds_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: 0})
+
+
 class TestEpochStats:
     def test_p3_first_epoch(self, p3):
-        st = epoch_stats(p3, distance_product(p3), epoch=1)
+        st = power_law_bound(p3).epochs[0]
         assert (st.finite_before, st.finite_after, st.delta) == (7, 9, 2)
         assert st.max_element == 2
 
