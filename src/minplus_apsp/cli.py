@@ -1,4 +1,4 @@
-"""Command-line front end: solve, bench, check, gen."""
+"""Command-line front end: solve, check, gen."""
 from __future__ import annotations
 
 import argparse
@@ -13,13 +13,7 @@ from .codec import DecodeError, FeasibilityError, precision_limits
 from .graph import GraphFormatError, parse_edge_list, to_distance_matrix
 from .kernels import KERNEL_NAMES
 from .netgen import GenSpec, diameter, estimate_diameter, generate_scale_free
-from .solver import (
-    SolveOptions,
-    epoch_stats_csv,
-    fixed_squaring,
-    floyd_warshall,
-    power_law_bound,
-)
+from .solver import SolveOptions, epoch_stats_csv, power_law_bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the overflow feasibility guard (decode may fail instead)",
     )
 
-    bench = sub.add_parser("bench", help="time the solver variants on one graph")
-    bench.add_argument("input", nargs="?", help="edge-list file (omit to generate)")
-    bench.add_argument("--n", type=int, default=512, help="generated graph size")
-    bench.add_argument("--m-attach", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--directed", action="store_true")
-    bench.add_argument("-o", "--output", help="CSV output path (default: stdout)")
-
     check = sub.add_parser("check", help="print precision limits for a node count")
     check.add_argument("n", type=int)
 
@@ -89,6 +75,9 @@ def _solve_options(args) -> SolveOptions:
 
 
 def cmd_solve(args) -> int:
+    if args.format == "bin" and not args.output:
+        print("error: --format bin requires --output", file=sys.stderr)
+        return 1
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -105,23 +94,23 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.format == "bin":
-        if not args.output:
-            print("error: --format bin requires --output", file=sys.stderr)
-            return 1
-        matio.write_distance_binary(result.distances, args.output)
-    elif args.output:
-        matio.write_distance_csv(result.distances, args.output)
-    else:
-        sys.stdout.write(matio.distance_csv(result.distances))
-
-    if args.stats:
-        Path(args.stats).write_text(epoch_stats_csv(result.epochs))
-    if args.heatmap:
-        matio.write_heatmap_pgm(result.distances, args.heatmap)
+    try:
+        if args.format == "bin":
+            matio.write_distance_binary(result.distances, args.output)
+        elif args.output:
+            matio.write_distance_csv(result.distances, args.output)
+        else:
+            sys.stdout.write(matio.distance_csv(result.distances))
+        if args.stats:
+            Path(args.stats).write_text(epoch_stats_csv(result.epochs))
+        if args.heatmap:
+            matio.write_heatmap_pgm(result.distances, args.heatmap)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     print(
-        f"n={graph.n} edges={len(graph.edges)} epochs={len(result.epochs)} "
+        f"n={graph.n} edges={len(graph.src)} epochs={len(result.epochs)} "
         f"converged={result.converged} kernels={','.join(result.kernel_trace)} "
         f"wall={elapsed:.3f}s"
     )
@@ -141,41 +130,12 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.input:
-        graph = parse_edge_list(Path(args.input).read_text(), directed=args.directed)
-    else:
-        graph = generate_scale_free(GenSpec(n=args.n, m_attach=args.m_attach, seed=args.seed))
-    w = to_distance_matrix(graph)
-    rows = []
-
-    start = time.perf_counter()
-    floyd_warshall(w)
-    rows.append(("floyd_warshall", "-", time.perf_counter() - start))
-
-    start = time.perf_counter()
-    _, iters = fixed_squaring(w)
-    rows.append(("fixed_squaring", str(iters), time.perf_counter() - start))
-
-    for kernel in KERNEL_NAMES:
-        start = time.perf_counter()
-        result = power_law_bound(w, SolveOptions(kernel=kernel))
-        rows.append(
-            (f"power_law_bound[{kernel}]", str(len(result.epochs)), time.perf_counter() - start)
-        )
-
-    out = "algorithm,iterations,seconds\n" + "".join(
-        f"{name},{it},{sec:.6f}\n" for name, it, sec in rows
-    )
-    if args.output:
-        Path(args.output).write_text(out)
-    else:
-        sys.stdout.write(out)
-    return 0
-
-
 def cmd_check(args) -> int:
-    est = estimate_diameter(args.n)
+    try:
+        est = estimate_diameter(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"n={args.n} estimated_diameter={est:.1f}")
     for width in (32, 64):
         lim = precision_limits(args.n, width)
@@ -196,10 +156,14 @@ def cmd_gen(args) -> int:
         return 1
     text = matio.edge_list_text(graph)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
-    print(f"n={graph.n} edges={len(graph.edges)}", file=sys.stderr)
+    print(f"n={graph.n} edges={len(graph.src)}", file=sys.stderr)
     if args.solve:
         result = power_law_bound(to_distance_matrix(graph))
         diam = diameter(result.distances)
@@ -216,7 +180,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "solve": cmd_solve,
-        "bench": cmd_bench,
         "check": cmd_check,
         "gen": cmd_gen,
     }[args.command]

@@ -17,31 +17,69 @@ class GraphFormatError(ValueError):
     """Malformed edge-list input."""
 
 
+class EdgeError(ValueError):
+    """An edge that breaks a Graph invariant; ``index`` is its position in
+    the edge arrays."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple weighted graph with dense 0-based node ids."""
+    """Weighted graph with dense 0-based node ids, held as three parallel
+    read-only int64 edge arrays. Parallel edges are allowed:
+    ``to_distance_matrix`` keeps the lightest.
+    """
 
     n: int
-    edges: list[tuple[int, int, int]]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
     directed: bool = False
 
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError(f"node count must be positive, got {self.n}")
-        n = self.n
-        for u, v, w in self.edges:
-            try:
-                # | refuses a float id, which to_distance_matrix would truncate
-                in_range = (u | v) >= 0 and u < n and v < n
-            except TypeError:
-                raise ValueError(f"edge ({u},{v}) has a non-integer node id") from None
-            if not in_range:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            # the chained test also refuses inf and NaN before int() sees them
-            if not 1 <= w < INF or int(w) != w:
-                raise ValueError(f"edge ({u},{v}) has invalid weight {w}")
+        src, dst, weight = (np.asarray(a) for a in (self.src, self.dst, self.weight))
+        if src.ndim != 1 or not src.shape == dst.shape == weight.shape:
+            raise ValueError(
+                f"edge arrays must be 1-D and of equal length, got shapes "
+                f"{src.shape}, {dst.shape}, {weight.shape}"
+            )
+        if len(src):  # an empty list converts to float64; it holds no edge to check
+            for ids in (src, dst):
+                # a float id would be truncated by to_distance_matrix
+                if ids.dtype.kind not in "iu":
+                    raise ValueError(f"non-integer node id dtype {ids.dtype}")
+            _check_edges(self.n, src, dst, weight)
+        for name, a in (("src", src), ("dst", dst), ("weight", weight)):
+            # a private read-only copy, so the checked edges cannot change
+            a = a.astype(np.int64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+
+def _check_edges(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
+    """Raise EdgeError naming the first edge with an id outside [0, n), a
+    self-loop, or a weight that is not an integer >= 1."""
+    in_range = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    loop = src == dst
+    good_weight = weight >= 1
+    if weight.dtype.kind == "f":
+        # refuses inf, NaN, fractions and values past int64
+        good_weight &= (weight < 2.0**63) & (np.floor(weight) == weight)
+    bad = ~in_range | loop | ~good_weight
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    u, v = src[i], dst[i]
+    if not in_range[i]:
+        raise EdgeError(i, f"edge ({u},{v}) out of range for n={n}")
+    if loop[i]:
+        raise EdgeError(i, f"self-loop at node {u}")
+    raise EdgeError(i, f"edge ({u},{v}) has invalid weight {weight[i]}")
 
 
 @dataclass(frozen=True)
@@ -108,68 +146,69 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     """Parse "u v" / "u v w" lines into a Graph.
 
     Lines starting with "#" are comments; an optional "#n <count>" header
-    fixes the node count (otherwise 1 + max node id). Duplicate edges
-    collapse to the minimum weight.
+    fixes the node count (otherwise 1 + max node id). A line without a
+    weight has weight 1. Duplicate edges are kept as parallel edges.
+    Every rejection names the line.
     """
+    lines = text.splitlines()
     declared_n = None
-    best: dict[tuple[int, int], int] = {}
-    max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    tokens: list[str] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            m = _HEADER_RE.match(line)
+        if parts[0][0] == "#":
+            m = _HEADER_RE.match(raw.strip())
             if m:
                 declared_n = int(m.group(1))
             continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
+        if len(parts) == 2:
+            parts.append("1")
+        elif len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'u v' or 'u v w', got {raw!r}")
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer token in {raw!r}") from None
-        u, v = nums[0], nums[1]
-        w = nums[2] if len(nums) == 3 else 1
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at node {u}")
-        if w < 1:
-            raise GraphFormatError(f"line {lineno}: weight must be >= 1, got {w}")
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise GraphFormatError(
-                f"line {lineno}: node id >= declared count {declared_n}"
-            )
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in best:
-            best[key] = min(best[key], w)
-        else:
-            best[key] = w
-        max_id = max(max_id, u, v)
+        tokens += parts
+        linenos.append(lineno)
 
-    if not best:
+    if not linenos:
         raise GraphFormatError("empty graph: no edges found")
-    n = declared_n if declared_n is not None else max_id + 1
-    edges = [(u, v, w) for (u, v), w in best.items()]
-    return Graph(n=n, edges=edges, directed=directed)
+    try:
+        edges = np.array(tokens, dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        raise GraphFormatError(_token_error(lines, linenos, tokens)) from None
+    n = declared_n if declared_n is not None else max(int(edges[:, :2].max()) + 1, 1)
+    try:
+        return Graph(n, edges[:, 0], edges[:, 1], edges[:, 2], directed=directed)
+    except EdgeError as exc:
+        raise GraphFormatError(f"line {linenos[exc.index]}: {exc}") from None
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def _token_error(lines: list[str], linenos: list[int], tokens: list[str]) -> str:
+    """Name the first edge line whose tokens are not all int64 integers."""
+    for k, lineno in enumerate(linenos):
+        try:
+            np.array(tokens[3 * k : 3 * k + 3], dtype=np.int64)
+        except ValueError:
+            return f"line {lineno}: non-integer token in {lines[lineno - 1]!r}"
+        except OverflowError:
+            return f"line {lineno}: integer outside the int64 range in {lines[lineno - 1]!r}"
+    return "non-integer token"
 
 
 def to_distance_matrix(g: Graph) -> DistMatrix:
     """Adjacency in distance form: 0 diagonal, edge weights, inf elsewhere."""
     a = np.full((g.n, g.n), INF, dtype=np.float64)
     np.fill_diagonal(a, 0.0)
-    if g.edges:
-        src, dst, weight = zip(*g.edges)
-        src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-        weight = np.array(weight, dtype=np.float64)
-        if not g.directed:
-            src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-            weight = np.concatenate((weight, weight))
-        # minimum.at keeps the lightest of duplicate edges
-        np.minimum.at(a, (src, dst), weight)
-    return DistMatrix(a)
+    src, dst, weight = g.src, g.dst, g.weight.astype(np.float64)
+    if not g.directed:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+        weight = np.concatenate((weight, weight))
+    # the one duplicate rule: the lightest of parallel edges wins
+    np.minimum.at(a, (src, dst), weight)
+    # every entry is 0, inf or the weight of an edge Graph has checked
+    return DistMatrix._trusted(a)
 
 
 def density(m: DistMatrix) -> DensityReport:

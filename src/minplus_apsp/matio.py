@@ -78,10 +78,7 @@ def write_heatmap_pgm(m: DistMatrix, path: str | Path) -> None:
 def edge_list_text(g: Graph) -> str:
     """Edge-list format with an explicit "#n <count>" header."""
     lines = [f"#n {g.n}"]
-    for u, v, w in g.edges:
-        lines.append(f"{u} {v} {w}")
+    lines += [
+        f"{u} {v} {w}" for u, v, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+    ]
     return "\n".join(lines) + "\n"
-
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(edge_list_text(g))

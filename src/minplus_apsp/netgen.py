@@ -33,7 +33,8 @@ def generate_scale_free(spec: GenSpec) -> Graph:
     """
     rng = np.random.default_rng(spec.seed)
     m = spec.m_attach
-    edges: list[tuple[int, int, int]] = []
+    # (u, v) of each edge in order: both the edge list and the
+    # degree-proportional pool that targets are drawn from
     endpoints: list[int] = []
     for v in range(m, spec.n):
         if v == m:
@@ -44,10 +45,10 @@ def generate_scale_free(spec: GenSpec) -> Graph:
                 picked.add(endpoints[rng.integers(len(endpoints))])
             targets = sorted(picked)
         for u in targets:
-            edges.append((u, v, 1))
             endpoints.append(u)
             endpoints.append(v)
-    return Graph(n=spec.n, edges=edges, directed=False)
+    pairs = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    return Graph(spec.n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs), dtype=np.int64))
 
 
 class DiameterReport(NamedTuple):

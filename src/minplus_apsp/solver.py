@@ -286,11 +286,3 @@ def fixed_squaring(w: DistMatrix, opts: SolveOptions | None = None) -> tuple[Dis
         current, _, _ = _distance_product(current, opts)
     return current, iterations
 
-
-def floyd_warshall(w: DistMatrix) -> DistMatrix:
-    """Ground-truth triple-loop relaxation (vectorized over the inner pair)."""
-    d = w.data.copy()
-    n = w.n
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return DistMatrix(d)

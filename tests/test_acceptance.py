@@ -22,7 +22,6 @@ from minplus_apsp import (
     decode,
     density,
     encode,
-    floyd_warshall,
     generate_scale_free,
     max_finite,
     multiply_dense,
@@ -32,7 +31,7 @@ from minplus_apsp import (
     precision_limits,
     to_distance_matrix,
 )
-from conftest import minplus_square, random_dist_matrix
+from conftest import floyd_warshall, minplus_square, random_dist_matrix
 
 
 def test_criterion_1_oracle_equivalence():

@@ -42,6 +42,30 @@ class TestSolve:
         assert main(["solve", p3_file, "--format", "bin"]) == 1
         assert "requires --output" in capsys.readouterr().err
 
+    def test_binary_without_output_rejected_before_parsing(self, tmp_path, monkeypatch, capsys):
+        def no_parse(text, directed=False):
+            raise AssertionError("input parsed before the options were checked")
+
+        monkeypatch.setattr(cli, "parse_edge_list", no_parse)
+        missing = str(tmp_path / "missing.txt")
+        assert main(["solve", missing, "--format", "bin"]) == 1
+        assert capsys.readouterr().err == "error: --format bin requires --output\n"
+
+    @pytest.mark.parametrize("flag", ["-o", "--stats", "--heatmap"])
+    def test_unwritable_output_reported(self, p3_file, tmp_path, flag, capsys):
+        target = str(tmp_path / "no_such_dir" / "out")
+        assert main(["solve", p3_file, flag, target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and "no_such_dir" in err
+
+    def test_edges_counts_edge_lines(self, tmp_path, capsys):
+        path = tmp_path / "dup.txt"
+        path.write_text("# comment\n0 1 3\n\n1 0 2\n1 2\n")
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "0,2,3\n2,0,1\n3,1,0\n" in out
+        assert "n=3 edges=3 " in out
+
     def test_stats_csv(self, p3_file, tmp_path):
         stats = tmp_path / "stats.csv"
         assert main(["solve", p3_file, "--stats", str(stats)]) == 0
@@ -142,6 +166,11 @@ class TestGen:
     def test_invalid_spec(self, capsys):
         assert main(["gen", "--n", "2", "--m-attach", "5"]) == 1
 
+    def test_unwritable_output_reported(self, tmp_path, capsys):
+        target = str(tmp_path / "no_such_dir" / "g.txt")
+        assert main(["gen", "--n", "10", "-o", target]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output")
+
 
 class TestCheck:
     def test_actors_network(self, capsys):
@@ -159,18 +188,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "paper_limit=127.9" in out and "paper_limit=1024.0" in out
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_n_reported(self, n, capsys):
+        assert main(["check", n]) == 1
+        assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
 
-class TestBench:
-    def test_schema_and_ordering(self, capsys):
-        assert main(["bench", "--n", "48", "--m-attach", "2", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert lines[0] == "algorithm,iterations,seconds"
-        rows = {}
-        for line in lines[1:]:
-            name, iters, secs = line.split(",")
-            rows[name] = (iters, float(secs))
-            assert float(secs) > 0
-        assert len(rows) >= 3
-        fixed_iters = int(rows["fixed_squaring"][0])
-        assert int(rows["power_law_bound[auto]"][0]) <= fixed_iters
+
+def test_bench_subcommand_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "48"])
+    assert exc.value.code != 0

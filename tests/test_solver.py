@@ -14,12 +14,11 @@ from minplus_apsp import (
     distance_product,
     epoch_stats_csv,
     fixed_squaring,
-    floyd_warshall,
     max_finite,
     power_law_bound,
 )
 from minplus_apsp.solver import _distance_product, _finite_summary
-from conftest import P3_SOLVED, minplus_square, random_dist_matrix
+from conftest import P3_SOLVED, floyd_warshall, minplus_square, random_dist_matrix
 
 
 def path_matrix(n):
