@@ -46,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
     solve.add_argument("--heatmap", metavar="PATH", help="write a grayscale PGM of the result")
     solve.add_argument("--stats", metavar="PATH", help="write per-epoch statistics CSV")
-    solve.add_argument(
-        "--unsafe-precision",
-        action="store_true",
-        help="skip the overflow feasibility guard (decode may fail instead)",
-    )
 
     check = sub.add_parser("check", help="print precision limits for a node count")
     check.add_argument("n", type=int)
@@ -70,7 +65,6 @@ def _solve_options(args) -> SolveOptions:
         width=args.width,
         kernel=args.kernel,
         trusted_diameter=args.trust_diameter,
-        enforce_precision=not args.unsafe_precision,
     )
 
 
@@ -78,6 +72,13 @@ def cmd_solve(args) -> int:
     if args.format == "bin" and not args.output:
         print("error: --format bin requires --output", file=sys.stderr)
         return 1
+    # refuse, before any work, a target that can never be opened for writing
+    for target in filter(None, (args.output, args.stats, args.heatmap)):
+        path = Path(target)
+        if path.is_dir() or not path.parent.is_dir():
+            what = "is a directory" if path.is_dir() else f"{path.parent} is not a directory"
+            print(f"error: cannot write output: {target}: {what}", file=sys.stderr)
+            return 1
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -165,7 +166,11 @@ def cmd_gen(args) -> int:
         sys.stdout.write(text)
     print(f"n={graph.n} edges={len(graph.src)}", file=sys.stderr)
     if args.solve:
-        result = power_law_bound(to_distance_matrix(graph))
+        try:
+            result = power_law_bound(to_distance_matrix(graph))
+        except (FeasibilityError, DecodeError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         diam = diameter(result.distances)
         est = estimate_diameter(graph.n)
         print(

@@ -19,10 +19,9 @@ EMAX = {32: 127.9, 64: 1024.0}
 
 # additive guard inside the floored log; base**k is not always exactly
 # representable, so values can round to just below an integer boundary.
+# Products are float64 at both width caps, so only the 64-bit guard exists;
 # decode lowers it further at large n
-FLOOR_LOG_GUARD = {32: 1e-5, 64: 1e-9}
-
-_DTYPES = {32: np.float32, 64: np.float64}
+FLOOR_LOG_GUARD = {64: 1e-9}
 
 
 class FeasibilityError(RuntimeError):
@@ -77,7 +76,8 @@ class EncodedMatrix:
 
     @property
     def width(self) -> int:
-        return 32 if self.data.dtype == np.float32 else 64
+        """Arithmetic width of the data: always 64, whatever the width cap."""
+        return 64
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,15 @@ def max_finite(m: DistMatrix) -> int:
     return int(np.amax(m.data, initial=0.0, where=np.isfinite(m.data)))
 
 
-def encode(m: DistMatrix, p: EncodeParams, *, enforce: bool = True) -> EncodedMatrix:
-    """Map finite entry a to base**(x_tilde - a), unreachable to 0.
+def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
+    """Map finite entry a to base**(x_tilde - a), unreachable to 0, in float64.
 
-    With enforce=True, refuses when the safe exponent budget is exceeded
-    (the product would overflow); with enforce=False, overflowed entries
-    become inf and decode reports them.
+    Refuses when the exponent budget exceeds the cap of p.width, so that the
+    product cannot overflow.
     """
     if p.base != m.n + 1:
         raise ValueError(f"base {p.base} does not match n + 1 = {m.n + 1}")
-    if enforce and not p.is_feasible():
+    if not p.is_feasible():
         raise FeasibilityError(
             f"x_tilde={p.x_tilde} needs a binary exponent budget of "
             f"{p.exponent_budget():.1f} bits, above the {p.width}-bit limit "
@@ -118,18 +117,17 @@ def encode(m: DistMatrix, p: EncodeParams, *, enforce: bool = True) -> EncodedMa
         )
     a = m.data
     # one pass writes each entry's table index (inf clips to the zero slot at
-    # x_tilde + 1), one gather reads the table
+    # x_tilde + 1), one gather reads the table; a feasible x_tilde is at most
+    # 512, so every index fits in int16
     unreachable = p.x_tilde + 1
-    idx = np.empty(a.shape, np.int16 if unreachable <= np.iinfo(np.int16).max else np.intp)
+    idx = np.empty(a.shape, np.int16)
     np.minimum(a, unreachable, out=idx, casting="unsafe")
     # entries are nonnegative integers or inf, so only inf may clip to the
     # zero slot when no finite entry exceeds x_tilde
     if np.count_nonzero(idx == unreachable) != np.count_nonzero(a == INF):
         raise ValueError("x_tilde is smaller than the largest finite entry")
-    dtype = _DTYPES[p.width]
-    table = np.zeros(unreachable + 1, dtype=dtype)
-    with np.errstate(over="ignore"):
-        table[:unreachable] = dtype(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=dtype)
+    table = np.zeros(unreachable + 1)
+    table[:unreachable] = float(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=np.float64)
     # indexing, unlike take, gathers without first widening idx to intp
     return EncodedMatrix(table[idx])
 
@@ -145,7 +143,7 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     if not math.isfinite(np.max(arr, initial=0.0)):
         raise NonFiniteEntryError(
             "non-finite entry in product matrix: float exponent range "
-            "overflowed (feasibility guard failed or was overridden)"
+            "overflowed (feasibility guard failed)"
         )
     if np.min(arr, initial=0.0) < 0:
         raise NegativeEntryError("negative entry in product matrix")
@@ -153,7 +151,7 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     # the integer s + 1; a guard of half that gap keeps the floor exact at
     # every n, not only while the gap exceeds the fixed guard
     gap = math.log1p(1 / (p.base - 1)) / math.log(p.base)
-    guard = min(FLOOR_LOG_GUARD[32 if arr.dtype == np.float32 else 64], 0.5 * gap)
+    guard = min(FLOOR_LOG_GUARD[64], 0.5 * gap)
     with np.errstate(divide="ignore"):
         logs = np.log(arr, out=out, dtype=np.float64)
     logs /= math.log(p.base)
@@ -176,7 +174,7 @@ def precision_limits(n: int, width: int) -> PrecisionLimits:
 
     paper_limit bounds base**D itself; safe_limit bounds the worst product
     term n * base**(2*D) that actually occurs during decode, and is what the
-    solver enforces by default.
+    solver enforces.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

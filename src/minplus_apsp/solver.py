@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .codec import EncodeParams, decode, decode_values, encode
+from .codec import EMAX, EncodeParams, decode, decode_values, encode
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import KERNEL_NAMES, SPARSE
 
@@ -26,9 +26,9 @@ _SCATTER_ROWS = 64
 class SolveOptions:
     """Knobs for the solve loop.
 
-    kernel is "auto" (the density rule of kernels.choose_kernel) or names the
-    one kernel every epoch runs. max_epochs caps improving epochs (default
-    ceil(log2(n - 1))); one extra confirming epoch is always allowed on top.
+    width (32 or 64) caps the exponent budget of every epoch; the arithmetic
+    is float64 at either width. kernel is "auto" (the density rule of
+    kernels.choose_kernel) or names the one kernel every epoch runs.
     trusted_diameter D stops the solve, reported converged, as soon as the
     doubled path budget reaches D, with no confirming epoch. D is not
     checked: below the true diameter, the result holds distances that are
@@ -37,15 +37,13 @@ class SolveOptions:
 
     width: int = 64
     kernel: str = "auto"
-    max_epochs: int | None = None
     trusted_diameter: int | None = None
-    enforce_precision: bool = True
 
     def __post_init__(self):
+        if self.width not in EMAX:
+            raise ValueError(f"width must be 32 or 64, got {self.width}")
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.max_epochs is not None and self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
         if self.trusted_diameter is not None and self.trusted_diameter < 1:
             raise ValueError("trusted_diameter must be >= 1")
 
@@ -141,7 +139,7 @@ def _distance_product(
         kind = kernels.choose_kernel(DensityReport(finite, n * n))
     else:
         kind = opts.kernel
-    enc = encode(l, p, enforce=opts.enforce_precision)
+    enc = encode(l, p)
     # free each intermediate as soon as possible: at scale every full matrix
     # is a large fraction of RAM
     if kind == SPARSE:
@@ -149,10 +147,9 @@ def _distance_product(
         del enc
         prod = kernels.multiply_sparse(s, s)
         del s
-        # every stored product entry is positive, so each decodes to a finite
-        # distance; decode in place when the values are already float64
-        vals = prod.data
-        vals = decode_values(vals, p, out=vals if vals.dtype == np.float64 else None)
+        # every stored product entry is positive, so each decodes, in place,
+        # to a finite distance
+        vals = decode_values(prod.data, p, out=prod.data)
         result = _scatter_rows(prod.indptr, prod.indices, vals, n)
         return result, kind, (len(vals), int(vals.max()))
     prod = kernels.multiply_dense(enc, enc)
@@ -233,8 +230,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     """
     opts = opts or SolveOptions()
     n = w.n
-    budget = opts.max_epochs if opts.max_epochs is not None else _epoch_budget(n)
-    total = budget + 1  # room for the confirming epoch
+    total = _epoch_budget(n) + 1  # room for the confirming epoch
     stats: list[EpochStats] = []
     trace: list[str] = []
     is_converged = False

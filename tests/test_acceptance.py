@@ -16,6 +16,7 @@ from minplus_apsp import (
     FeasibilityError,
     DistMatrix,
     EncodedMatrix,
+    EncodeParams,
     GenSpec,
     NonFiniteEntryError,
     SolveOptions,
@@ -200,9 +201,12 @@ def test_criterion_8_overflow_safety():
     with pytest.raises(FeasibilityError):
         power_law_bound(m, SolveOptions(width=32))
 
-    with pytest.raises(NonFiniteEntryError):
-        power_law_bound(m, SolveOptions(width=32, enforce_precision=False))
+    # a product past the float64 range (about 1268 bits here) reaches decode
+    # as inf, and decode raises instead of returning wrong distances
+    e = EncodedMatrix(np.array([[3.0**400, 1.0], [1.0, 3.0**400]]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteEntryError):
+        decode(multiply_dense(e, e), EncodeParams(base=3, x_tilde=400))
     print(
-        "ACCEPTANCE 8 overflow safety: PASS (guarded solve refuses; unguarded "
-        "decode raises instead of returning wrong distances)"
+        "ACCEPTANCE 8 overflow safety: PASS (guarded solve refuses; an "
+        "overflowed product makes decode raise instead of returning wrong distances)"
     )

@@ -58,6 +58,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and "no_such_dir" in err
 
+    @pytest.mark.parametrize("flag", ["-o", "--stats", "--heatmap"])
+    @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+    def test_unwritable_output_rejected_before_parsing(
+        self, p3_file, tmp_path, monkeypatch, flag, where, capsys
+    ):
+        def no_parse(text, directed=False):
+            raise AssertionError("input parsed before the output was checked")
+
+        monkeypatch.setattr(cli, "parse_edge_list", no_parse)
+        target = tmp_path / "no_such_dir" / "out" if where == "missing_dir" else tmp_path
+        assert main(["solve", p3_file, flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and str(target) in err
+
     def test_edges_counts_edge_lines(self, tmp_path, capsys):
         path = tmp_path / "dup.txt"
         path.write_text("# comment\n0 1 3\n\n1 0 2\n1 2\n")
@@ -91,6 +105,11 @@ class TestSolve:
     def test_removed_tuning_flags_rejected(self, p3_file, flag):
         with pytest.raises(SystemExit) as exc:
             main(["solve", p3_file, flag, "2"])
+        assert exc.value.code != 0
+
+    def test_unsafe_precision_removed(self, p3_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", p3_file, "--unsafe-precision"])
         assert exc.value.code != 0
 
     def test_kernel_override(self, p3_file, capsys):
@@ -162,6 +181,14 @@ class TestGen:
                      "-o", str(tmp_path / "g.txt")]) == 0
         err = capsys.readouterr().err
         assert "diameter=" in err and "within_2x_estimate=" in err
+
+    def test_solve_out_of_memory_reported(self, monkeypatch, capsys):
+        def no_memory(graph):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(cli, "to_distance_matrix", no_memory)
+        assert main(["gen", "--n", "10", "--solve"]) == 1
+        assert "error: Unable to allocate 298. GiB" in capsys.readouterr().err
 
     def test_invalid_spec(self, capsys):
         assert main(["gen", "--n", "2", "--m-attach", "5"]) == 1

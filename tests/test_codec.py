@@ -54,25 +54,29 @@ class TestEncode:
         assert enc.data.tolist() == [[9, 1], [1, 9]]
 
     def test_width_32_dtype(self, p3):
+        # width caps the exponent budget only: the encoding is the same float64
         enc = encode(p3, params_for(p3, width=32))
-        assert enc.data.dtype == np.float32
-        assert enc.width == 32
+        assert enc.data.dtype == np.float64
+        assert enc.width == 64
+        assert enc.data.tobytes() == encode(p3, params_for(p3)).data.tobytes()
 
     def test_feasibility_error(self):
         m = DistMatrix.from_rows([[0, 45], [45, 0]])
         with pytest.raises(FeasibilityError):
             encode(m, params_for(m, width=32))
 
-    def test_enforce_off_overflows_to_inf(self):
+    def test_feasibility_guard_cannot_be_switched_off(self):
         m = DistMatrix.from_rows([[0, 100], [100, 0]])
-        enc = encode(m, params_for(m, width=32), enforce=False)
-        assert np.isinf(enc.data[0, 0])
+        with pytest.raises(TypeError):
+            encode(m, params_for(m), enforce=False)
 
-    def test_enforce_off_above_int16_range(self):
-        # 40000 table slots: the entry indices no longer fit in int16
-        m = DistMatrix.from_rows([[0, 39999], [INF, 0]])
-        enc = encode(m, EncodeParams(base=3, x_tilde=40000), enforce=False)
-        assert enc.data.tolist() == [[INF, 3.0], [0.0, INF]]
+    def test_largest_feasible_x_tilde(self):
+        # base 2 admits x_tilde = 512, the most any feasible encoding has
+        m = DistMatrix.from_rows([[0]])
+        enc = encode(m, EncodeParams(base=2, x_tilde=512))
+        assert enc.data.tolist() == [[2.0**512]]
+        with pytest.raises(FeasibilityError):
+            encode(m, EncodeParams(base=2, x_tilde=513))
 
     def test_base_mismatch_rejected(self, p3):
         with pytest.raises(ValueError, match="base"):
@@ -182,8 +186,8 @@ class TestDecodeExactAtLargeN:
     """c tied witnesses at distance d give the product entry c * base**(2x - d),
     which lies log_base((n+1)/n) below the next power of base when c = n.
 
-    At width 32 and n = 10**6 the guard is 4e-8, so these cases also fail
-    when the log is taken in float32.
+    Products are float64 at both widths; the width-32 cases check x_tilde up
+    to the 32-bit cap through that one path.
     """
 
     def test_n_tied_witnesses_width_32(self):
@@ -191,20 +195,19 @@ class TestDecodeExactAtLargeN:
             p = EncodeParams(base=n + 1, x_tilde=2, width=32)
             assert p.is_feasible()
             b = float(p.base)
-            prod = np.array([[b**4, n * b**2], [0.0, b**4]], dtype=np.float32)
+            prod = np.array([[b**4, n * b**2], [0.0, b**4]])
             assert decode(EncodedMatrix(prod), p).data[0, 1] == 2
 
     @pytest.mark.parametrize("width", [32, 64])
     @pytest.mark.parametrize("n", [10, 1000, 11_000, 20_000, 100_000, 10**6])
     def test_witness_counts(self, n, width):
-        dtype = np.float32 if width == 32 else np.float64
         top = _largest_feasible_x_tilde(n, width)
         assert top >= 1
         for x in sorted({1, 2, top} & set(range(1, top + 1))):
             p = EncodeParams(base=n + 1, x_tilde=x, width=width)
             # the factors as encode stores them, multiplied and summed in
-            # float64 and stored at the product's width, as the kernels do
-            powers = dtype(p.base) ** np.arange(x + 1, dtype=dtype)
+            # float64, as the kernels do
+            powers = float(p.base) ** np.arange(x + 1, dtype=np.float64)
             entries, expected = [], []
             for d in range(2 * x + 1):
                 a = min(d, x)
@@ -216,7 +219,7 @@ class TestDecodeExactAtLargeN:
             prod = np.zeros((k, k))
             np.fill_diagonal(prod, float(powers[x]) ** 2)
             prod[0, 1:] = entries
-            dec = decode(EncodedMatrix(prod.astype(dtype)), p)
+            dec = decode(EncodedMatrix(prod), p)
             assert dec.data[0, 1:].tolist() == expected, (n, width, x)
 
 

@@ -105,14 +105,6 @@ class TestSparseMultiply:
         assert isinstance(multiply_sparse(s, s), sp.csr_array)
 
 
-class TestWidth32:
-    def test_float32_in_float32_out(self):
-        a = np.array(P3_ENCODED, dtype=np.float32)
-        assert multiply_dense(EncodedMatrix(a), EncodedMatrix(a)).data.dtype == np.float32
-        s = sp.csr_array(a)
-        assert multiply_sparse(s, s).dtype == np.float32
-
-
 class TestChooseKernel:
     def test_sparse_below_threshold(self):
         d = DensityReport(finite_count=86, n_squared=10000)

@@ -246,12 +246,6 @@ class TestPowerLawBound:
         r = power_law_bound(m)
         assert np.array_equal(distance_product(r.distances).data, r.distances.data)
 
-    def test_non_convergence_reports_partial_result(self):
-        r = power_law_bound(path_matrix(9), SolveOptions(max_epochs=1))
-        assert not r.converged
-        assert len(r.epochs) == 2  # budget 1 + the would-be confirming epoch
-        assert max_finite(r.distances) == 4
-
     def test_trusted_diameter_hint_skips_confirmation(self):
         r = power_law_bound(path_matrix(9), SolveOptions(trusted_diameter=8))
         assert r.converged
@@ -280,15 +274,23 @@ class TestPowerLawBound:
 
 
 class TestSolveOptions:
-    @pytest.mark.parametrize("removed", ["kernel_choice", "diameter_hint", "trust_hint"])
+    @pytest.mark.parametrize(
+        "removed",
+        ["kernel_choice", "diameter_hint", "trust_hint", "max_epochs", "enforce_precision"],
+    )
     def test_removed_options_rejected(self, removed):
         with pytest.raises(TypeError):
             SolveOptions(**{removed: None})
 
-    @pytest.mark.parametrize("field", ["max_epochs", "trusted_diameter"])
+    @pytest.mark.parametrize("field", ["trusted_diameter"])
     def test_bounds_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: 0})
+
+    @pytest.mark.parametrize("width", [16, 128])
+    def test_unknown_width_rejected_when_built(self, width):
+        with pytest.raises(ValueError, match="width must be 32 or 64"):
+            SolveOptions(width=width)
 
 
 class TestEpochStats:
