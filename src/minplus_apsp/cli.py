@@ -35,13 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="auto picks sparse below 10%% finite entries, dense otherwise",
     )
-    solve.add_argument(
-        "--trust-diameter",
-        type=int,
-        metavar="D",
-        help="stop as converged once paths of D edges are covered, with no confirming "
-        "epoch; D is not checked, and one below the true diameter gives wrong distances",
-    )
     solve.add_argument("--oracle", action="store_true", help="cross-check against scipy's Dijkstra")
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
     solve.add_argument("--heatmap", metavar="PATH", help="write a grayscale PGM of the result")
@@ -58,14 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--solve", action="store_true", help="also solve and report the diameter")
 
     return p
-
-
-def _solve_options(args) -> SolveOptions:
-    return SolveOptions(
-        width=args.width,
-        kernel=args.kernel,
-        trusted_diameter=args.trust_diameter,
-    )
 
 
 def cmd_solve(args) -> int:
@@ -87,7 +72,7 @@ def cmd_solve(args) -> int:
     try:
         graph = parse_edge_list(text, directed=args.directed)
         w = to_distance_matrix(graph)
-        opts = _solve_options(args)
+        opts = SolveOptions(width=args.width, kernel=args.kernel)
         start = time.perf_counter()
         result = power_law_bound(w, opts)
         elapsed = time.perf_counter() - start
@@ -110,9 +95,10 @@ def cmd_solve(args) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
+    kinds = [st.kernel for st in result.epochs if st.kernel]
     print(
         f"n={graph.n} edges={len(graph.src)} epochs={len(result.epochs)} "
-        f"converged={result.converged} kernels={','.join(result.kernel_trace)} "
+        f"converged={result.converged} kernels={','.join(kinds)} "
         f"wall={elapsed:.3f}s"
     )
     if not result.converged:

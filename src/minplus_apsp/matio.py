@@ -50,11 +50,16 @@ def write_distance_binary(m: DistMatrix, path: str | Path) -> None:
 
 def read_distance_binary(path: str | Path) -> DistMatrix:
     blob = Path(path).read_bytes()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"expected a {_HEADER.size}-byte header, file has {len(blob)} bytes")
     magic, n, width = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if width != 64:
         raise ValueError(f"unsupported stored width {width}")
+    want = _HEADER.size + 8 * n * n
+    if len(blob) != want:
+        raise ValueError(f"expected {want} bytes for n={n}, file has {len(blob)} bytes")
     raw = np.frombuffer(blob, dtype="<u8", offset=_HEADER.size).reshape(n, n)
     out = raw.astype(np.float64)
     out[raw == INF_SENTINEL] = INF

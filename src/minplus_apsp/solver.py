@@ -1,5 +1,5 @@
 """Repeated-squaring distance product with sparseness and convergence
-judgments, plus a Floyd-Warshall oracle and per-epoch statistics.
+judgments, and per-epoch statistics.
 
 One epoch = encode -> select kernel by density -> multiply -> decode. The
 squared matrix doubles the path-edge budget, so convergence needs at most
@@ -29,31 +29,26 @@ class SolveOptions:
     width (32 or 64) caps the exponent budget of every epoch; the arithmetic
     is float64 at either width. kernel is "auto" (the density rule of
     kernels.choose_kernel) or names the one kernel every epoch runs.
-    trusted_diameter D stops the solve, reported converged, as soon as the
-    doubled path budget reaches D, with no confirming epoch. D is not
-    checked: below the true diameter, the result holds distances that are
-    too long, or inf, and still reads converged=True.
     """
 
     width: int = 64
     kernel: str = "auto"
-    trusted_diameter: int | None = None
 
     def __post_init__(self):
         if self.width not in EMAX:
             raise ValueError(f"width must be 32 or 64, got {self.width}")
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.trusted_diameter is not None and self.trusted_diameter < 1:
-            raise ValueError("trusted_diameter must be >= 1")
 
 
 @dataclass
 class EpochStats:
     """Per-epoch convergence record.
 
-    convergence_quantity/_pct are defined against the final unreachable set
-    and are back-filled once the solve finishes.
+    kernel names the kernel of the epoch's product; it is None only on a
+    confirming epoch proved by the path-weight bound, which runs no product
+    (see power_law_bound). convergence_quantity/_pct are defined against the
+    final unreachable set and are back-filled once the solve finishes.
     """
 
     epoch: int
@@ -62,6 +57,7 @@ class EpochStats:
     finite_after: int
     convergence_quantity: int | None = None
     convergence_pct: float | None = None
+    kernel: str | None = None
 
     @property
     def delta(self) -> int:
@@ -74,17 +70,12 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a solve.
-
-    kernel_trace names the kernel of every distance product that ran. An epoch
-    confirmed by the path-weight bound (see power_law_bound) has an entry in
-    epochs but none in kernel_trace.
-    """
+    """Outcome of a solve: distances, one record per epoch, and whether the
+    solve proved that no further product can change the distances."""
 
     distances: DistMatrix
     epochs: list[EpochStats]
     converged: bool
-    kernel_trace: list[str]
 
 
 EPOCH_CSV_COLUMNS = (
@@ -221,18 +212,16 @@ def _bound_proves_converged(
 def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveResult:
     """Solve APSP by repeated min-plus squaring with convergence detection.
 
-    Stops when an epoch leaves the matrix unchanged, when the doubled path
-    budget reaches the trusted diameter, when the path-weight bound proves
-    that the next epoch would change nothing, or when the epoch budget runs
-    out (converged=False on the partial result in that case). A stop by the
-    bound still records the confirming epoch, with no change, in epochs, but
-    runs no product for it.
+    Stops when an epoch leaves the matrix unchanged, when the path-weight
+    bound proves that the next epoch would change nothing, or when the epoch
+    budget runs out (converged=False on the partial result in that case). A
+    stop by the bound still records the confirming epoch, with no change and
+    kernel=None, but runs no product for it.
     """
     opts = opts or SolveOptions()
     n = w.n
     total = _epoch_budget(n) + 1  # room for the confirming epoch
     stats: list[EpochStats] = []
-    trace: list[str] = []
     is_converged = False
     current = w
     finite, top = _finite_summary(w)
@@ -240,10 +229,13 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     m = 1
     for epoch in range(1, total + 1):
         nxt, kind, (nxt_finite, nxt_top) = _distance_product(current, opts, (finite, top))
-        trace.append(kind)
         stats.append(
             EpochStats(
-                epoch=epoch, max_element=nxt_top, finite_before=finite, finite_after=nxt_finite
+                epoch=epoch,
+                max_element=nxt_top,
+                finite_before=finite,
+                finite_after=nxt_finite,
+                kernel=kind,
             )
         )
         same = converged(current, nxt)
@@ -253,9 +245,6 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
             is_converged = True
             break
         m *= 2
-        if opts.trusted_diameter is not None and m >= opts.trusted_diameter:
-            is_converged = True
-            break
         if _bound_proves_converged(n, m, w_min, finite, finite_before, top):
             stats.append(
                 EpochStats(
@@ -267,9 +256,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     unreachable = n * n - finite
     for st in stats:
         st.finalize(unreachable, n)
-    return SolveResult(
-        distances=current, epochs=stats, converged=is_converged, kernel_trace=trace
-    )
+    return SolveResult(distances=current, epochs=stats, converged=is_converged)
 
 
 def fixed_squaring(w: DistMatrix, opts: SolveOptions | None = None) -> tuple[DistMatrix, int]:

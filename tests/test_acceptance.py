@@ -151,7 +151,7 @@ def test_criterion_6_sparseness_routing():
     assert 0.008 < d.density < 0.011
     result = power_law_bound(w)
     assert result.converged
-    trace = result.kernel_trace
+    trace = [st.kernel for st in result.epochs if st.kernel]
     assert trace[0] == "sparse"
     assert "dense" in trace
     first_dense = trace.index("dense")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minplus_apsp import cli
+from minplus_apsp import cli, solver
 from minplus_apsp.cli import main
 from minplus_apsp.matio import read_distance_binary
 
@@ -101,7 +101,7 @@ class TestSolve:
         assert main(["solve", str(path), "--width", "32"]) == 1
         assert "limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--sparse-threshold", "--diameter"])
+    @pytest.mark.parametrize("flag", ["--sparse-threshold", "--diameter", "--trust-diameter"])
     def test_removed_tuning_flags_rejected(self, p3_file, flag):
         with pytest.raises(SystemExit) as exc:
             main(["solve", p3_file, flag, "2"])
@@ -140,13 +140,15 @@ class TestSolve:
         assert main(["solve", str(path), "--directed"]) == 0
         assert "0,1\nINF,0\n" in capsys.readouterr().out
 
-    def test_trust_diameter(self, p3_file, capsys):
-        assert main(["solve", p3_file, "--trust-diameter", "2"]) == 0
-        assert "epochs=1" in capsys.readouterr().out
-
-    def test_trust_diameter_below_one(self, p3_file, capsys):
-        assert main(["solve", p3_file, "--trust-diameter", "0"]) == 1
-        assert "trusted_diameter must be >= 1" in capsys.readouterr().err
+    def test_unconverged_solve_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "converged", lambda before, after: False)
+        monkeypatch.setattr(solver, "_bound_proves_converged", lambda *args: False)
+        path = tmp_path / "path9.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(8)))
+        assert main(["solve", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "epochs=4 converged=False" in out
+        assert "error: did not converge within the epoch budget" in err
 
     def test_out_of_memory_reported(self, p3_file, monkeypatch, capsys):
         def no_memory(graph):

@@ -246,6 +246,16 @@ class TestPrecisionLimits:
             assert lim.paper_limit < prev_paper and lim.safe_limit < prev_safe
             prev_paper, prev_safe = lim.paper_limit, lim.safe_limit
 
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_safe_limit_is_the_encode_guard(self, width):
+        # check's verdict (D <= safe_limit) and encode's refusal of x_tilde
+        # agree at every integer diameter: floor(safe_limit) is the largest
+        # x_tilde that encode admits
+        for n in [*range(1, 3001), 8508, 10**4, 10**5, 10**6, 10**8]:
+            top = math.floor(precision_limits(n, width).safe_limit)
+            assert EncodeParams(base=n + 1, x_tilde=top, width=width).is_feasible(), n
+            assert not EncodeParams(base=n + 1, x_tilde=top + 1, width=width).is_feasible(), n
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             precision_limits(0, 64)

@@ -1,7 +1,9 @@
 import numpy as np
 
+import pytest
+
 from minplus_apsp import INF, DistMatrix
-from minplus_apsp.matio import distance_csv
+from minplus_apsp.matio import distance_csv, read_distance_binary, write_distance_binary
 
 
 def per_entry_csv(m: DistMatrix) -> str:
@@ -31,3 +33,29 @@ class TestDistanceCsv:
         for n, top in ((1, 0), (2, 1), (12, 100), (40, 9), (6, 10**12)):
             m = random_rows(rng, n, top)
             assert distance_csv(m) == per_entry_csv(m)
+
+
+class TestDistanceBinary:
+    M = DistMatrix.from_rows([[0, 1, INF], [1, 0, 5], [INF, 5, 0]])
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "d.bin"
+        write_distance_binary(self.M, path)
+        assert np.array_equal(read_distance_binary(path).data, self.M.data)
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_short_header_rejected(self, tmp_path, size):
+        path = tmp_path / "d.bin"
+        path.write_bytes(b"APSP\x03"[:size])
+        with pytest.raises(ValueError, match=f"expected a 16-byte header, file has {size} bytes"):
+            read_distance_binary(path)
+
+    @pytest.mark.parametrize("delta", [-8, -1, 1, 8])
+    def test_payload_length_checked(self, tmp_path, delta):
+        # a 3x3 matrix is 16 header bytes plus 9 uint64 values
+        path = tmp_path / "d.bin"
+        write_distance_binary(self.M, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:delta] if delta < 0 else blob + b"\0" * delta)
+        with pytest.raises(ValueError, match=f"expected 88 bytes for n=3, file has {88 + delta}"):
+            read_distance_binary(path)

@@ -14,9 +14,9 @@ from minplus_apsp import (
     distance_product,
     epoch_stats_csv,
     fixed_squaring,
-    max_finite,
     power_law_bound,
 )
+from minplus_apsp import solver
 from minplus_apsp.solver import _distance_product, _finite_summary
 from conftest import P3_SOLVED, floyd_warshall, minplus_square, random_dist_matrix
 
@@ -178,7 +178,8 @@ class TestPowerLawBound:
         assert r.converged
         assert [st.max_element for st in r.epochs] == [2, 4, 8, 8]
         assert len(r.epochs) == 4
-        assert len(r.kernel_trace) == 3
+        assert [st.kernel for st in r.epochs if st.kernel] == ["dense"] * 3
+        assert r.epochs[-1].kernel is None
         assert r.epochs[-1].delta == 0
 
     def test_confirming_product_runs_when_weight_bound_fails(self):
@@ -187,7 +188,7 @@ class TestPowerLawBound:
         m = DistMatrix.from_rows([[0, 1, INF], [1, 0, 5], [INF, 5, 0]])
         r = power_law_bound(m)
         assert r.converged
-        assert len(r.kernel_trace) == 2
+        assert len([st.kernel for st in r.epochs if st.kernel]) == 2
         assert [st.max_element for st in r.epochs] == [6, 6]
         assert r.distances.data.tolist() == [[0, 1, 6], [1, 0, 5], [6, 5, 0]]
 
@@ -208,7 +209,7 @@ class TestPowerLawBound:
             assert r.converged
             want = shortest_path(m.data, method="D", directed=directed)
             assert np.array_equal(r.distances.data, want)
-            stopped += len(r.kernel_trace) < len(r.epochs)
+            stopped += r.epochs[-1].kernel is None
         assert stopped > 0
 
     def test_oracle_equivalence_random(self):
@@ -246,24 +247,23 @@ class TestPowerLawBound:
         r = power_law_bound(m)
         assert np.array_equal(distance_product(r.distances).data, r.distances.data)
 
-    def test_trusted_diameter_hint_skips_confirmation(self):
-        r = power_law_bound(path_matrix(9), SolveOptions(trusted_diameter=8))
-        assert r.converged
-        assert len(r.epochs) == 3
+    def test_epoch_budget_ends_unproved_solve(self, monkeypatch):
+        # with neither stop able to fire, path-9 runs its whole budget of
+        # ceil(log2(8)) = 3 epochs plus the confirming one, and reads unconverged
+        monkeypatch.setattr(solver, "converged", lambda before, after: False)
+        monkeypatch.setattr(solver, "_bound_proves_converged", lambda *args: False)
+        r = power_law_bound(path_matrix(9))
+        assert not r.converged
+        assert len(r.epochs) == 4
+        assert all(st.kernel == "dense" for st in r.epochs)
         assert np.array_equal(r.distances.data, floyd_warshall(path_matrix(9)).data)
-
-    def test_trusted_diameter_is_not_checked(self):
-        # a hint below the true diameter 8 stops early and still reads converged
-        r = power_law_bound(path_matrix(9), SolveOptions(trusted_diameter=2))
-        assert r.converged
-        assert len(r.epochs) == 1
-        assert max_finite(r.distances) == 2
 
     def test_kernel_trace_records_selection(self):
         # 40 + 2 * 39 finite entries of 1600: 7.4 %, below the 10 % threshold
         r = power_law_bound(path_matrix(40))
-        assert r.kernel_trace[0] == "sparse"
-        assert r.kernel_trace[-1] == "dense"
+        kinds = [st.kernel for st in r.epochs if st.kernel]
+        assert kinds[0] == "sparse"
+        assert kinds[-1] == "dense"
 
     def test_fixed_squaring_baseline(self):
         m = path_matrix(17)
@@ -276,16 +276,18 @@ class TestPowerLawBound:
 class TestSolveOptions:
     @pytest.mark.parametrize(
         "removed",
-        ["kernel_choice", "diameter_hint", "trust_hint", "max_epochs", "enforce_precision"],
+        [
+            "kernel_choice",
+            "diameter_hint",
+            "trust_hint",
+            "max_epochs",
+            "enforce_precision",
+            "trusted_diameter",
+        ],
     )
     def test_removed_options_rejected(self, removed):
         with pytest.raises(TypeError):
             SolveOptions(**{removed: None})
-
-    @pytest.mark.parametrize("field", ["trusted_diameter"])
-    def test_bounds_below_one_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            SolveOptions(**{field: 0})
 
     @pytest.mark.parametrize("width", [16, 128])
     def test_unknown_width_rejected_when_built(self, width):
