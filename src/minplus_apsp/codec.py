@@ -101,6 +101,25 @@ def max_finite(m: DistMatrix) -> int:
     return int(np.amax(m.data, initial=0.0, where=np.isfinite(m.data)))
 
 
+def encode_table(p: EncodeParams) -> np.ndarray:
+    """The float64 code of every distance a in 0..x_tilde, base**(x_tilde - a)
+    at index a, and 0 for unreachable at index x_tilde + 1.
+
+    Every encoder takes its table from here, so this is the one place that
+    refuses an exponent budget above the cap of p.width: no product of
+    encoded values can overflow.
+    """
+    if not p.is_feasible():
+        raise FeasibilityError(
+            f"x_tilde={p.x_tilde} needs a binary exponent budget of "
+            f"{p.exponent_budget():.1f} bits, above the {p.width}-bit limit "
+            f"{EMAX[p.width]}"
+        )
+    table = np.zeros(p.x_tilde + 2)
+    table[:-1] = float(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=np.float64)
+    return table
+
+
 def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
     """Map finite entry a to base**(x_tilde - a), unreachable to 0, in float64.
 
@@ -109,12 +128,7 @@ def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
     """
     if p.base != m.n + 1:
         raise ValueError(f"base {p.base} does not match n + 1 = {m.n + 1}")
-    if not p.is_feasible():
-        raise FeasibilityError(
-            f"x_tilde={p.x_tilde} needs a binary exponent budget of "
-            f"{p.exponent_budget():.1f} bits, above the {p.width}-bit limit "
-            f"{EMAX[p.width]}"
-        )
+    table = encode_table(p)
     a = m.data
     # one pass writes each entry's table index (inf clips to the zero slot at
     # x_tilde + 1), one gather reads the table; a feasible x_tilde is at most
@@ -126,8 +140,6 @@ def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
     # zero slot when no finite entry exceeds x_tilde
     if np.count_nonzero(idx == unreachable) != np.count_nonzero(a == INF):
         raise ValueError("x_tilde is smaller than the largest finite entry")
-    table = np.zeros(unreachable + 1)
-    table[:unreachable] = float(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=np.float64)
     # indexing, unlike take, gathers without first widening idx to intp
     return EncodedMatrix(table[idx])
 

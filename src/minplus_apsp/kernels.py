@@ -1,15 +1,21 @@
 """The two kernels for the numeric matrix product, and the rule between them.
 
 The dense kernel is one BLAS product; the sparse kernel is scipy's CSR
-product. Both run in float64, the one dtype encode produces.
+product. Both run in float64, the one dtype encode produces. scipy.sparse is
+not imported here: it costs a quarter of a second, and only a solve whose
+epochs run sparse needs it (the solver imports it for those).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .codec import EncodedMatrix
 from .graph import DensityReport
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SPARSE = "sparse"
 DENSE = "dense"

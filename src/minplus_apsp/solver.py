@@ -1,25 +1,33 @@
 """Repeated-squaring distance product with sparseness and convergence
 judgments, and per-epoch statistics.
 
-One epoch = encode -> select kernel by density -> multiply -> decode. The
+One epoch = select kernel by density -> encode -> multiply -> decode. The
 squared matrix doubles the path-edge budget, so convergence needs at most
 ceil(log2(n - 1)) improving epochs plus one confirming epoch. The confirming
 epoch is skipped when a bound on path weights already proves convergence.
+
+While epochs run sparse, the state is the CSR parts of the finite entries:
+one finite scan of the input builds them, each sparse epoch encodes only the
+stored values, and the decoded product feeds the next epoch unchanged. The
+first dense epoch scatters the encoded values into a zero-filled matrix; an
+n x n distance matrix is built from CSR parts only when the solve ends
+sparse. Convergence compares two summaries, the finite count and the sum of
+the finite entries, in place of the two matrices (see _unchanged).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
-from .codec import EMAX, EncodeParams, decode, decode_values, encode
+from .codec import EMAX, EncodedMatrix, EncodeParams, decode_values, encode, encode_table
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import KERNEL_NAMES, SPARSE
 
-_SCATTER_ROWS = 64
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -109,74 +117,179 @@ def converged(before: DistMatrix, after: DistMatrix) -> bool:
     return bool(np.array_equal(before.data, after.data))
 
 
-def _finite_summary(m: DistMatrix) -> tuple[int, int]:
-    """(finite entry count, largest finite entry) of m from one isfinite pass."""
-    a = m.data
-    mask = np.isfinite(a)
-    return int(np.count_nonzero(mask)), int(np.amax(a, initial=0.0, where=mask))
+class _Summary(NamedTuple):
+    """Finite entry count, largest finite entry and sum of the finite entries
+    of a distance matrix."""
+
+    finite: int
+    top: int
+    total: int
 
 
-def _distance_product(
-    l: DistMatrix, opts: SolveOptions, summary: tuple[int, int] | None = None
-) -> tuple[DistMatrix, str, tuple[int, int]]:
-    """One epoch's product, its kernel and its (finite count, max).
+def _unchanged(before: _Summary, after: _Summary) -> bool:
+    """True iff an epoch that turned a matrix summarised by before into one
+    summarised by after left every entry as it was.
 
-    summary is l's (finite count, max) when known.
+    Exact for a min-plus square D (x) D of a matrix D with a zero diagonal:
+    it is <= D entrywise, so its finite set contains D's and an equal finite
+    count means an equal finite set, on which an equal sum then leaves no
+    entry smaller. Every finite entry is an integer of at most 2 * 512
+    (twice the largest feasible x_tilde), so for every n below 2.9e6 each
+    sum stays below 2**53 and is exact in float64.
     """
-    n = l.n
-    finite, top = summary if summary is not None else _finite_summary(l)
-    p = EncodeParams(base=n + 1, x_tilde=top, width=opts.width)
+    return before.finite == after.finite and before.total == after.total
+
+
+def _summary(values: np.ndarray) -> _Summary:
+    """Summary of a matrix from its finite entries; the diagonal is among
+    them, so there is at least one."""
+    return _Summary(len(values), int(values.max()), int(values.sum()))
+
+
+def _dense_summary(a: np.ndarray) -> _Summary:
+    top = a.max()
+    # a finite maximum means every pair is reachable
+    if top < INF:
+        return _Summary(a.size, int(top), int(a.sum()))
+    # compressed copies of row blocks: no n x n temporary, and faster than
+    # masked reductions over the whole matrix
+    blocks = (a[i : i + _BLOCK_ROWS] for i in range(0, len(a), _BLOCK_ROWS))
+    parts = [_summary(b[np.isfinite(b)]) for b in blocks]
+    return _Summary(
+        sum(q.finite for q in parts), max(q.top for q in parts), sum(q.total for q in parts)
+    )
+
+
+class _State:
+    """Distances between epochs, and their summary.
+
+    While epochs run sparse the state is the CSR parts (indptr, indices,
+    decoded values) of the finite entries, and no n x n array exists; once
+    they run dense it is a dense matrix.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.dense: DistMatrix | None = None
+        self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.summary: _Summary | None = None
+
+    def set_sparse(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
+        self.dense = None
+        self.csr = (indptr, indices, values)
+        self.summary = _summary(values)
+
+    def set_dense(self, m: DistMatrix) -> None:
+        self.csr = None
+        self.dense = m
+        self.summary = _dense_summary(m.data)
+
+    def distances(self) -> DistMatrix:
+        if self.dense is not None:
+            return self.dense
+        out = np.full((self.n, self.n), INF)
+        return DistMatrix._trusted(_scatter_rows(out, *self.csr))
+
+
+def _kernel_for(finite: int, n: int, opts: SolveOptions) -> str:
     if opts.kernel == "auto":
-        kind = kernels.choose_kernel(DensityReport(finite, n * n))
+        return kernels.choose_kernel(DensityReport(finite, n * n))
+    return opts.kernel
+
+
+def _scan(w: DistMatrix, opts: SolveOptions) -> _State:
+    """The first epoch's state and summary, from one finite scan of w: CSR
+    parts of w's finite entries when that epoch runs sparse, w otherwise."""
+    n = w.n
+    a = w.data
+    mask = np.isfinite(a)
+    finite = int(np.count_nonzero(mask))
+    st = _State(n)
+    if _kernel_for(finite, n, opts) == SPARSE:
+        flat = np.flatnonzero(mask)
+        dtype = np.int32 if max(finite, n) <= np.iinfo(np.int32).max else np.int64
+        # flat positions are sorted, so row i starts at the first one >= i * n
+        indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(dtype)
+        st.set_sparse(indptr, (flat % n).astype(dtype), a.reshape(-1)[flat])
     else:
-        kind = opts.kernel
-    enc = encode(l, p)
-    # free each intermediate as soon as possible: at scale every full matrix
-    # is a large fraction of RAM
+        st.set_dense(w)
+    return st
+
+
+def _distance_product(st: _State, opts: SolveOptions) -> str:
+    """Replace st by its min-plus square; returns the kernel that ran.
+
+    A sparse epoch encodes, multiplies and decodes only the stored values;
+    the product feeds the next epoch as it is. The first dense epoch after
+    sparse ones scatters the encoded values into a zero-filled E. st's
+    previous distances are dropped once E is built: at scale every full
+    matrix is a large fraction of RAM.
+    """
+    n = st.n
+    p = EncodeParams(base=n + 1, x_tilde=st.summary.top, width=opts.width)
+    kind = _kernel_for(st.summary.finite, n, opts)
     if kind == SPARSE:
-        s = sp.csr_array(enc.data)
-        del enc
+        # the state is CSR: _scan picks its form by the same kernel rule,
+        # and the density that rule reads never falls
+        indptr, indices, values = st.csr
+        codes = encode_table(p)[values.astype(np.int16)]
+        st.csr = None
+        del values
+        # imported here: scipy.sparse costs a quarter of a second, and a
+        # solve whose epochs all run dense never needs it
+        import scipy.sparse as sp
+
+        s = sp.csr_array((codes, indices, indptr), shape=(n, n))
+        del codes
         prod = kernels.multiply_sparse(s, s)
-        del s
+        del s, indptr, indices
         # every stored product entry is positive, so each decodes, in place,
         # to a finite distance
-        vals = decode_values(prod.data, p, out=prod.data)
-        result = _scatter_rows(prod.indptr, prod.indices, vals, n)
-        return result, kind, (len(vals), int(vals.max()))
+        st.set_sparse(prod.indptr, prod.indices, decode_values(prod.data, p, out=prod.data))
+        return kind
+    if st.dense is not None:
+        enc = encode(st.dense, p)
+    else:
+        enc = EncodedMatrix(_scatter_rows(np.zeros((n, n)), *st.csr, encode_table(p)))
+    st.dense = st.csr = None
     prod = kernels.multiply_dense(enc, enc)
     del enc
-    result = decode(prod, p)
-    del prod
-    # a finite maximum means every pair is reachable
-    top = result.data.max()
-    if top < INF:
-        return result, kind, (n * n, int(top))
-    return result, kind, _finite_summary(result)
+    st.set_dense(DistMatrix._trusted(decode_values(prod.data, p, out=prod.data)))
+    return kind
 
 
 def _scatter_rows(
-    indptr: np.ndarray, indices: np.ndarray, vals: np.ndarray, n: int
-) -> DistMatrix:
-    """Dense n x n distances from CSR parts, inf where no value is stored.
+    out: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    vals: np.ndarray,
+    table: np.ndarray | None = None,
+) -> np.ndarray:
+    """Write CSR parts into the n x n array out; with table, each value a
+    is written as its code table[a].
 
-    Works over blocks of rows, so no row-index array as long as nnz is built.
+    Works over blocks of rows, so no row-index array and no encoded copy as
+    long as nnz is built.
     """
-    out = np.full((n, n), INF)
+    n = out.shape[0]
     flat = out.reshape(-1)
-    for i in range(0, n, _SCATTER_ROWS):
-        j = min(i + _SCATTER_ROWS, n)
+    for i in range(0, n, _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, n)
         lo, hi = indptr[i], indptr[j]
         # flat position of each stored value: its row's offset plus its column
         pos = np.repeat(np.arange(i * n, j * n, n), np.diff(indptr[i : j + 1]))
         pos += indices[lo:hi]
-        flat[pos] = vals[lo:hi]
-    return DistMatrix._trusted(out)
+        v = vals[lo:hi]
+        flat[pos] = v if table is None else table[v.astype(np.int16)]
+    return out
 
 
 def distance_product(l: DistMatrix, opts: SolveOptions | None = None) -> DistMatrix:
     """Min-plus square of l via the encode/multiply/decode pipeline."""
-    result, _, _ = _distance_product(l, opts or SolveOptions())
-    return result
+    opts = opts or SolveOptions()
+    st = _scan(l, opts)
+    _distance_product(st, opts)
+    return st.distances()
 
 
 def _epoch_budget(n: int) -> int:
@@ -223,40 +336,41 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     total = _epoch_budget(n) + 1  # room for the confirming epoch
     stats: list[EpochStats] = []
     is_converged = False
-    current = w
-    finite, top = _finite_summary(w)
+    st = _scan(w, opts)
     w_min = _min_off_diagonal(w)
     m = 1
     for epoch in range(1, total + 1):
-        nxt, kind, (nxt_finite, nxt_top) = _distance_product(current, opts, (finite, top))
+        before = st.summary
+        kind = _distance_product(st, opts)
+        after = st.summary
         stats.append(
             EpochStats(
                 epoch=epoch,
-                max_element=nxt_top,
-                finite_before=finite,
-                finite_after=nxt_finite,
+                max_element=after.top,
+                finite_before=before.finite,
+                finite_after=after.finite,
                 kernel=kind,
             )
         )
-        same = converged(current, nxt)
-        current = nxt
-        finite_before, finite, top = finite, nxt_finite, nxt_top
-        if same:
+        if _unchanged(before, after):
             is_converged = True
             break
         m *= 2
-        if _bound_proves_converged(n, m, w_min, finite, finite_before, top):
+        if _bound_proves_converged(n, m, w_min, after.finite, before.finite, after.top):
             stats.append(
                 EpochStats(
-                    epoch=epoch + 1, max_element=top, finite_before=finite, finite_after=finite
+                    epoch=epoch + 1,
+                    max_element=after.top,
+                    finite_before=after.finite,
+                    finite_after=after.finite,
                 )
             )
             is_converged = True
             break
-    unreachable = n * n - finite
-    for st in stats:
-        st.finalize(unreachable, n)
-    return SolveResult(distances=current, epochs=stats, converged=is_converged)
+    unreachable = n * n - st.summary.finite
+    for rec in stats:
+        rec.finalize(unreachable, n)
+    return SolveResult(distances=st.distances(), epochs=stats, converged=is_converged)
 
 
 def fixed_squaring(w: DistMatrix, opts: SolveOptions | None = None) -> tuple[DistMatrix, int]:
@@ -264,8 +378,7 @@ def fixed_squaring(w: DistMatrix, opts: SolveOptions | None = None) -> tuple[Dis
     convergence short-circuit. Returns (distances, iterations)."""
     opts = opts or SolveOptions()
     iterations = max(1, _epoch_budget(w.n))
-    current = w
+    st = _scan(w, opts)
     for _ in range(iterations):
-        current, _, _ = _distance_product(current, opts)
-    return current, iterations
-
+        _distance_product(st, opts)
+    return st.distances(), iterations

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from minplus_apsp import INF, DistMatrix
+from minplus_apsp import (
+    INF,
+    DensityReport,
+    DistMatrix,
+    SolveOptions,
+    choose_kernel,
+    converged,
+    distance_product,
+)
+from minplus_apsp.solver import _bound_proves_converged, _epoch_budget, _min_off_diagonal
 
 P3_ROWS = [[0, 1, INF], [1, 0, 1], [INF, 1, 0]]
 P3_SOLVED = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -45,4 +54,51 @@ def random_dist_matrix(rng, n, *, max_weight=4, density=0.3, directed=False) -> 
     a[mask] = weights[mask]
     if not directed:
         a = np.minimum(a, a.T)
+    return DistMatrix(a)
+
+
+def dense_state_solve(w: DistMatrix, opts: SolveOptions):
+    """Reference solve loop with a dense state: every epoch squares the whole
+    DistMatrix with distance_product and compares it with its input entry by
+    entry (converged), where power_law_bound keeps CSR parts while epochs run
+    sparse and compares summaries.
+
+    Returns (distances, [(kernel, max_element, finite_before, finite_after)
+    per epoch], converged).
+    """
+    n = w.n
+    current = w
+    finite = int(np.count_nonzero(np.isfinite(w.data)))
+    w_min = _min_off_diagonal(w)
+    records = []
+    m = 1
+    for _ in range(_epoch_budget(n) + 1):
+        kind = opts.kernel
+        if kind == "auto":
+            kind = choose_kernel(DensityReport(finite, n * n))
+        nxt = distance_product(current, SolveOptions(width=opts.width, kernel=kind))
+        fin = nxt.data[np.isfinite(nxt.data)]
+        records.append((kind, int(fin.max()), finite, fin.size))
+        same = converged(current, nxt)
+        current = nxt
+        finite_before, finite, top = finite, fin.size, int(fin.max())
+        if same:
+            return current, records, True
+        m *= 2
+        if _bound_proves_converged(n, m, w_min, finite, finite_before, top):
+            records.append((None, top, finite, finite))
+            return current, records, True
+    return current, records, False
+
+
+def clustered_dist_matrix(rng, n, *, parts, max_weight=4, density=0.3, directed=False):
+    """random_dist_matrix on each of `parts` disjoint blocks of nodes, with
+    no edge between blocks, so that a solve can end with few finite pairs."""
+    a = np.full((n, n), INF)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(parts, n) - 1, replace=False))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+        block = random_dist_matrix(
+            rng, hi - lo, max_weight=max_weight, density=density, directed=directed
+        )
+        a[lo:hi, lo:hi] = block.data
     return DistMatrix(a)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import minplus_apsp
 from minplus_apsp import cli, solver
 from minplus_apsp.cli import main
 from minplus_apsp.matio import read_distance_binary
@@ -141,7 +147,7 @@ class TestSolve:
         assert "0,1\nINF,0\n" in capsys.readouterr().out
 
     def test_unconverged_solve_exits_nonzero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(solver, "converged", lambda before, after: False)
+        monkeypatch.setattr(solver, "_unchanged", lambda before, after: False)
         monkeypatch.setattr(solver, "_bound_proves_converged", lambda *args: False)
         path = tmp_path / "path9.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(8)))
@@ -227,3 +233,24 @@ def test_bench_subcommand_removed():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--n", "48"])
     assert exc.value.code != 0
+
+
+def test_dense_only_solve_never_imports_scipy_sparse(p3_file):
+    # scipy.sparse costs a quarter of a second per CLI start; only a sparse
+    # epoch needs it, and every epoch of P3 runs dense
+    code = (
+        "import sys\n"
+        "from minplus_apsp.cli import main\n"
+        f"assert main(['solve', {p3_file!r}]) == 0\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
+    )
+    src = str(Path(minplus_apsp.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "epochs=2" in done.stdout

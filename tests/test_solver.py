@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,18 @@ from minplus_apsp import (
     epoch_stats_csv,
     fixed_squaring,
     power_law_bound,
+    precision_limits,
 )
 from minplus_apsp import solver
-from minplus_apsp.solver import _distance_product, _finite_summary
-from conftest import P3_SOLVED, floyd_warshall, minplus_square, random_dist_matrix
+from minplus_apsp.solver import _distance_product, _scan
+from conftest import (
+    P3_SOLVED,
+    clustered_dist_matrix,
+    dense_state_solve,
+    floyd_warshall,
+    minplus_square,
+    random_dist_matrix,
+)
 
 
 def path_matrix(n):
@@ -71,6 +80,10 @@ class TestDistanceProduct:
                 assert np.array_equal(distance_product(m, SolveOptions(kernel=kernel)).data, want)
 
     def test_summary_is_finite_summary_of_result(self):
+        def rescan(d):
+            fin = d.data[np.isfinite(d.data)]
+            return fin.size, int(fin.max()), int(fin.sum())
+
         rng = np.random.default_rng(14)
         cases = [DistMatrix.from_rows([[0]]), DistMatrix(np.where(np.eye(6, dtype=bool), 0.0, INF))]
         for _ in range(20):
@@ -84,11 +97,13 @@ class TestDistanceProduct:
         for m in cases:
             for kernel in ("dense", "sparse"):
                 for width in (32, 64):
-                    result, kind, summary = _distance_product(
-                        m, SolveOptions(kernel=kernel, width=width)
-                    )
-                    assert kind == kernel
-                    assert summary == _finite_summary(result)
+                    opts = SolveOptions(kernel=kernel, width=width)
+                    st = _scan(m, opts)
+                    # convergence compares these sums, so check each against
+                    # a full rescan of the matrix it summarises
+                    assert st.summary == rescan(m)
+                    assert _distance_product(st, opts) == kernel
+                    assert st.summary == rescan(st.distances())
 
     def test_unknown_kernel_rejected(self):
         for kernel in ("naive", "blocked", "strassen", "dense_blocked"):
@@ -250,7 +265,7 @@ class TestPowerLawBound:
     def test_epoch_budget_ends_unproved_solve(self, monkeypatch):
         # with neither stop able to fire, path-9 runs its whole budget of
         # ceil(log2(8)) = 3 epochs plus the confirming one, and reads unconverged
-        monkeypatch.setattr(solver, "converged", lambda before, after: False)
+        monkeypatch.setattr(solver, "_unchanged", lambda before, after: False)
         monkeypatch.setattr(solver, "_bound_proves_converged", lambda *args: False)
         r = power_law_bound(path_matrix(9))
         assert not r.converged
@@ -271,6 +286,84 @@ class TestPowerLawBound:
         assert iters == math.ceil(math.log2(16))
         assert np.array_equal(dist.data, floyd_warshall(m).data)
         assert len(power_law_bound(m).epochs) <= iters + 1
+
+
+class TestSparsePhase:
+    """power_law_bound, which keeps CSR parts while epochs run sparse and
+    compares summaries, against the dense-state reference loop."""
+
+    def test_matches_dense_state_loop(self):
+        rng = np.random.default_rng(21)
+        seen = dict.fromkeys(("ended_sparse", "switched", "unchanged", "bound", "refused"), 0)
+        for case in range(216):
+            n = int(rng.integers(12, 56))
+            directed = bool(case % 2)
+            if case % 3 == 0:
+                m = clustered_dist_matrix(
+                    rng, n, parts=n // int(rng.integers(2, 6)), max_weight=int(rng.integers(1, 6)),
+                    density=float(rng.uniform(0.2, 0.6)), directed=directed,
+                )
+            else:
+                m = random_dist_matrix(
+                    rng, n, max_weight=int(rng.integers(1, 6)),
+                    density=float(rng.uniform(0.01, 0.2)), directed=directed,
+                )
+            for kernel in ("auto", "dense", "sparse"):
+                for width in (32, 64):
+                    opts = SolveOptions(kernel=kernel, width=width)
+                    try:
+                        want, records, want_converged = dense_state_solve(m, opts)
+                    except FeasibilityError:
+                        with pytest.raises(FeasibilityError):
+                            power_law_bound(m, opts)
+                        seen["refused"] += 1
+                        continue
+                    r = power_law_bound(m, opts)
+                    assert np.array_equal(r.distances.data, want.data), (case, kernel, width)
+                    got = [
+                        (st.kernel, st.max_element, st.finite_before, st.finite_after)
+                        for st in r.epochs
+                    ]
+                    assert got == records, (case, kernel, width)
+                    assert r.converged == want_converged
+                    if kernel == "auto":
+                        kinds = [k for k, *_ in records if k]
+                        seen["ended_sparse"] += kinds[-1] == "sparse"
+                        seen["switched"] += kinds[0] == "sparse" and kinds[-1] == "dense"
+                        seen["bound" if records[-1][0] is None else "unchanged"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_unchanged_needs_equal_count_and_sum(self):
+        assert solver._unchanged(solver._Summary(5, 3, 10), solver._Summary(5, 3, 10))
+        # a pair that became finite can add as much as other entries lost
+        assert not solver._unchanged(solver._Summary(5, 3, 10), solver._Summary(6, 3, 10))
+        assert not solver._unchanged(solver._Summary(5, 3, 10), solver._Summary(5, 3, 9))
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_sparse_and_dense_start_refuse_the_same_x_tilde(self, width):
+        n = 400
+        limit = math.floor(precision_limits(n, width).safe_limit)
+        complete = np.ones((n, n))
+        np.fill_diagonal(complete, 0.0)
+        opts = SolveOptions(width=width)
+        for base, form in ((path_matrix(n).data, "sparse"), (complete, "dense")):
+            for x_tilde in (limit, limit + 1):
+                a = base.copy()
+                a[0, 1] = a[1, 0] = x_tilde
+                m = DistMatrix(a)
+                assert (_scan(m, opts).csr is not None) == (form == "sparse")
+                if x_tilde == limit:
+                    distance_product(m, opts)
+                    continue
+                tracemalloc.start()
+                try:
+                    with pytest.raises(FeasibilityError):
+                        power_law_bound(m, opts)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                # refused before any n x n float64 array was allocated
+                assert peak < a.nbytes, (form, peak)
 
 
 class TestSolveOptions:
