@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .codec import DecodeError, FeasibilityError, precision_limits
+from .codec import DecodeError, FeasibilityError, largest_float32_x_tilde, precision_limits
 from .graph import GraphFormatError, parse_edge_list, to_distance_matrix
 from .kernels import KERNEL_NAMES
 from .netgen import GenSpec, diameter, estimate_diameter, generate_scale_free
@@ -131,6 +131,9 @@ def cmd_check(args) -> int:
             f"width={width} paper_limit={lim.paper_limit:.1f} "
             f"safe_limit={lim.safe_limit:.1f} {verdict}"
         )
+    # dense epochs up to this x_tilde run exact float32 products, at either width
+    top = largest_float32_x_tilde(args.n)
+    print(f"float32_products={'none' if top is None else f'x_tilde<={top}'}")
     return 0
 
 

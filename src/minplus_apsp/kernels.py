@@ -1,8 +1,11 @@
 """The two kernels for the numeric matrix product, and the rule between them.
 
-The dense kernel is one BLAS product; the sparse kernel is scipy's CSR
-product. Both run in float64, the one dtype encode produces. scipy.sparse is
-not imported here: it costs a quarter of a second, and only a solve whose
+The dense kernel is one BLAS product in the dtype of its operands: sgemm on
+float32 codes, which the solver builds only where codec.float32_exact proves
+the decode exact (sgemm runs about twice as fast as dgemm), and dgemm on
+float64 codes otherwise. The sparse kernel is scipy's CSR product, always in
+float64: SpGEMM is bound by its index work, not its arithmetic. scipy.sparse
+is not imported here: it costs a quarter of a second, and only a solve whose
 epochs run sparse needs it (the solver imports it for those).
 """
 from __future__ import annotations
@@ -30,11 +33,17 @@ def choose_kernel(d: DensityReport) -> str:
     return SPARSE if d.density < SPARSE_THRESHOLD else DENSE
 
 
-def multiply_dense(a: EncodedMatrix, b: EncodedMatrix) -> EncodedMatrix:
-    """Dense product as one BLAS call, which blocks for the cache itself."""
+def multiply_dense(
+    a: EncodedMatrix, b: EncodedMatrix, out: np.ndarray | None = None
+) -> EncodedMatrix:
+    """Dense product as one BLAS call, which blocks for the cache itself.
+
+    out, when given, is a contiguous array of the operands' shape and dtype
+    that receives the product.
+    """
     if a.data.shape != b.data.shape:
         raise ValueError(f"dimension mismatch: {a.data.shape} vs {b.data.shape}")
-    return EncodedMatrix(np.matmul(a.data, b.data))
+    return EncodedMatrix(np.matmul(a.data, b.data, out=out))
 
 
 def multiply_sparse(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:

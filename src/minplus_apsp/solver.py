@@ -23,7 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .codec import EMAX, EncodedMatrix, EncodeParams, decode_values, encode, encode_table
+from .codec import (
+    EMAX,
+    EncodedMatrix,
+    EncodeParams,
+    decode_values,
+    encode,
+    encode_table,
+    float32_exact,
+)
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import KERNEL_NAMES, SPARSE
 
@@ -34,9 +42,12 @@ _BLOCK_ROWS = 64
 class SolveOptions:
     """Knobs for the solve loop.
 
-    width (32 or 64) caps the exponent budget of every epoch; the arithmetic
-    is float64 at either width. kernel is "auto" (the density rule of
-    kernels.choose_kernel) or names the one kernel every epoch runs.
+    width (32 or 64) caps the exponent budget of every epoch; it does not
+    choose the arithmetic. At either width a dense epoch runs in float32
+    exactly when codec.float32_exact proves that its decode stays exact, and
+    in float64 otherwise; sparse epochs run in float64. kernel is "auto" (the
+    density rule of kernels.choose_kernel) or names the one kernel every
+    epoch runs.
     """
 
     width: int = 64
@@ -53,9 +64,10 @@ class SolveOptions:
 class EpochStats:
     """Per-epoch convergence record.
 
-    kernel names the kernel of the epoch's product; it is None only on a
-    confirming epoch proved by the path-weight bound, which runs no product
-    (see power_law_bound). convergence_quantity/_pct are defined against the
+    kernel names the kernel of the epoch's product and arithmetic its
+    float type, "float32" or "float64"; both are None only on a confirming
+    epoch proved by the path-weight bound, which runs no product (see
+    power_law_bound). convergence_quantity/_pct are defined against the
     final unreachable set and are back-filled once the solve finishes.
     """
 
@@ -66,6 +78,7 @@ class EpochStats:
     convergence_quantity: int | None = None
     convergence_pct: float | None = None
     kernel: str | None = None
+    arithmetic: str | None = None
 
     @property
     def delta(self) -> int:
@@ -216,14 +229,17 @@ def _scan(w: DistMatrix, opts: SolveOptions) -> _State:
     return st
 
 
-def _distance_product(st: _State, opts: SolveOptions) -> str:
-    """Replace st by its min-plus square; returns the kernel that ran.
+def _distance_product(st: _State, opts: SolveOptions) -> tuple[str, str]:
+    """Replace st by its min-plus square; returns the kernel that ran and
+    the float type of its product.
 
-    A sparse epoch encodes, multiplies and decodes only the stored values;
-    the product feeds the next epoch as it is. The first dense epoch after
-    sparse ones scatters the encoded values into a zero-filled E. st's
-    previous distances are dropped once E is built: at scale every full
-    matrix is a large fraction of RAM.
+    A sparse epoch encodes, multiplies and decodes only the stored values,
+    in float64; the product feeds the next epoch as it is. A dense epoch
+    encodes E in float32 when codec.float32_exact admits it, in float64
+    otherwise. The first dense epoch after sparse ones scatters the encoded
+    values into a zero-filled E. st's previous distances are dropped once E
+    is built: at scale every full matrix is a large fraction of RAM. A
+    float32 epoch allocates no full array beyond the distances it returns.
     """
     n = st.n
     p = EncodeParams(base=n + 1, x_tilde=st.summary.top, width=opts.width)
@@ -246,16 +262,33 @@ def _distance_product(st: _State, opts: SolveOptions) -> str:
         # every stored product entry is positive, so each decodes, in place,
         # to a finite distance
         st.set_sparse(prod.indptr, prod.indices, decode_values(prod.data, p, out=prod.data))
-        return kind
-    if st.dense is not None:
-        enc = encode(st.dense, p)
-    else:
-        enc = EncodedMatrix(_scatter_rows(np.zeros((n, n)), *st.csr, encode_table(p)))
-    st.dense = st.csr = None
-    prod = kernels.multiply_dense(enc, enc)
+        return kind, "float64"
+    if not float32_exact(p):
+        if st.dense is not None:
+            enc = encode(st.dense, p)
+        else:
+            enc = EncodedMatrix(_scatter_rows(np.zeros((n, n)), *st.csr, encode_table(p)))
+        st.dense = st.csr = None
+        prod = kernels.multiply_dense(enc, enc).data
+        del enc
+        st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=prod)))
+        return kind, "float64"
+    # a float32 epoch runs in the one float64 array that ends up holding the
+    # distances: a scattered E fills the first half of its bytes, the product
+    # the second, and decode_values writes the distances over both
+    table = encode_table(p, np.float32)
+    enc = encode(st.dense, p, np.float32) if st.dense is not None else None
+    st.dense = None
+    dist = np.empty((n, n))
+    halves = dist.reshape(-1).view(np.float32).reshape(2, n, n)
+    if enc is None:
+        halves[0] = 0
+        enc = EncodedMatrix(_scatter_rows(halves[0], *st.csr, table))
+    st.csr = None
+    prod = kernels.multiply_dense(enc, enc, out=halves[1]).data
     del enc
-    st.set_dense(DistMatrix._trusted(decode_values(prod.data, p, out=prod.data)))
-    return kind
+    st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=dist)))
+    return kind, "float32"
 
 
 def _scatter_rows(
@@ -329,7 +362,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     bound proves that the next epoch would change nothing, or when the epoch
     budget runs out (converged=False on the partial result in that case). A
     stop by the bound still records the confirming epoch, with no change and
-    kernel=None, but runs no product for it.
+    kernel=arithmetic=None, but runs no product for it.
     """
     opts = opts or SolveOptions()
     n = w.n
@@ -341,7 +374,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     m = 1
     for epoch in range(1, total + 1):
         before = st.summary
-        kind = _distance_product(st, opts)
+        kind, arithmetic = _distance_product(st, opts)
         after = st.summary
         stats.append(
             EpochStats(
@@ -350,6 +383,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
                 finite_before=before.finite,
                 finite_after=after.finite,
                 kernel=kind,
+                arithmetic=arithmetic,
             )
         )
         if _unchanged(before, after):

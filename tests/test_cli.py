@@ -223,6 +223,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "paper_limit=127.9" in out and "paper_limit=1024.0" in out
 
+    def test_float32_products(self, capsys):
+        # route1600's dense epoch (x_tilde 2) runs float32; above n = 2880
+        # the float32 rounding bound admits no x_tilde
+        assert main(["check", "1600"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "float32_products=x_tilde<=5"
+        assert main(["check", "2881"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "float32_products=none"
+
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_nonpositive_n_reported(self, n, capsys):
         assert main(["check", n]) == 1

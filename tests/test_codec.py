@@ -18,7 +18,14 @@ from minplus_apsp import (
     params_for,
     precision_limits,
 )
-from minplus_apsp.codec import decode_values
+from minplus_apsp import codec
+from minplus_apsp.codec import (
+    DecodeError,
+    decode_values,
+    encode_table,
+    float32_exact,
+    largest_float32_x_tilde,
+)
 from conftest import minplus_square, random_dist_matrix
 
 
@@ -59,6 +66,13 @@ class TestEncode:
         assert enc.data.dtype == np.float64
         assert enc.width == 64
         assert enc.data.tobytes() == encode(p3, params_for(p3)).data.tobytes()
+
+    def test_float32_codes_report_width_32(self, p3):
+        p = params_for(p3)
+        enc = encode(p3, p, np.float32)
+        assert enc.data.dtype == np.float32
+        assert enc.width == 32
+        assert enc.data.tolist() == encode(p3, p).data.tolist()
 
     def test_feasibility_error(self):
         m = DistMatrix.from_rows([[0, 45], [45, 0]])
@@ -186,8 +200,9 @@ class TestDecodeExactAtLargeN:
     """c tied witnesses at distance d give the product entry c * base**(2x - d),
     which lies log_base((n+1)/n) below the next power of base when c = n.
 
-    Products are float64 at both widths; the width-32 cases check x_tilde up
-    to the 32-bit cap through that one path.
+    These products are float64 (width caps only the exponent); the width-32
+    cases check x_tilde up to the 32-bit cap. TestFloat32Exact covers float32
+    products.
     """
 
     def test_n_tied_witnesses_width_32(self):
@@ -221,6 +236,104 @@ class TestDecodeExactAtLargeN:
             prod[0, 1:] = entries
             dec = decode(EncodedMatrix(prod), p)
             assert dec.data[0, 1:].tolist() == expected, (n, width, x)
+
+
+def _largest_float32_n() -> int:
+    n = 1
+    while float32_exact(EncodeParams(base=n + 2, x_tilde=0)):
+        n += 1
+    return n
+
+
+def _tied_witness_cases(n: int, x: int) -> np.ndarray:
+    """Rows of distances, one per (a, c): c entries a, the rest unreachable,
+    for every a in 0..x and c in (n, n - 1, 1). Row i times row j (as a
+    column) has min(c_i, c_j) tied witnesses at a_i + a_j."""
+    rows = []
+    for a in range(x + 1):
+        for c in (n, n - 1, 1):
+            row = np.full(n, INF)
+            row[:c] = a
+            rows.append(row)
+    return np.array(rows)
+
+
+def _float32_product(d: np.ndarray, p: EncodeParams) -> np.ndarray:
+    """d times d.T through float32 codes, as a dense float32 epoch runs it."""
+    codes = encode_table(p, np.float32)[np.minimum(d, p.x_tilde + 1).astype(np.int16)]
+    return codes @ codes.T
+
+
+def _minplus(d: np.ndarray) -> np.ndarray:
+    """min over k of d[i, k] + d[j, k], straight from the definition."""
+    return np.min(d[:, None, :] + d[None, :, :], axis=2)
+
+
+class TestFloat32Exact:
+    """A float32 product is decoded only where float32_exact admits it; there
+    every tied-witness product decodes to the min-plus definition."""
+
+    def test_bound_admits_route1600_not_wsf1600_or_sf6000(self):
+        assert _largest_float32_n() == 2880
+        assert largest_float32_x_tilde(1600) == 5
+        assert largest_float32_x_tilde(2880) == 5
+        assert largest_float32_x_tilde(1) == 63
+        # wsf1600's dense epochs run at x_tilde 29..36; sf6000 is above the n bound
+        assert not float32_exact(EncodeParams(base=1601, x_tilde=29))
+        for n in (6000, 2**23, 2**24, 10**23):
+            assert largest_float32_x_tilde(n) is None, n
+
+    def test_next_n_and_next_x_tilde_route_to_float64(self):
+        big = _largest_float32_n()
+        for n in (1600, big):
+            top = largest_float32_x_tilde(n)
+            assert float32_exact(EncodeParams(base=n + 1, x_tilde=top))
+            assert not float32_exact(EncodeParams(base=n + 1, x_tilde=top + 1))
+        assert largest_float32_x_tilde(big + 1) is None
+
+    @pytest.mark.parametrize("n", [1600, _largest_float32_n()])
+    def test_tied_witnesses_decode_exactly(self, n):
+        for x in (1, largest_float32_x_tilde(n)):
+            p = EncodeParams(base=n + 1, x_tilde=x)
+            d = _tied_witness_cases(n, x)
+            prod = _float32_product(d, p)
+            assert prod.dtype == np.float32
+            assert np.array_equal(decode_values(prod, p), _minplus(d)), (n, x)
+
+    def test_float64_guard_misreads_a_float32_product(self):
+        # pins the guard choice: the float32 code of distance 0 at x_tilde=2,
+        # n=1600, squared and rounded to float32, lies below base**4, so the
+        # float64 guard (1e-9) floors it one step low
+        n, x = 1600, 2
+        p = EncodeParams(base=n + 1, x_tilde=x)
+        d = _tied_witness_cases(n, x)
+        prod = _float32_product(d, p)
+        i = 2  # the row of (a=0, c=1)
+        assert (d[i] == 0).sum() == 1
+        assert decode_values(prod, p)[i, i] == 0
+        assert decode_values(prod.astype(np.float64), p)[i, i] == 1
+
+    def test_decodes_into_the_float64_array_behind_it(self):
+        # the solver's float32 epoch keeps its product in the second half of
+        # the bytes of the float64 array the distances are decoded into
+        n, x = 400, 3
+        assert n * n > 2 * codec._DECODE_CHUNK
+        p = EncodeParams(base=n + 1, x_tilde=x)
+        rng = np.random.default_rng(5)
+        d = rng.integers(0, x + 1, (n, n)).astype(float)
+        d[rng.random((n, n)) < 0.5] = INF
+        buf = np.empty((n, n))
+        halves = buf.reshape(-1).view(np.float32).reshape(2, n, n)
+        halves[1] = _float32_product(d, p)
+        assert decode_values(halves[1], p, out=buf) is buf
+        assert np.array_equal(buf, [np.min(d[i] + d, axis=1) for i in range(n)])
+
+    def test_float32_product_outside_the_bound_refused(self):
+        p = EncodeParams(base=1601, x_tilde=6)
+        with pytest.raises(DecodeError, match="float32"):
+            decode_values(np.ones((2, 2), np.float32), p)
+        with pytest.raises(DecodeError, match="float32"):
+            decode_values(np.ones(2, np.float32), EncodeParams(base=3000, x_tilde=1))
 
 
 class TestPrecisionLimits:

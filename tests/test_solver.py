@@ -10,15 +10,20 @@ from minplus_apsp import (
     DistMatrix,
     EpochStats,
     FeasibilityError,
+    GenSpec,
+    Graph,
     SolveOptions,
     converged,
     distance_product,
     epoch_stats_csv,
     fixed_squaring,
+    generate_scale_free,
     power_law_bound,
     precision_limits,
+    to_distance_matrix,
 )
 from minplus_apsp import solver
+from minplus_apsp.codec import largest_float32_x_tilde
 from minplus_apsp.solver import _distance_product, _scan
 from conftest import (
     P3_SOLVED,
@@ -102,7 +107,9 @@ class TestDistanceProduct:
                     # convergence compares these sums, so check each against
                     # a full rescan of the matrix it summarises
                     assert st.summary == rescan(m)
-                    assert _distance_product(st, opts) == kernel
+                    # every x_tilde here is far inside the float32 bound at n < 40
+                    arithmetic = "float64" if kernel == "sparse" else "float32"
+                    assert _distance_product(st, opts) == (kernel, arithmetic)
                     assert st.summary == rescan(st.distances())
 
     def test_unknown_kernel_rejected(self):
@@ -141,6 +148,64 @@ class TestResultsValidate:
                     for d in got:
                         assert d.data.dtype == np.float64
                         DistMatrix(d.data)
+
+
+class TestArithmetic:
+    """A dense epoch runs float32 exactly where codec.float32_exact admits
+    it; every epoch's distances still equal the definition."""
+
+    def test_route_graph_dense_epoch_runs_float32(self):
+        w = to_distance_matrix(generate_scale_free(GenSpec(n=400, m_attach=7, seed=11)))
+        r = power_law_bound(w)
+        assert [(st.kernel, st.arithmetic) for st in r.epochs] == [
+            ("sparse", "float64"),
+            ("dense", "float32"),
+            (None, None),
+        ]
+        assert np.array_equal(r.distances.data, shortest_path(w.data, method="D"))
+
+    def test_float32_epoch_allocates_one_float64_array(self):
+        # E, the float32 product and the decoded distances share one n x n
+        # float64 array; the rest is a fixed few hundred KiB of chunk and
+        # row-block temporaries
+        n = 800
+        w = to_distance_matrix(generate_scale_free(GenSpec(n=n, m_attach=7, seed=11)))
+        st = _scan(w, SolveOptions())
+        assert _distance_product(st, SolveOptions()) == ("sparse", "float64")
+        tracemalloc.start()
+        try:
+            assert _distance_product(st, SolveOptions()) == ("dense", "float32")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, peak
+        # route-style: two products reach the shortest paths (the solve's
+        # third epoch only confirms)
+        assert np.array_equal(st.distances().data, shortest_path(w.data, method="D"))
+
+    def test_weighted_directed_graph_runs_float64_only(self):
+        # weights 1..9 on both directions of each edge: x_tilde starts at 9,
+        # above the float32 budget of n = 300 (x_tilde <= 7)
+        g = generate_scale_free(GenSpec(n=300, m_attach=3, seed=7))
+        rng = np.random.default_rng(7)
+        src, dst = np.r_[g.src, g.dst], np.r_[g.dst, g.src]
+        w = to_distance_matrix(Graph(300, src, dst, rng.integers(1, 10, len(src)), True))
+        r = power_law_bound(w)
+        assert "dense" in [st.kernel for st in r.epochs]
+        assert {st.arithmetic for st in r.epochs} == {"float64"}
+        assert np.array_equal(r.distances.data, shortest_path(w.data, method="D"))
+
+    def test_largest_float32_x_tilde_and_one_more(self):
+        n = 60
+        top = largest_float32_x_tilde(n)
+        for x_tilde, arithmetic in ((top, "float32"), (top + 1, "float64")):
+            a = np.ones((n, n))
+            np.fill_diagonal(a, 0.0)
+            a[0, 1] = a[1, 0] = x_tilde
+            m = DistMatrix(a)
+            st = _scan(m, SolveOptions())
+            assert _distance_product(st, SolveOptions()) == ("dense", arithmetic)
+            assert np.array_equal(st.distances().data, minplus_square(m).data)
 
 
 class TestFloydWarshall:
