@@ -96,9 +96,14 @@ def cmd_solve(args) -> int:
         return 1
 
     kinds = [st.kernel for st in result.epochs if st.kernel]
+    # what ended the solve: an epoch that changed nothing, a proof, or the budget
+    if result.converged:
+        stop = result.epochs[-1].proof or "unchanged"
+    else:
+        stop = "budget"
     print(
         f"n={graph.n} edges={len(graph.src)} epochs={len(result.epochs)} "
-        f"converged={result.converged} kernels={','.join(kinds)} "
+        f"converged={result.converged} kernels={','.join(kinds)} stop={stop} "
         f"wall={elapsed:.3f}s"
     )
     if not result.converged:

@@ -4,7 +4,9 @@ judgments, and per-epoch statistics.
 One epoch = select kernel by density -> encode -> multiply -> decode. The
 squared matrix doubles the path-edge budget, so convergence needs at most
 ceil(log2(n - 1)) improving epochs plus one confirming epoch. The confirming
-epoch is skipped when a bound on path weights already proves convergence.
+epoch runs no product when a proof that needs none fires first: a bound on
+path weights, or, after a dense epoch, the Bellman-Ford fixed-point check of
+the distances against the input edges (_edges_prove_converged).
 
 While epochs run sparse, the state is the CSR parts of the finite entries:
 one finite scan of the input builds them, each sparse epoch encodes only the
@@ -12,7 +14,9 @@ stored values, and the decoded product feeds the next epoch unchanged. The
 first dense epoch scatters the encoded values into a zero-filled matrix; an
 n x n distance matrix is built from CSR parts only when the solve ends
 sparse. Convergence compares two summaries, the finite count and the sum of
-the finite entries, in place of the two matrices (see _unchanged).
+the finite entries, in place of the two matrices (see _unchanged). The
+same scan keeps the input's edges for the fixed-point check when there are
+few enough of them (_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
@@ -33,9 +37,22 @@ from .codec import (
     float32_exact,
 )
 from .graph import INF, DensityReport, DistMatrix
-from .kernels import KERNEL_NAMES, SPARSE
+from .kernels import DENSE, KERNEL_NAMES, SPARSE
 
 _BLOCK_ROWS = 64
+
+# Keep the input's edges, and so run the fixed-point check, only when there
+# are at most n * n // _EDGE_DIVISOR of them. A passing check reads n int16
+# entries per edge at about 0.65 ns each, so at the limit it costs
+# n**3 / 64 * 0.65 ns: 0.04 s at n = 1600, about one sgemm, and less than
+# the float64 product it saves.
+_EDGE_DIVISOR = 64
+# edges per gather of the fixed-point check
+_EDGE_CHUNK = 64
+# stands for inf in the check's int16 copy of the distances: it exceeds
+# every finite entry plus a weight (at most 2 * 512 + 512), and with any
+# weight added it stays below 2**15
+_UNREACHABLE16 = 2**14
 
 
 @dataclass
@@ -66,9 +83,11 @@ class EpochStats:
 
     kernel names the kernel of the epoch's product and arithmetic its
     float type, "float32" or "float64"; both are None only on a confirming
-    epoch proved by the path-weight bound, which runs no product (see
-    power_law_bound). convergence_quantity/_pct are defined against the
-    final unreachable set and are back-filled once the solve finishes.
+    epoch that a proof settles without a product. proof names that proof,
+    "bound" (the path-weight bound) or "edges" (the fixed-point check
+    against the input edges), and is None on every epoch that ran a product
+    (see power_law_bound). convergence_quantity/_pct are defined against
+    the final unreachable set and are back-filled once the solve finishes.
     """
 
     epoch: int
@@ -79,6 +98,7 @@ class EpochStats:
     convergence_pct: float | None = None
     kernel: str | None = None
     arithmetic: str | None = None
+    proof: str | None = None
 
     @property
     def delta(self) -> int:
@@ -92,7 +112,9 @@ class EpochStats:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of a solve: distances, one record per epoch, and whether the
-    solve proved that no further product can change the distances."""
+    solve proved that no further product can change the distances: by an
+    epoch that changed nothing, or by the proof that the last record names
+    (EpochStats.proof)."""
 
     distances: DistMatrix
     epochs: list[EpochStats]
@@ -173,12 +195,21 @@ def _dense_summary(a: np.ndarray) -> _Summary:
     )
 
 
+class _Edges(NamedTuple):
+    """The input's finite off-diagonal entries, in row-major order."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+
 class _State:
-    """Distances between epochs, and their summary.
+    """Distances between epochs, their summary, and the input's edges.
 
     While epochs run sparse the state is the CSR parts (indptr, indices,
     decoded values) of the finite entries, and no n x n array exists; once
-    they run dense it is a dense matrix.
+    they run dense it is a dense matrix. edges is None when the input has
+    more than n * n // _EDGE_DIVISOR of them.
     """
 
     def __init__(self, n: int):
@@ -186,6 +217,7 @@ class _State:
         self.dense: DistMatrix | None = None
         self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.summary: _Summary | None = None
+        self.edges: _Edges | None = None
 
     def set_sparse(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
         self.dense = None
@@ -211,19 +243,48 @@ def _kernel_for(finite: int, n: int, opts: SolveOptions) -> str:
 
 
 def _scan(w: DistMatrix, opts: SolveOptions) -> _State:
-    """The first epoch's state and summary, from one finite scan of w: CSR
-    parts of w's finite entries when that epoch runs sparse, w otherwise."""
+    """The first epoch's state and summary, and the input's edges, from one
+    finite scan of w in row blocks: CSR parts of w's finite entries when
+    that epoch runs sparse, w otherwise."""
     n = w.n
     a = w.data
-    mask = np.isfinite(a)
-    finite = int(np.count_nonzero(mask))
-    st = _State(n)
-    if _kernel_for(finite, n, opts) == SPARSE:
+    limit = n * n // _EDGE_DIVISOR
+    indptr = np.empty(n + 1, np.int64)
+    # (column indices, values) of each row block, while they may be kept
+    parts: list | None = []
+    finite = 0
+    buf = np.empty((_BLOCK_ROWS, n), bool)
+    for i in range(0, n, _BLOCK_ROWS):
+        b = a[i : i + _BLOCK_ROWS]
+        # entries are nonnegative integers or inf
+        mask = np.less(b, INF, out=buf[: len(b)])
+        if parts is None:
+            finite += int(np.count_nonzero(mask))
+            continue
         flat = np.flatnonzero(mask)
+        # flat positions are sorted, so a row starts at the first one >= its offset
+        indptr[i : i + len(b)] = finite + np.searchsorted(flat, np.arange(0, len(b) * n, n))
+        finite += len(flat)
+        parts.append((flat % n, b.reshape(-1)[flat]))
+        # the finite count only grows: once it rules out both the sparse
+        # kernel and keeping the edges (every diagonal entry is finite), the
+        # parts are not needed
+        if finite - (i + len(b)) > limit and _kernel_for(finite, n, opts) != SPARSE:
+            parts = None
+    st = _State(n)
+    if parts is not None:
+        indptr[n] = finite
         dtype = np.int32 if max(finite, n) <= np.iinfo(np.int32).max else np.int64
-        # flat positions are sorted, so row i starts at the first one >= i * n
-        indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(dtype)
-        st.set_sparse(indptr, (flat % n).astype(dtype), a.reshape(-1)[flat])
+        indptr = indptr.astype(dtype)
+        indices = np.concatenate([c for c, _ in parts]).astype(dtype)
+        values = np.concatenate([v for _, v in parts])
+        del parts
+        if finite - n <= limit:
+            src = np.repeat(np.arange(n), np.diff(indptr))
+            off = src != indices
+            st.edges = _Edges(src[off], indices[off], values[off])
+    if _kernel_for(finite, n, opts) == SPARSE:
+        st.set_sparse(indptr, indices, values)
     else:
         st.set_dense(w)
     return st
@@ -355,14 +416,59 @@ def _bound_proves_converged(
     return all_reachable_found and top < (m + 1) * w_min
 
 
+def _edges_prove_converged(a: np.ndarray, edges: _Edges) -> bool:
+    """True when the distance matrix a, the decoded result of a dense epoch
+    of the solve of an input whose finite off-diagonal entries are edges,
+    already holds every shortest distance, so that a (x) a = a.
+
+    This is the Bellman-Ford optimality condition (Bellman 1958), checked
+    in row form: a[u, :] <= w(u, v) + a[v, :] for every edge u -> v. Every
+    finite entry of an exactly decoded product is the weight of a real
+    walk, so a >= dist. If the condition holds, take a shortest path
+    u = p0 -> p1 -> ... -> pk = x: a[pk, x] = 0 = dist(pk, x) (the diagonal
+    is 0), and a[pj, x] <= w(pj, pj+1) + a[pj+1, x] <= dist(pj, x) by
+    induction from the end. So a <= dist, a = dist, and a (x) a = a since
+    dist is closed under the min-plus product. Unreachable pairs need no
+    path: dist = inf there, and a >= dist.
+
+    Runs on an int16 copy of a with inf mapped to _UNREACHABLE16, which is
+    exact: after a feasible epoch every finite entry is at most 2 * 512 and
+    every weight at most 512 (the first epoch's x_tilde bounds them), so
+    the sentinel plus a weight stays below 2**15 and above every finite
+    entry plus a weight. Gathers whole rows for chunks of _EDGE_CHUNK edges
+    and returns at the first chunk that fails; the first chunk is checked
+    in float64, where inf needs no sentinel, before the copy is made.
+    """
+    src, dst, weight = edges
+    # a matrix that is not final yet almost always fails on the first
+    # chunk, so test that one on a itself before making the int16 copy
+    head = slice(0, _EDGE_CHUNK)
+    if (a[src[head]] > a[dst[head]] + weight[head, None]).any():
+        return False
+    d = np.empty(a.shape, np.int16)
+    np.minimum(a, _UNREACHABLE16, out=d, casting="unsafe")
+    weight = weight.astype(np.int16)[:, None]
+    for lo in range(0, len(src), _EDGE_CHUNK):
+        hi = lo + _EDGE_CHUNK
+        through = d[dst[lo:hi]]
+        through += weight[lo:hi]
+        if (d[src[lo:hi]] > through).any():
+            return False
+    return True
+
+
 def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveResult:
     """Solve APSP by repeated min-plus squaring with convergence detection.
 
-    Stops when an epoch leaves the matrix unchanged, when the path-weight
-    bound proves that the next epoch would change nothing, or when the epoch
-    budget runs out (converged=False on the partial result in that case). A
-    stop by the bound still records the confirming epoch, with no change and
-    kernel=arithmetic=None, but runs no product for it.
+    Stops when an epoch leaves the matrix unchanged, when a proof shows
+    that the next epoch would change nothing, or when the epoch budget runs
+    out (converged=False on the partial result in that case). The proofs are
+    the path-weight bound (_bound_proves_converged), tried after every epoch
+    that changed the matrix, and, when it fails after a dense epoch of an
+    input with kept edges, the fixed-point check against those edges
+    (_edges_prove_converged). A stop by a proof still records the confirming
+    epoch, with no change, kernel=arithmetic=None and proof naming the
+    proof ("bound" or "edges"), but runs no product for it.
     """
     opts = opts or SolveOptions()
     n = w.n
@@ -370,7 +476,10 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     stats: list[EpochStats] = []
     is_converged = False
     st = _scan(w, opts)
-    w_min = _min_off_diagonal(w)
+    if st.edges is not None:
+        w_min = float(st.edges.weight.min(initial=INF))
+    else:
+        w_min = _min_off_diagonal(w)
     m = 1
     for epoch in range(1, total + 1):
         before = st.summary
@@ -391,16 +500,24 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
             break
         m *= 2
         if _bound_proves_converged(n, m, w_min, after.finite, before.finite, after.top):
-            stats.append(
-                EpochStats(
-                    epoch=epoch + 1,
-                    max_element=after.top,
-                    finite_before=after.finite,
-                    finite_after=after.finite,
-                )
+            proof = "bound"
+        elif kind == DENSE and st.edges is not None and _edges_prove_converged(
+            st.dense.data, st.edges
+        ):
+            proof = "edges"
+        else:
+            continue
+        stats.append(
+            EpochStats(
+                epoch=epoch + 1,
+                max_element=after.top,
+                finite_before=after.finite,
+                finite_after=after.finite,
+                proof=proof,
             )
-            is_converged = True
-            break
+        )
+        is_converged = True
+        break
     unreachable = n * n - st.summary.finite
     for rec in stats:
         rec.finalize(unreachable, n)

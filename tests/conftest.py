@@ -10,7 +10,12 @@ from minplus_apsp import (
     converged,
     distance_product,
 )
-from minplus_apsp.solver import _bound_proves_converged, _epoch_budget, _min_off_diagonal
+from minplus_apsp.solver import (
+    _EDGE_DIVISOR,
+    _bound_proves_converged,
+    _epoch_budget,
+    _min_off_diagonal,
+)
 
 P3_ROWS = [[0, 1, INF], [1, 0, 1], [INF, 1, 0]]
 P3_SOLVED = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -61,15 +66,20 @@ def dense_state_solve(w: DistMatrix, opts: SolveOptions):
     """Reference solve loop with a dense state: every epoch squares the whole
     DistMatrix with distance_product and compares it with its input entry by
     entry (converged), where power_law_bound keeps CSR parts while epochs run
-    sparse and compares summaries.
+    sparse and compares summaries. After a dense epoch that the bound does
+    not settle, the edge stop compares the matrix with w's finite
+    off-diagonal entries directly (d[u, :] <= w[u, v] + d[v, :] for each),
+    when there are at most n * n // _EDGE_DIVISOR of them.
 
-    Returns (distances, [(kernel, max_element, finite_before, finite_after)
-    per epoch], converged).
+    Returns (distances, [(kernel, max_element, finite_before, finite_after,
+    proof) per epoch], converged).
     """
     n = w.n
     current = w
     finite = int(np.count_nonzero(np.isfinite(w.data)))
     w_min = _min_off_diagonal(w)
+    u, v = np.nonzero(np.isfinite(w.data) & ~np.eye(n, dtype=bool))
+    keep_edges = len(u) <= n * n // _EDGE_DIVISOR
     records = []
     m = 1
     for _ in range(_epoch_budget(n) + 1):
@@ -78,16 +88,22 @@ def dense_state_solve(w: DistMatrix, opts: SolveOptions):
             kind = choose_kernel(DensityReport(finite, n * n))
         nxt = distance_product(current, SolveOptions(width=opts.width, kernel=kind))
         fin = nxt.data[np.isfinite(nxt.data)]
-        records.append((kind, int(fin.max()), finite, fin.size))
+        records.append((kind, int(fin.max()), finite, fin.size, None))
         same = converged(current, nxt)
         current = nxt
         finite_before, finite, top = finite, fin.size, int(fin.max())
         if same:
             return current, records, True
         m *= 2
+        d = current.data
         if _bound_proves_converged(n, m, w_min, finite, finite_before, top):
-            records.append((None, top, finite, finite))
-            return current, records, True
+            proof = "bound"
+        elif kind == "dense" and keep_edges and np.all(d[u] <= w.data[u, v][:, None] + d[v]):
+            proof = "edges"
+        else:
+            continue
+        records.append((None, top, finite, finite, proof))
+        return current, records, True
     return current, records, False
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import minplus_apsp
-from minplus_apsp import cli, solver
+from minplus_apsp import cli, matio, solver
 from minplus_apsp.cli import main
 from minplus_apsp.matio import read_distance_binary
 
@@ -155,6 +155,34 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert "epochs=4 converged=False" in out
         assert "error: did not converge within the epoch budget" in err
+
+    def test_summary_names_the_stop(self, p3_file, tmp_path, monkeypatch, capsys):
+        def stop_of(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out.split("stop=")[1].split()[0]
+
+        edge = tmp_path / "edge.txt"
+        edge.write_text("0 1\n")
+        # weighted directed n=400 graph with 2382 edges, below n * n // 64:
+        # three dense epochs, then the fixed-point check settles the fourth
+        g = minplus_apsp.generate_scale_free(minplus_apsp.GenSpec(n=400, m_attach=3, seed=7))
+        rng = np.random.default_rng(7)
+        src, dst = np.r_[g.src, g.dst], np.r_[g.dst, g.src]
+        weighted = tmp_path / "weighted.txt"
+        weighted.write_text(
+            matio.edge_list_text(
+                minplus_apsp.Graph(400, src, dst, rng.integers(1, 10, len(src)), True)
+            )
+        )
+        out = str(tmp_path / "d.csv")
+        assert stop_of(["solve", str(edge), "--directed", "-o", out]) == (0, "unchanged")
+        assert stop_of(["solve", p3_file, "-o", out]) == (0, "bound")
+        # --oracle exits 1 unless the distances match Dijkstra's
+        weighted_argv = ["solve", str(weighted), "--directed", "-o", out, "--oracle"]
+        assert stop_of(weighted_argv) == (0, "edges")
+        monkeypatch.setattr(solver, "_unchanged", lambda before, after: False)
+        monkeypatch.setattr(solver, "_bound_proves_converged", lambda *args: False)
+        assert stop_of(["solve", p3_file, "-o", out]) == (1, "budget")
 
     def test_out_of_memory_reported(self, p3_file, monkeypatch, capsys):
         def no_memory(graph):

@@ -353,22 +353,181 @@ class TestPowerLawBound:
         assert len(power_law_bound(m).epochs) <= iters + 1
 
 
+def input_edges(m: DistMatrix) -> solver._Edges:
+    """m's finite off-diagonal entries, read straight from the matrix."""
+    u, v = np.nonzero(np.isfinite(m.data) & ~np.eye(m.n, dtype=bool))
+    return solver._Edges(u, v, m.data[u, v])
+
+
+def sparse_weighted_digraph(rng, n):
+    """About two out-edges per node, weights 1..5: few enough edges for the
+    edge stop, and a bound that rarely fires."""
+    return random_dist_matrix(
+        rng, n, max_weight=5, density=float(rng.uniform(1.5, 2.5)) / n, directed=True
+    )
+
+
+class TestEdgeStop:
+    """The Bellman-Ford fixed-point check against Floyd-Warshall and csgraph."""
+
+    def test_true_on_shortest_distances(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            m = random_dist_matrix(
+                rng, n, max_weight=int(rng.integers(1, 9)),
+                density=float(rng.uniform(0.02, 0.4)), directed=bool(rng.integers(2)),
+            )
+            assert solver._edges_prove_converged(floyd_warshall(m).data, input_edges(m))
+
+    def test_false_after_one_entry_raised_or_lost(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            m = random_dist_matrix(rng, n, max_weight=6, density=0.2, directed=True)
+            dist = floyd_warshall(m).data
+            i, j = np.argwhere(np.isfinite(dist) & ~np.eye(n, dtype=bool))[
+                int(rng.integers(np.count_nonzero(np.isfinite(dist)) - n))
+            ]
+            for wrong in (dist[i, j] + 1, INF):
+                d = dist.copy()
+                d[i, j] = wrong
+                assert not solver._edges_prove_converged(d, input_edges(m)), (i, j, wrong)
+
+    def test_zero_weights_and_unreachable_pairs(self):
+        # 0 -0-> 1 -3-> 2 -0-> 3, and node 4 on its own
+        m = DistMatrix.from_rows(
+            [
+                [0, 0, INF, INF, INF],
+                [INF, 0, 3, INF, INF],
+                [INF, INF, 0, 0, INF],
+                [INF, INF, INF, 0, INF],
+                [INF, INF, INF, INF, 0],
+            ]
+        )
+        dist = floyd_warshall(m).data
+        assert dist[0, 3] == 3 and dist[3, 0] == INF
+        assert solver._edges_prove_converged(dist, input_edges(m))
+        for pair, wrong in (((0, 3), 4), ((0, 2), INF), ((1, 3), 4)):
+            d = dist.copy()
+            d[pair] = wrong
+            assert not solver._edges_prove_converged(d, input_edges(m)), pair
+
+    def test_largest_entries_stay_exact(self):
+        # weights of 512 and a distance of 1024, the largest a feasible solve
+        # holds, next to unreachable pairs; a unit chain of 70 edges comes
+        # first in row order, so these edges are checked on the int16 copy
+        n = 74
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        a[np.arange(70), np.arange(1, 71)] = 1.0
+        a[71, 72] = a[72, 73] = 512.0
+        m = DistMatrix(a)
+        edges = input_edges(m)
+        assert list(edges.src[solver._EDGE_CHUNK :]) == [64, 65, 66, 67, 68, 69, 71, 72]
+        dist = floyd_warshall(m).data
+        assert dist[71, 73] == 1024
+        assert solver._edges_prove_converged(dist, edges)
+        for wrong in (1025, INF):
+            d = dist.copy()
+            d[71, 73] = wrong
+            assert not solver._edges_prove_converged(d, edges)
+
+    def test_edge_stop_saves_one_product(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        fired = 0
+        for _ in range(12):
+            m = sparse_weighted_digraph(rng, int(rng.integers(128, 256)))
+            want = shortest_path(m.data, method="D")
+            r = power_law_bound(m)
+            assert r.converged and np.array_equal(r.distances.data, want)
+            if r.epochs[-1].proof != "edges":
+                continue
+            fired += 1
+            last = r.epochs[-1]
+            assert (last.kernel, last.arithmetic, last.delta) == (None, None, 0)
+            assert r.epochs[-2].kernel == "dense"
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_edges_prove_converged", lambda a, edges: False)
+                off = power_law_bound(m)
+            assert np.array_equal(off.distances.data, want)
+            assert off.epochs[-1].proof is None
+            products = [st for st in r.epochs if st.kernel]
+            assert len([st for st in off.epochs if st.kernel]) == len(products) + 1
+        assert fired >= 6
+
+    def test_edges_kept_up_to_the_limit(self):
+        # n = 64: at most 64 edges are kept
+        n = 64
+        for edges, kept in ((64, True), (65, False)):
+            a = np.full((n, n), INF)
+            np.fill_diagonal(a, 0.0)
+            a[np.arange(n), (np.arange(n) + 1) % n] = 2.0
+            if edges > n:
+                a[0, 2] = 3.0
+            m = DistMatrix(a)
+            for kernel in ("auto", "dense", "sparse"):
+                st = _scan(m, SolveOptions(kernel=kernel))
+                assert (st.edges is not None) == kept
+                if kept:
+                    got = sorted(zip(*(x.tolist() for x in st.edges)))
+                    assert got == sorted(zip(*(x.tolist() for x in input_edges(m))))
+
+    def test_never_called_above_the_edge_limit(self, monkeypatch):
+        def refuse(a, edges):
+            raise AssertionError("fixed-point check ran above the edge limit")
+
+        monkeypatch.setattr(solver, "_edges_prove_converged", refuse)
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            n = int(rng.integers(20, 60))
+            m = random_dist_matrix(rng, n, max_weight=8, density=0.1, directed=True)
+            for kernel in ("auto", "dense"):
+                r = power_law_bound(m, SolveOptions(kernel=kernel))
+                assert r.converged
+                assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
+
+    def test_routing_graph_stops_by_the_bound(self, monkeypatch):
+        def refuse(a, edges):
+            raise AssertionError("fixed-point check ran where the bound fires")
+
+        monkeypatch.setattr(solver, "_edges_prove_converged", refuse)
+        # acceptance criterion 6's routing graph
+        w = to_distance_matrix(generate_scale_free(GenSpec(n=1600, m_attach=7, seed=11)))
+        assert _scan(w, SolveOptions()).edges is not None
+        r = power_law_bound(w)
+        assert r.converged and r.epochs[-1].proof == "bound"
+
+
 class TestSparsePhase:
     """power_law_bound, which keeps CSR parts while epochs run sparse and
     compares summaries, against the dense-state reference loop."""
 
     def test_matches_dense_state_loop(self):
         rng = np.random.default_rng(21)
-        seen = dict.fromkeys(("ended_sparse", "switched", "unchanged", "bound", "refused"), 0)
-        for case in range(216):
-            n = int(rng.integers(12, 56))
+        rng_edges = np.random.default_rng(22)
+        seen = dict.fromkeys(
+            ("ended_sparse", "switched", "unchanged", "bound", "edges", "refused"), 0
+        )
+        for case in range(240):
             directed = bool(case % 2)
-            if case % 3 == 0:
+            if case >= 216:
+                # about two edges per node: at most n * n // 64 edges, so the
+                # edge stop can settle the dense epochs these graphs reach
+                n = int(rng_edges.integers(128, 200))
+                m = random_dist_matrix(
+                    rng_edges, n, max_weight=int(rng_edges.integers(2, 6)),
+                    density=float(rng_edges.uniform(1.5, 2.5)) / n * (1 + directed) / 2,
+                    directed=directed,
+                )
+            elif case % 3 == 0:
+                n = int(rng.integers(12, 56))
                 m = clustered_dist_matrix(
                     rng, n, parts=n // int(rng.integers(2, 6)), max_weight=int(rng.integers(1, 6)),
                     density=float(rng.uniform(0.2, 0.6)), directed=directed,
                 )
             else:
+                n = int(rng.integers(12, 56))
                 m = random_dist_matrix(
                     rng, n, max_weight=int(rng.integers(1, 6)),
                     density=float(rng.uniform(0.01, 0.2)), directed=directed,
@@ -386,7 +545,7 @@ class TestSparsePhase:
                     r = power_law_bound(m, opts)
                     assert np.array_equal(r.distances.data, want.data), (case, kernel, width)
                     got = [
-                        (st.kernel, st.max_element, st.finite_before, st.finite_after)
+                        (st.kernel, st.max_element, st.finite_before, st.finite_after, st.proof)
                         for st in r.epochs
                     ]
                     assert got == records, (case, kernel, width)
@@ -395,7 +554,7 @@ class TestSparsePhase:
                         kinds = [k for k, *_ in records if k]
                         seen["ended_sparse"] += kinds[-1] == "sparse"
                         seen["switched"] += kinds[0] == "sparse" and kinds[-1] == "dense"
-                        seen["bound" if records[-1][0] is None else "unchanged"] += 1
+                        seen[records[-1][-1] or "unchanged"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_unchanged_needs_equal_count_and_sum(self):
