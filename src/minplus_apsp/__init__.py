@@ -33,7 +33,6 @@ from .kernels import (
 from .netgen import (
     DiameterReport,
     GenSpec,
-    closeness,
     diameter,
     estimate_diameter,
     generate_scale_free,
@@ -42,7 +41,6 @@ from .solver import (
     EpochStats,
     SolveOptions,
     SolveResult,
-    converged,
     distance_product,
     epoch_stats_csv,
     fixed_squaring,
@@ -71,8 +69,6 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "choose_kernel",
-    "closeness",
-    "converged",
     "decode",
     "density",
     "diameter",

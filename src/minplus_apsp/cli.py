@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("input", help="edge-list file")
     solve.add_argument("-o", "--output", help="distance matrix output path (default: stdout)")
     solve.add_argument("--directed", action="store_true", help="treat edges as directed")
-    solve.add_argument("--width", type=int, choices=(32, 64), default=64)
     solve.add_argument(
         "--kernel",
         choices=KERNEL_NAMES,
@@ -72,7 +71,7 @@ def cmd_solve(args) -> int:
     try:
         graph = parse_edge_list(text, directed=args.directed)
         w = to_distance_matrix(graph)
-        opts = SolveOptions(width=args.width, kernel=args.kernel)
+        opts = SolveOptions(kernel=args.kernel)
         start = time.perf_counter()
         result = power_law_bound(w, opts)
         elapsed = time.perf_counter() - start
@@ -136,7 +135,7 @@ def cmd_check(args) -> int:
             f"width={width} paper_limit={lim.paper_limit:.1f} "
             f"safe_limit={lim.safe_limit:.1f} {verdict}"
         )
-    # dense epochs up to this x_tilde run exact float32 products, at either width
+    # dense epochs up to this x_tilde run exact float32 products
     top = largest_float32_x_tilde(args.n)
     print(f"float32_products={'none' if top is None else f'x_tilde<={top}'}")
     return 0

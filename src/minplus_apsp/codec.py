@@ -28,7 +28,7 @@ EMAX = {32: 127.9, 64: 1024.0}
 # always exactly representable, so values can round to just below an integer
 # boundary. decode lowers it to half the decode gap at large n; a float32
 # product, whose rounding error is far larger, always takes the half gap
-FLOOR_LOG_GUARD = {64: 1e-9}
+_FLOOR_LOG_GUARD = 1e-9
 
 # unit roundoff of float32 (round to nearest)
 _U32 = 2.0**-24
@@ -38,7 +38,8 @@ _U32 = 2.0**-24
 # each table entry is rounded to float32 (a few 2**-53 on top of 2**-24)
 _FLOAT32_GAP_SHARE = 0.99
 
-# entries decode_values decodes per pass (512 KiB of float64 output)
+# entries decode_values decodes per pass (512 KiB of float64 output), and
+# about the entries encode indexes per row block
 _DECODE_CHUNK = 1 << 16
 
 
@@ -169,29 +170,40 @@ def encode_table(p: EncodeParams, dtype=np.float64) -> np.ndarray:
     return table
 
 
-def encode(m: DistMatrix, p: EncodeParams, dtype=np.float64) -> EncodedMatrix:
+def encode(
+    m: DistMatrix, p: EncodeParams, dtype=np.float64, out: np.ndarray | None = None
+) -> EncodedMatrix:
     """Map finite entry a to base**(x_tilde - a), unreachable to 0, as dtype
     (float32 only where float32_exact(p) admits it).
 
     Refuses when the exponent budget exceeds the cap of p.width, so that the
-    product cannot overflow.
+    product cannot overflow. out, when given, is a contiguous array of m's
+    shape and of dtype that receives the codes; otherwise a new array is
+    returned.
     """
     if p.base != m.n + 1:
         raise ValueError(f"base {p.base} does not match n + 1 = {m.n + 1}")
     table = encode_table(p, dtype)
     a = m.data
-    # one pass writes each entry's table index (inf clips to the zero slot at
-    # x_tilde + 1), one gather reads the table; a feasible x_tilde is at most
-    # 512, so every index fits in int16
+    if out is None:
+        out = np.empty(a.shape, dtype)
+    # per row block, one pass writes each entry's table index (inf clips to
+    # the zero slot at x_tilde + 1) and one gather reads the table; a
+    # feasible x_tilde is at most 512, so every index fits in int16
     unreachable = p.x_tilde + 1
-    idx = np.empty(a.shape, np.int16)
-    np.minimum(a, unreachable, out=idx, casting="unsafe")
-    # entries are nonnegative integers or inf, so only inf may clip to the
-    # zero slot when no finite entry exceeds x_tilde
-    if np.count_nonzero(idx == unreachable) != np.count_nonzero(a == INF):
-        raise ValueError("x_tilde is smaller than the largest finite entry")
-    # indexing, unlike take, gathers without first widening idx to intp
-    return EncodedMatrix(table[idx])
+    rows = max(1, _DECODE_CHUNK // m.n)
+    idx = np.empty((rows, m.n), np.int16)
+    for i in range(0, m.n, rows):
+        b = a[i : i + rows]
+        ix = np.minimum(b, unreachable, out=idx[: len(b)], casting="unsafe")
+        # entries are nonnegative integers or inf, so only inf may clip to
+        # the zero slot when no finite entry exceeds x_tilde
+        if np.count_nonzero(ix == unreachable) != np.count_nonzero(b == INF):
+            raise ValueError("x_tilde is smaller than the largest finite entry")
+        # every index lies in 0..x_tilde + 1, so clip never acts; it spares
+        # take the buffered copy of out that its default mode makes
+        np.take(table, ix, out=out[i : i + rows], mode="clip")
+    return EncodedMatrix(out)
 
 
 def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,7 +211,7 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
 
     Entry v > 0 becomes 2*x_tilde - floor(log_base(v) + guard); 0 becomes inf,
     because log(0) = -inf. The guard follows arr's dtype: half the decode gap
-    for float32, the smaller of FLOOR_LOG_GUARD[64] and that for float64.
+    for float32, the smaller of _FLOOR_LOG_GUARD and that for float64.
     out, when given, is a contiguous float64 array of arr's shape; otherwise
     a new array is returned. out may share memory with arr in two ways: a
     float64 arr decodes in place as out=arr, and a float32 arr may fill the
@@ -227,7 +239,7 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     # rounding can move an exact power base**s below s by nearly the half
     # gap (float32_exact bounds it), so its guard is the whole half gap
     gap = math.log1p(1 / (p.base - 1)) / math.log(p.base)
-    guard = 0.5 * gap if single else min(FLOOR_LOG_GUARD[64], 0.5 * gap)
+    guard = 0.5 * gap if single else min(_FLOOR_LOG_GUARD, 0.5 * gap)
     if out is None:
         out = np.empty(arr.shape)
     src, dst = arr.reshape(-1), out.reshape(-1)

@@ -1,4 +1,4 @@
-"""Scale-free graph generation and distance-derived metrics."""
+"""Scale-free graph generation and the diameter of a solved matrix."""
 from __future__ import annotations
 
 import math
@@ -70,14 +70,3 @@ def estimate_diameter(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.log(n) + 1.0
-
-
-def closeness(d: DistMatrix, v: int) -> float:
-    """Closeness centrality normalized over the reachable set."""
-    row = d.data[v]
-    mask = np.isfinite(row)
-    mask[v] = False
-    reachable = int(mask.sum())
-    if reachable == 0:
-        raise ValueError(f"node {v} is isolated")
-    return reachable / float(row[mask].sum())

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import kernels
 from .codec import (
-    EMAX,
     EncodedMatrix,
     EncodeParams,
     decode_values,
@@ -59,20 +58,16 @@ _UNREACHABLE16 = 2**14
 class SolveOptions:
     """Knobs for the solve loop.
 
-    width (32 or 64) caps the exponent budget of every epoch; it does not
-    choose the arithmetic. At either width a dense epoch runs in float32
-    exactly when codec.float32_exact proves that its decode stays exact, and
-    in float64 otherwise; sparse epochs run in float64. kernel is "auto" (the
-    density rule of kernels.choose_kernel) or names the one kernel every
-    epoch runs.
+    kernel is "auto" (the density rule of kernels.choose_kernel) or names
+    the one kernel every epoch runs. The arithmetic is no knob: a dense
+    epoch runs in float32 exactly when codec.float32_exact proves that its
+    decode stays exact, and in float64 otherwise; sparse epochs run in
+    float64.
     """
 
-    width: int = 64
     kernel: str = "auto"
 
     def __post_init__(self):
-        if self.width not in EMAX:
-            raise ValueError(f"width must be 32 or 64, got {self.width}")
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
 
@@ -143,13 +138,6 @@ def epoch_stats_csv(epochs: list[EpochStats]) -> str:
             f"{st.delta},{q},{pct}"
         )
     return "\n".join(lines) + "\n"
-
-
-def converged(before: DistMatrix, after: DistMatrix) -> bool:
-    """True iff every entry is equal (inf counts as equal to inf)."""
-    if before.n != after.n:
-        raise ValueError(f"dimension mismatch: {before.n} vs {after.n}")
-    return bool(np.array_equal(before.data, after.data))
 
 
 class _Summary(NamedTuple):
@@ -296,14 +284,15 @@ def _distance_product(st: _State, opts: SolveOptions) -> tuple[str, str]:
 
     A sparse epoch encodes, multiplies and decodes only the stored values,
     in float64; the product feeds the next epoch as it is. A dense epoch
-    encodes E in float32 when codec.float32_exact admits it, in float64
-    otherwise. The first dense epoch after sparse ones scatters the encoded
-    values into a zero-filled E. st's previous distances are dropped once E
-    is built: at scale every full matrix is a large fraction of RAM. A
+    runs in float32 when codec.float32_exact admits it, in float64
+    otherwise. Its E is encoded from a dense state, or, after sparse
+    epochs, scattered from the CSR parts into zeros. st's previous
+    distances are dropped once E is built and before the product's array
+    is touched: at scale every full matrix is a large fraction of RAM. A
     float32 epoch allocates no full array beyond the distances it returns.
     """
     n = st.n
-    p = EncodeParams(base=n + 1, x_tilde=st.summary.top, width=opts.width)
+    p = EncodeParams(base=n + 1, x_tilde=st.summary.top)
     kind = _kernel_for(st.summary.finite, n, opts)
     if kind == SPARSE:
         # the state is CSR: _scan picks its form by the same kernel rule,
@@ -324,32 +313,32 @@ def _distance_product(st: _State, opts: SolveOptions) -> tuple[str, str]:
         # to a finite distance
         st.set_sparse(prod.indptr, prod.indices, decode_values(prod.data, p, out=prod.data))
         return kind, "float64"
-    if not float32_exact(p):
-        if st.dense is not None:
-            enc = encode(st.dense, p)
-        else:
-            enc = EncodedMatrix(_scatter_rows(np.zeros((n, n)), *st.csr, encode_table(p)))
-        st.dense = st.csr = None
-        prod = kernels.multiply_dense(enc, enc).data
-        del enc
-        st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=prod)))
-        return kind, "float64"
-    # a float32 epoch runs in the one float64 array that ends up holding the
-    # distances: a scattered E fills the first half of its bytes, the product
-    # the second, and decode_values writes the distances over both
-    table = encode_table(p, np.float32)
-    enc = encode(st.dense, p, np.float32) if st.dense is not None else None
-    st.dense = None
-    dist = np.empty((n, n))
-    halves = dist.reshape(-1).view(np.float32).reshape(2, n, n)
-    if enc is None:
-        halves[0] = 0
-        enc = EncodedMatrix(_scatter_rows(halves[0], *st.csr, table))
-    st.csr = None
-    prod = kernels.multiply_dense(enc, enc, out=halves[1]).data
-    del enc
-    st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=dist)))
-    return kind, "float32"
+    dtype = np.dtype(np.float32 if float32_exact(p) else np.float64)
+    # the table refuses an infeasible x_tilde, so it comes before any n x n
+    # allocation
+    table = encode_table(p, dtype)
+    if dtype == np.float32:
+        # E, the float32 product and the decoded distances share one float64
+        # array: E fills the first half of its bytes, the product the
+        # second, and decode_values writes the distances over both
+        dist = np.empty((n, n))
+        e, out = dist.reshape(-1).view(np.float32).reshape(2, n, n)
+        if st.dense is None:
+            e.fill(0)
+    else:
+        # the product gets its own array and is decoded in place
+        e = np.empty((n, n)) if st.dense is not None else np.zeros((n, n))
+        dist = out = None
+    if st.dense is not None:
+        encode(st.dense, p, dtype, out=e)
+    else:
+        _scatter_rows(e, *st.csr, table)
+    st.dense = st.csr = None
+    enc = EncodedMatrix(e)
+    prod = kernels.multiply_dense(enc, enc, out=out).data
+    del enc, e
+    st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=prod if dist is None else dist)))
+    return kind, dtype.name
 
 
 def _scatter_rows(

@@ -7,7 +7,6 @@ from minplus_apsp import (
     DistMatrix,
     SolveOptions,
     choose_kernel,
-    converged,
     distance_product,
 )
 from minplus_apsp.solver import (
@@ -65,7 +64,7 @@ def random_dist_matrix(rng, n, *, max_weight=4, density=0.3, directed=False) -> 
 def dense_state_solve(w: DistMatrix, opts: SolveOptions):
     """Reference solve loop with a dense state: every epoch squares the whole
     DistMatrix with distance_product and compares it with its input entry by
-    entry (converged), where power_law_bound keeps CSR parts while epochs run
+    entry, where power_law_bound keeps CSR parts while epochs run
     sparse and compares summaries. After a dense epoch that the bound does
     not settle, the edge stop compares the matrix with w's finite
     off-diagonal entries directly (d[u, :] <= w[u, v] + d[v, :] for each),
@@ -86,10 +85,10 @@ def dense_state_solve(w: DistMatrix, opts: SolveOptions):
         kind = opts.kernel
         if kind == "auto":
             kind = choose_kernel(DensityReport(finite, n * n))
-        nxt = distance_product(current, SolveOptions(width=opts.width, kernel=kind))
+        nxt = distance_product(current, SolveOptions(kernel=kind))
         fin = nxt.data[np.isfinite(nxt.data)]
         records.append((kind, int(fin.max()), finite, fin.size, None))
-        same = converged(current, nxt)
+        same = np.array_equal(current.data, nxt.data)
         current = nxt
         finite_before, finite, top = finite, fin.size, int(fin.max())
         if same:

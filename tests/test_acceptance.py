@@ -195,11 +195,11 @@ def test_criterion_7_performance_ordering():
 
 
 def test_criterion_8_overflow_safety():
-    # weight 45 at n=2 needs ~143 exponent bits, beyond the 32-bit budget
-    m = DistMatrix.from_rows([[0, 45], [45, 0]])
+    # weight 600 at n=2 needs ~1903 exponent bits, beyond the 64-bit budget
+    m = DistMatrix.from_rows([[0, 600], [600, 0]])
 
     with pytest.raises(FeasibilityError):
-        power_law_bound(m, SolveOptions(width=32))
+        power_law_bound(m)
 
     # a product past the float64 range (about 1268 bits here) reaches decode
     # as inf, and decode raises instead of returning wrong distances

@@ -100,14 +100,16 @@ class TestSolve:
         assert blob.startswith(b"P5\n3 3\n255\n")
         assert len(blob) == len(b"P5\n3 3\n255\n") + 9
 
-    def test_width32_infeasible_diameter(self, tmp_path, capsys):
-        # path of 30 nodes: distances reach 29, beyond the 32-bit safe limit
-        path = tmp_path / "long.txt"
-        path.write_text("".join(f"{i} {i+1}\n" for i in range(29)))
-        assert main(["solve", str(path), "--width", "32"]) == 1
-        assert "limit" in capsys.readouterr().err
+    def test_infeasible_diameter(self, tmp_path, capsys):
+        # one edge of weight 600 at n = 2 needs 1903 exponent bits
+        path = tmp_path / "heavy.txt"
+        path.write_text("0 1 600\n")
+        assert main(["solve", str(path)]) == 1
+        assert "above the 64-bit limit 1024.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--sparse-threshold", "--diameter", "--trust-diameter"])
+    @pytest.mark.parametrize(
+        "flag", ["--sparse-threshold", "--diameter", "--trust-diameter", "--width"]
+    )
     def test_removed_tuning_flags_rejected(self, p3_file, flag):
         with pytest.raises(SystemExit) as exc:
             main(["solve", p3_file, flag, "2"])

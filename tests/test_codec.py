@@ -291,6 +291,14 @@ class TestFloat32Exact:
             assert not float32_exact(EncodeParams(base=n + 1, x_tilde=top + 1))
         assert largest_float32_x_tilde(big + 1) is None
 
+    def test_largest_x_tilde_is_the_32_bit_safe_limit(self):
+        # the paper's 32-bit diameter limit acts only here: up to the n
+        # bound, float32 is admitted exactly up to the safe limit
+        for n in range(1, 2881):
+            top = largest_float32_x_tilde(n)
+            assert top == math.floor(precision_limits(n, 32).safe_limit), n
+        assert largest_float32_x_tilde(2881) is None
+
     @pytest.mark.parametrize("n", [1600, _largest_float32_n()])
     def test_tied_witnesses_decode_exactly(self, n):
         for x in (1, largest_float32_x_tilde(n)):

@@ -6,7 +6,6 @@ import pytest
 from minplus_apsp import (
     DistMatrix,
     GenSpec,
-    closeness,
     diameter,
     estimate_diameter,
     generate_scale_free,
@@ -88,19 +87,3 @@ class TestEstimateDiameter:
             d = diameter(power_law_bound(to_distance_matrix(g)).distances)
             assert d.value <= 2 * estimate_diameter(n)
 
-
-class TestCloseness:
-    def test_p3_center(self, p3):
-        assert closeness(floyd_warshall(p3), 1) == 1.0
-
-    def test_p3_end(self, p3):
-        assert closeness(floyd_warshall(p3), 0) == pytest.approx(2 / 3)
-
-    def test_complete_graph(self):
-        k4 = DistMatrix(np.where(np.eye(4, dtype=bool), 0.0, 1.0))
-        assert closeness(k4, 2) == 1.0
-
-    def test_isolated_node_rejected(self):
-        m = DistMatrix.from_rows([[0, INF], [INF, 0]])
-        with pytest.raises(ValueError, match="isolated"):
-            closeness(m, 0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from minplus_apsp import (
     GenSpec,
     Graph,
     SolveOptions,
-    converged,
     distance_product,
     epoch_stats_csv,
     fixed_squaring,
@@ -62,16 +62,22 @@ class TestDistanceProduct:
             got = distance_product(m, SolveOptions(kernel=kernel))
             assert np.array_equal(got.data, minplus_square(m).data)
 
-    def test_width32_equals_direct_definition(self):
+    def test_float32_and_float64_equal_direct_definition(self):
+        # weights up to 29 put x_tilde on both sides of largest_float32_x_tilde(n)
         rng = np.random.default_rng(12)
+        ran = set()
         for kernel in ("dense", "sparse"):
             for _ in range(20):
                 n = int(rng.integers(2, 40))
                 m = random_dist_matrix(
-                    rng, n, max_weight=3, density=0.2, directed=bool(rng.integers(2))
+                    rng, n, max_weight=int(rng.integers(1, 30)), density=0.2,
+                    directed=bool(rng.integers(2)),
                 )
-                got = distance_product(m, SolveOptions(width=32, kernel=kernel))
-                assert np.array_equal(got.data, minplus_square(m).data), (kernel, n)
+                opts = SolveOptions(kernel=kernel)
+                st = _scan(m, opts)
+                ran.add(_distance_product(st, opts))
+                assert np.array_equal(st.distances().data, minplus_square(m).data), (kernel, n)
+        assert ran == {("dense", "float32"), ("dense", "float64"), ("sparse", "float64")}
 
     def test_dense_and_sparse_branches_equal_definition(self):
         rng = np.random.default_rng(13)
@@ -95,32 +101,41 @@ class TestDistanceProduct:
             n = int(rng.integers(2, 40))
             cases.append(
                 random_dist_matrix(
-                    rng, n, max_weight=3, density=float(rng.uniform(0, 0.5)),
-                    directed=bool(rng.integers(2)),
+                    rng, n, max_weight=int(rng.integers(1, 30)),
+                    density=float(rng.uniform(0, 0.5)), directed=bool(rng.integers(2)),
                 )
             )
+        ran = set()
         for m in cases:
             for kernel in ("dense", "sparse"):
-                for width in (32, 64):
-                    opts = SolveOptions(kernel=kernel, width=width)
-                    st = _scan(m, opts)
-                    # convergence compares these sums, so check each against
-                    # a full rescan of the matrix it summarises
-                    assert st.summary == rescan(m)
-                    # every x_tilde here is far inside the float32 bound at n < 40
-                    arithmetic = "float64" if kernel == "sparse" else "float32"
-                    assert _distance_product(st, opts) == (kernel, arithmetic)
-                    assert st.summary == rescan(st.distances())
+                opts = SolveOptions(kernel=kernel)
+                st = _scan(m, opts)
+                # convergence compares these sums, so check each against
+                # a full rescan of the matrix it summarises
+                assert st.summary == rescan(m)
+                single = kernel == "dense" and st.summary.top <= largest_float32_x_tilde(m.n)
+                arithmetic = "float32" if single else "float64"
+                assert _distance_product(st, opts) == (kernel, arithmetic)
+                ran.add(arithmetic)
+                assert st.summary == rescan(st.distances())
+        assert ran == {"float32", "float64"}
 
     def test_unknown_kernel_rejected(self):
         for kernel in ("naive", "blocked", "strassen", "dense_blocked"):
             with pytest.raises(ValueError, match="unknown kernel"):
                 SolveOptions(kernel=kernel)
 
-    def test_feasibility_error_before_multiplying(self):
-        m = DistMatrix.from_rows([[0, 45], [45, 0]])
-        with pytest.raises(FeasibilityError):
-            distance_product(m, SolveOptions(width=32))
+    def test_feasibility_error_before_multiplying(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an infeasible product ran")
+
+        monkeypatch.setattr(solver.kernels, "multiply_dense", refuse)
+        monkeypatch.setattr(solver.kernels, "multiply_sparse", refuse)
+        # weight 600 at n = 2 needs 1903 exponent bits, above the 64-bit 1024
+        m = DistMatrix.from_rows([[0, 600], [600, 0]])
+        for kernel in ("dense", "sparse"):
+            with pytest.raises(FeasibilityError):
+                distance_product(m, SolveOptions(kernel=kernel))
 
 
 class TestResultsValidate:
@@ -131,23 +146,21 @@ class TestResultsValidate:
         rng = np.random.default_rng(15)
         for _ in range(20):
             n = int(rng.integers(1, 40))
+            # weights up to 29 run dense epochs in float64 as well as float32
             m = random_dist_matrix(
-                rng, n, density=float(rng.uniform(0, 0.4)), directed=bool(rng.integers(2))
+                rng, n, max_weight=int(rng.integers(1, 30)),
+                density=float(rng.uniform(0, 0.4)), directed=bool(rng.integers(2)),
             )
             for kernel in ("auto", "dense", "sparse"):
-                for width in (32, 64):
-                    opts = SolveOptions(kernel=kernel, width=width)
-                    try:
-                        got = [
-                            power_law_bound(m, opts).distances,
-                            fixed_squaring(m, opts)[0],
-                            distance_product(m, opts),
-                        ]
-                    except FeasibilityError:
-                        continue
-                    for d in got:
-                        assert d.data.dtype == np.float64
-                        DistMatrix(d.data)
+                opts = SolveOptions(kernel=kernel)
+                got = [
+                    power_law_bound(m, opts).distances,
+                    fixed_squaring(m, opts)[0],
+                    distance_product(m, opts),
+                ]
+                for d in got:
+                    assert d.data.dtype == np.float64
+                    DistMatrix(d.data)
 
 
 class TestArithmetic:
@@ -167,21 +180,24 @@ class TestArithmetic:
     def test_float32_epoch_allocates_one_float64_array(self):
         # E, the float32 product and the decoded distances share one n x n
         # float64 array; the rest is a fixed few hundred KiB of chunk and
-        # row-block temporaries
+        # row-block temporaries. The route graph's second epoch encodes E
+        # from CSR parts, the m_attach=60 graph's from a dense matrix
         n = 800
-        w = to_distance_matrix(generate_scale_free(GenSpec(n=n, m_attach=7, seed=11)))
-        st = _scan(w, SolveOptions())
-        assert _distance_product(st, SolveOptions()) == ("sparse", "float64")
-        tracemalloc.start()
-        try:
-            assert _distance_product(st, SolveOptions()) == ("dense", "float32")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8, peak
-        # route-style: two products reach the shortest paths (the solve's
-        # third epoch only confirms)
-        assert np.array_equal(st.distances().data, shortest_path(w.data, method="D"))
+        for m_attach, seed, first in ((7, 11, "sparse"), (60, 3, "dense")):
+            g = generate_scale_free(GenSpec(n=n, m_attach=m_attach, seed=seed))
+            w = to_distance_matrix(g)
+            st = _scan(w, SolveOptions())
+            assert _distance_product(st, SolveOptions())[0] == first
+            tracemalloc.start()
+            try:
+                assert _distance_product(st, SolveOptions()) == ("dense", "float32")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * n * n * 8, (m_attach, peak)
+            # two products reach the shortest paths (the solve's third
+            # epoch only confirms)
+            assert np.array_equal(st.distances().data, shortest_path(w.data, method="D"))
 
     def test_weighted_directed_graph_runs_float64_only(self):
         # weights 1..9 on both directions of each edge: x_tilde starts at 9,
@@ -194,6 +210,40 @@ class TestArithmetic:
         assert "dense" in [st.kernel for st in r.epochs]
         assert {st.arithmetic for st in r.epochs} == {"float64"}
         assert np.array_equal(r.distances.data, shortest_path(w.data, method="D"))
+
+    def test_previous_state_dropped_before_the_product(self, monkeypatch):
+        # at scale every full matrix is a large fraction of RAM, so a dense
+        # epoch lets the previous state go before its product's array fills
+        g = generate_scale_free(GenSpec(n=300, m_attach=3, seed=7))
+        rng = np.random.default_rng(7)
+        src, dst = np.r_[g.src, g.dst], np.r_[g.dst, g.src]
+        weighted = Graph(300, src, dst, rng.integers(1, 10, len(src)), True)
+        graphs = [
+            weighted,
+            generate_scale_free(GenSpec(n=400, m_attach=7, seed=11)),
+            generate_scale_free(GenSpec(n=400, m_attach=60, seed=3)),
+        ]
+        multiply = solver.kernels.multiply_dense
+        previous = []
+        ran = set()
+
+        def check(a, b, out=None):
+            assert all(ref() is None for ref in previous)
+            return multiply(a, b, out=out)
+
+        monkeypatch.setattr(solver.kernels, "multiply_dense", check)
+        for g in graphs:
+            # the first epoch's input is the caller's matrix, which stays alive
+            st = _scan(to_distance_matrix(g), SolveOptions())
+            _distance_product(st, SolveOptions())
+            for _ in range(2):
+                form = "csr" if st.csr is not None else "dense"
+                previous[:] = map(weakref.ref, st.csr or (st.dense.data,))
+                kind, arithmetic = _distance_product(st, SolveOptions())
+                ran.add((form, kind, arithmetic))
+        assert {(f, a) for f, k, a in ran if k == "dense"} == {
+            ("csr", "float32"), ("csr", "float64"), ("dense", "float32"), ("dense", "float64")
+        }
 
     def test_largest_float32_x_tilde_and_one_more(self):
         n = 60
@@ -219,23 +269,6 @@ class TestFloydWarshall:
     def test_weighted_shortcut(self):
         m = DistMatrix.from_rows([[0, 5, 1], [5, 0, 1], [1, 1, 0]])
         assert floyd_warshall(m).data.tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
-
-
-class TestConverged:
-    def test_equal(self, p3):
-        assert converged(p3, p3)
-
-    def test_adjacency_vs_square(self, p3):
-        assert not converged(p3, distance_product(p3))
-
-    def test_inf_equals_inf(self):
-        a = DistMatrix.from_rows([[0, INF], [INF, 0]])
-        b = DistMatrix.from_rows([[0, INF], [INF, 0]])
-        assert converged(a, b)
-
-    def test_dimension_mismatch(self, p3):
-        with pytest.raises(ValueError):
-            converged(p3, DistMatrix.from_rows([[0]]))
 
 
 class TestPowerLawBound:
@@ -506,12 +539,25 @@ class TestSparsePhase:
     def test_matches_dense_state_loop(self):
         rng = np.random.default_rng(21)
         rng_edges = np.random.default_rng(22)
+        rng_heavy = np.random.default_rng(23)
+        # the last four count dense epochs by the state form E is encoded
+        # from and by arithmetic
         seen = dict.fromkeys(
-            ("ended_sparse", "switched", "unchanged", "bound", "edges", "refused"), 0
+            ("ended_sparse", "switched", "unchanged", "bound", "edges", "refused",
+             "csr float32", "csr float64", "dense float32", "dense float64"),
+            0,
         )
-        for case in range(240):
+        for case in range(264):
             directed = bool(case % 2)
-            if case >= 216:
+            if case >= 240:
+                # weights up to 59: x_tilde passes the float32 bound early,
+                # and some solves reach the 64-bit cap in a later epoch
+                n = int(rng_heavy.integers(12, 56))
+                m = random_dist_matrix(
+                    rng_heavy, n, max_weight=int(rng_heavy.integers(30, 60)),
+                    density=float(rng_heavy.uniform(0.02, 0.2)), directed=directed,
+                )
+            elif case >= 216:
                 # about two edges per node: at most n * n // 64 edges, so the
                 # edge stop can settle the dense epochs these graphs reach
                 n = int(rng_edges.integers(128, 200))
@@ -533,28 +579,31 @@ class TestSparsePhase:
                     density=float(rng.uniform(0.01, 0.2)), directed=directed,
                 )
             for kernel in ("auto", "dense", "sparse"):
-                for width in (32, 64):
-                    opts = SolveOptions(kernel=kernel, width=width)
-                    try:
-                        want, records, want_converged = dense_state_solve(m, opts)
-                    except FeasibilityError:
-                        with pytest.raises(FeasibilityError):
-                            power_law_bound(m, opts)
-                        seen["refused"] += 1
-                        continue
-                    r = power_law_bound(m, opts)
-                    assert np.array_equal(r.distances.data, want.data), (case, kernel, width)
-                    got = [
-                        (st.kernel, st.max_element, st.finite_before, st.finite_after, st.proof)
-                        for st in r.epochs
-                    ]
-                    assert got == records, (case, kernel, width)
-                    assert r.converged == want_converged
-                    if kernel == "auto":
-                        kinds = [k for k, *_ in records if k]
-                        seen["ended_sparse"] += kinds[-1] == "sparse"
-                        seen["switched"] += kinds[0] == "sparse" and kinds[-1] == "dense"
-                        seen[records[-1][-1] or "unchanged"] += 1
+                opts = SolveOptions(kernel=kernel)
+                try:
+                    want, records, want_converged = dense_state_solve(m, opts)
+                except FeasibilityError:
+                    with pytest.raises(FeasibilityError):
+                        power_law_bound(m, opts)
+                    seen["refused"] += 1
+                    continue
+                r = power_law_bound(m, opts)
+                assert np.array_equal(r.distances.data, want.data), (case, kernel)
+                got = [
+                    (st.kernel, st.max_element, st.finite_before, st.finite_after, st.proof)
+                    for st in r.epochs
+                ]
+                assert got == records, (case, kernel)
+                assert r.converged == want_converged
+                for prev, st in zip([None, *r.epochs], r.epochs):
+                    if st.kernel == "dense":
+                        form = "csr" if prev is not None and prev.kernel == "sparse" else "dense"
+                        seen[f"{form} {st.arithmetic}"] += 1
+                if kernel == "auto":
+                    kinds = [k for k, *_ in records if k]
+                    seen["ended_sparse"] += kinds[-1] == "sparse"
+                    seen["switched"] += kinds[0] == "sparse" and kinds[-1] == "dense"
+                    seen[records[-1][-1] or "unchanged"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_unchanged_needs_equal_count_and_sum(self):
@@ -563,13 +612,12 @@ class TestSparsePhase:
         assert not solver._unchanged(solver._Summary(5, 3, 10), solver._Summary(6, 3, 10))
         assert not solver._unchanged(solver._Summary(5, 3, 10), solver._Summary(5, 3, 9))
 
-    @pytest.mark.parametrize("width", [32, 64])
-    def test_sparse_and_dense_start_refuse_the_same_x_tilde(self, width):
+    def test_sparse_and_dense_start_refuse_the_same_x_tilde(self):
         n = 400
-        limit = math.floor(precision_limits(n, width).safe_limit)
+        limit = math.floor(precision_limits(n, 64).safe_limit)
         complete = np.ones((n, n))
         np.fill_diagonal(complete, 0.0)
-        opts = SolveOptions(width=width)
+        opts = SolveOptions()
         for base, form in ((path_matrix(n).data, "sparse"), (complete, "dense")):
             for x_tilde in (limit, limit + 1):
                 a = base.copy()
@@ -600,16 +648,12 @@ class TestSolveOptions:
             "max_epochs",
             "enforce_precision",
             "trusted_diameter",
+            "width",
         ],
     )
     def test_removed_options_rejected(self, removed):
         with pytest.raises(TypeError):
             SolveOptions(**{removed: None})
-
-    @pytest.mark.parametrize("width", [16, 128])
-    def test_unknown_width_rejected_when_built(self, width):
-        with pytest.raises(ValueError, match="width must be 32 or 64"):
-            SolveOptions(width=width)
 
 
 class TestEpochStats:
