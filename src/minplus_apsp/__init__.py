@@ -39,7 +39,6 @@ from .netgen import (
 )
 from .solver import (
     EpochStats,
-    SolveOptions,
     SolveResult,
     distance_product,
     epoch_stats_csv,
@@ -66,7 +65,6 @@ __all__ = [
     "NegativeEntryError",
     "NonFiniteEntryError",
     "PrecisionLimits",
-    "SolveOptions",
     "SolveResult",
     "choose_kernel",
     "decode",

@@ -11,9 +11,8 @@ import numpy as np
 from . import matio
 from .codec import DecodeError, FeasibilityError, largest_float32_x_tilde, precision_limits
 from .graph import GraphFormatError, parse_edge_list, to_distance_matrix
-from .kernels import KERNEL_NAMES
 from .netgen import GenSpec, diameter, estimate_diameter, generate_scale_free
-from .solver import SolveOptions, epoch_stats_csv, power_law_bound
+from .solver import epoch_stats_csv, power_law_bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,12 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("input", help="edge-list file")
     solve.add_argument("-o", "--output", help="distance matrix output path (default: stdout)")
     solve.add_argument("--directed", action="store_true", help="treat edges as directed")
-    solve.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        default="auto",
-        help="auto picks sparse below 10%% finite entries, dense otherwise",
-    )
     solve.add_argument("--oracle", action="store_true", help="cross-check against scipy's Dijkstra")
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
     solve.add_argument("--heatmap", metavar="PATH", help="write a grayscale PGM of the result")
@@ -71,9 +64,8 @@ def cmd_solve(args) -> int:
     try:
         graph = parse_edge_list(text, directed=args.directed)
         w = to_distance_matrix(graph)
-        opts = SolveOptions(kernel=args.kernel)
         start = time.perf_counter()
-        result = power_law_bound(w, opts)
+        result = power_law_bound(w)
         elapsed = time.perf_counter() - start
     except (GraphFormatError, FeasibilityError, DecodeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ INF = float("inf")
 
 _VALIDATION_ROWS = 64
 
-_HEADER_RE = re.compile(r"#n\s+(\d+)\s*$")
+_COUNT_RE = re.compile(r"-?\d+")
 
 
 class GraphFormatError(ValueError):
@@ -145,10 +145,12 @@ class DensityReport:
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
     """Parse "u v" / "u v w" lines into a Graph.
 
-    Lines starting with "#" are comments; an optional "#n <count>" header
-    fixes the node count (otherwise 1 + max node id). A line without a
+    A line whose first token is "#n" is a header and must read
+    "#n <count>" with a positive integer count; it fixes the node count
+    (otherwise 1 + max node id), and text with a header may have no edge
+    line. Other lines starting with "#" are comments. A line without a
     weight has weight 1. Duplicate edges are kept as parallel edges.
-    Every rejection names the line.
+    Every rejection of a line names it.
     """
     lines = text.splitlines()
     declared_n = None
@@ -158,10 +160,16 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
         parts = raw.split()
         if not parts:
             continue
+        if parts[0] == "#n":
+            if len(parts) != 2 or not _COUNT_RE.fullmatch(parts[1]):
+                raise GraphFormatError(f"line {lineno}: expected '#n <count>', got {raw!r}")
+            declared_n = int(parts[1])
+            if declared_n <= 0:
+                raise GraphFormatError(
+                    f"line {lineno}: node count must be positive, got {declared_n}"
+                )
+            continue
         if parts[0][0] == "#":
-            m = _HEADER_RE.match(raw.strip())
-            if m:
-                declared_n = int(m.group(1))
             continue
         if len(parts) == 2:
             parts.append("1")
@@ -170,8 +178,8 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
         tokens += parts
         linenos.append(lineno)
 
-    if not linenos:
-        raise GraphFormatError("empty graph: no edges found")
+    if not linenos and declared_n is None:
+        raise GraphFormatError("empty graph: no edge lines and no '#n' header")
     try:
         edges = np.array(tokens, dtype=np.int64).reshape(-1, 3)
     except (ValueError, OverflowError):

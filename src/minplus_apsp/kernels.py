@@ -22,8 +22,6 @@ if TYPE_CHECKING:
 
 SPARSE = "sparse"
 DENSE = "dense"
-# the values of SolveOptions.kernel: the density rule, or one kernel forced
-KERNEL_NAMES = ("auto", DENSE, SPARSE)
 # the paper's sparseness judgment: fewer than 10 % of entries finite
 SPARSE_THRESHOLD = 0.10
 

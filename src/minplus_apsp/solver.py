@@ -36,7 +36,7 @@ from .codec import (
     float32_exact,
 )
 from .graph import INF, DensityReport, DistMatrix
-from .kernels import DENSE, KERNEL_NAMES, SPARSE
+from .kernels import DENSE, SPARSE
 
 _BLOCK_ROWS = 64
 
@@ -52,24 +52,6 @@ _EDGE_CHUNK = 64
 # every finite entry plus a weight (at most 2 * 512 + 512), and with any
 # weight added it stays below 2**15
 _UNREACHABLE16 = 2**14
-
-
-@dataclass
-class SolveOptions:
-    """Knobs for the solve loop.
-
-    kernel is "auto" (the density rule of kernels.choose_kernel) or names
-    the one kernel every epoch runs. The arithmetic is no knob: a dense
-    epoch runs in float32 exactly when codec.float32_exact proves that its
-    decode stays exact, and in float64 otherwise; sparse epochs run in
-    float64.
-    """
-
-    kernel: str = "auto"
-
-    def __post_init__(self):
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
 
 
 @dataclass
@@ -224,13 +206,11 @@ class _State:
         return DistMatrix._trusted(_scatter_rows(out, *self.csr))
 
 
-def _kernel_for(finite: int, n: int, opts: SolveOptions) -> str:
-    if opts.kernel == "auto":
-        return kernels.choose_kernel(DensityReport(finite, n * n))
-    return opts.kernel
+def _kernel_for(finite: int, n: int) -> str:
+    return kernels.choose_kernel(DensityReport(finite, n * n))
 
 
-def _scan(w: DistMatrix, opts: SolveOptions) -> _State:
+def _scan(w: DistMatrix) -> _State:
     """The first epoch's state and summary, and the input's edges, from one
     finite scan of w in row blocks: CSR parts of w's finite entries when
     that epoch runs sparse, w otherwise."""
@@ -257,7 +237,7 @@ def _scan(w: DistMatrix, opts: SolveOptions) -> _State:
         # the finite count only grows: once it rules out both the sparse
         # kernel and keeping the edges (every diagonal entry is finite), the
         # parts are not needed
-        if finite - (i + len(b)) > limit and _kernel_for(finite, n, opts) != SPARSE:
+        if finite - (i + len(b)) > limit and _kernel_for(finite, n) != SPARSE:
             parts = None
     st = _State(n)
     if parts is not None:
@@ -271,14 +251,14 @@ def _scan(w: DistMatrix, opts: SolveOptions) -> _State:
             src = np.repeat(np.arange(n), np.diff(indptr))
             off = src != indices
             st.edges = _Edges(src[off], indices[off], values[off])
-    if _kernel_for(finite, n, opts) == SPARSE:
+    if _kernel_for(finite, n) == SPARSE:
         st.set_sparse(indptr, indices, values)
     else:
         st.set_dense(w)
     return st
 
 
-def _distance_product(st: _State, opts: SolveOptions) -> tuple[str, str]:
+def _distance_product(st: _State) -> tuple[str, str]:
     """Replace st by its min-plus square; returns the kernel that ran and
     the float type of its product.
 
@@ -293,7 +273,7 @@ def _distance_product(st: _State, opts: SolveOptions) -> tuple[str, str]:
     """
     n = st.n
     p = EncodeParams(base=n + 1, x_tilde=st.summary.top)
-    kind = _kernel_for(st.summary.finite, n, opts)
+    kind = _kernel_for(st.summary.finite, n)
     if kind == SPARSE:
         # the state is CSR: _scan picks its form by the same kernel rule,
         # and the density that rule reads never falls
@@ -367,11 +347,10 @@ def _scatter_rows(
     return out
 
 
-def distance_product(l: DistMatrix, opts: SolveOptions | None = None) -> DistMatrix:
+def distance_product(l: DistMatrix) -> DistMatrix:
     """Min-plus square of l via the encode/multiply/decode pipeline."""
-    opts = opts or SolveOptions()
-    st = _scan(l, opts)
-    _distance_product(st, opts)
+    st = _scan(l)
+    _distance_product(st)
     return st.distances()
 
 
@@ -446,7 +425,7 @@ def _edges_prove_converged(a: np.ndarray, edges: _Edges) -> bool:
     return True
 
 
-def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveResult:
+def power_law_bound(w: DistMatrix) -> SolveResult:
     """Solve APSP by repeated min-plus squaring with convergence detection.
 
     Stops when an epoch leaves the matrix unchanged, when a proof shows
@@ -459,12 +438,11 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     epoch, with no change, kernel=arithmetic=None and proof naming the
     proof ("bound" or "edges"), but runs no product for it.
     """
-    opts = opts or SolveOptions()
     n = w.n
     total = _epoch_budget(n) + 1  # room for the confirming epoch
     stats: list[EpochStats] = []
     is_converged = False
-    st = _scan(w, opts)
+    st = _scan(w)
     if st.edges is not None:
         w_min = float(st.edges.weight.min(initial=INF))
     else:
@@ -472,7 +450,7 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     m = 1
     for epoch in range(1, total + 1):
         before = st.summary
-        kind, arithmetic = _distance_product(st, opts)
+        kind, arithmetic = _distance_product(st)
         after = st.summary
         stats.append(
             EpochStats(
@@ -513,12 +491,11 @@ def power_law_bound(w: DistMatrix, opts: SolveOptions | None = None) -> SolveRes
     return SolveResult(distances=st.distances(), epochs=stats, converged=is_converged)
 
 
-def fixed_squaring(w: DistMatrix, opts: SolveOptions | None = None) -> tuple[DistMatrix, int]:
+def fixed_squaring(w: DistMatrix) -> tuple[DistMatrix, int]:
     """Non-reusing baseline: exactly ceil(log2(n - 1)) squarings, no
     convergence short-circuit. Returns (distances, iterations)."""
-    opts = opts or SolveOptions()
     iterations = max(1, _epoch_budget(w.n))
-    st = _scan(w, opts)
+    st = _scan(w)
     for _ in range(iterations):
-        _distance_product(st, opts)
+        _distance_product(st)
     return st.distances(), iterations

@@ -5,9 +5,9 @@ from minplus_apsp import (
     INF,
     DensityReport,
     DistMatrix,
-    SolveOptions,
     choose_kernel,
     distance_product,
+    kernels,
 )
 from minplus_apsp.solver import (
     _EDGE_DIVISOR,
@@ -24,6 +24,21 @@ P3_SOLVED = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 def p3():
     """Path graph 0-1-2 in distance form."""
     return DistMatrix.from_rows(P3_ROWS)
+
+
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """force_kernel(kind) routes every later epoch of the test to one kernel
+    by moving the density rule's threshold: "dense" below every density,
+    "sparse" above every density (densities lie in (0, 1]), and "auto" back
+    to kernels.SPARSE_THRESHOLD. choose_kernel reads the threshold at each
+    call."""
+    thresholds = {"auto": kernels.SPARSE_THRESHOLD, "dense": 0.0, "sparse": 2.0}
+
+    def force(kind: str) -> None:
+        monkeypatch.setattr(kernels, "SPARSE_THRESHOLD", thresholds[kind])
+
+    return force
 
 
 def minplus_square(m: DistMatrix, rows: int = 64) -> DistMatrix:
@@ -61,7 +76,7 @@ def random_dist_matrix(rng, n, *, max_weight=4, density=0.3, directed=False) -> 
     return DistMatrix(a)
 
 
-def dense_state_solve(w: DistMatrix, opts: SolveOptions):
+def dense_state_solve(w: DistMatrix):
     """Reference solve loop with a dense state: every epoch squares the whole
     DistMatrix with distance_product and compares it with its input entry by
     entry, where power_law_bound keeps CSR parts while epochs run
@@ -82,10 +97,9 @@ def dense_state_solve(w: DistMatrix, opts: SolveOptions):
     records = []
     m = 1
     for _ in range(_epoch_budget(n) + 1):
-        kind = opts.kernel
-        if kind == "auto":
-            kind = choose_kernel(DensityReport(finite, n * n))
-        nxt = distance_product(current, SolveOptions(kernel=kind))
+        kind = choose_kernel(DensityReport(finite, n * n))
+        # current holds `finite` finite entries, so its product runs kind too
+        nxt = distance_product(current)
         fin = nxt.data[np.isfinite(nxt.data)]
         records.append((kind, int(fin.max()), finite, fin.size, None))
         same = np.array_equal(current.data, nxt.data)

@@ -13,6 +13,15 @@ from minplus_apsp.matio import read_distance_binary
 
 P3_TEXT = "0 1\n1 2\n"
 
+# solve flags that are gone, each with a value it once accepted
+REMOVED_FLAGS = {
+    "--sparse-threshold": "2",
+    "--diameter": "2",
+    "--trust-diameter": "2",
+    "--width": "64",
+    "--kernel": "dense",
+}
+
 
 @pytest.fixture
 def p3_file(tmp_path):
@@ -107,29 +116,15 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "above the 64-bit limit 1024.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag", ["--sparse-threshold", "--diameter", "--trust-diameter", "--width"]
-    )
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_tuning_flags_rejected(self, p3_file, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", p3_file, flag, "2"])
+            main(["solve", p3_file, flag, REMOVED_FLAGS[flag]])
         assert exc.value.code != 0
 
     def test_unsafe_precision_removed(self, p3_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", p3_file, "--unsafe-precision"])
-        assert exc.value.code != 0
-
-    def test_kernel_override(self, p3_file, capsys):
-        assert main(["solve", p3_file, "--kernel", "dense"]) == 0
-        out = capsys.readouterr().out
-        assert "0,1,2\n1,0,1\n2,1,0\n" in out
-        listed = out.split("kernels=")[1].split()[0].split(",")
-        assert listed and all(kind == "dense" for kind in listed)
-
-    def test_removed_kernel_rejected(self, p3_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", p3_file, "--kernel", "strassen"])
         assert exc.value.code != 0
 
     def test_unreadable_file(self, tmp_path, capsys):
@@ -141,6 +136,15 @@ class TestSolve:
         bad.write_text("0 zebra\n")
         assert main(["solve", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_edgeless_graph_solves(self, tmp_path, capsys):
+        path = tmp_path / "edgeless.txt"
+        path.write_text("#n 4\n")
+        assert main(["solve", str(path), "--oracle"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == [",".join("0" if j == i else "INF" for j in range(4)) for i in range(4)]
+        assert out[4].startswith("n=4 edges=0 epochs=1 converged=True ")
+        assert out[5] == "MATCH"
 
     def test_directed(self, tmp_path, capsys):
         path = tmp_path / "d.txt"

@@ -14,6 +14,7 @@ from minplus_apsp import (
     to_distance_matrix,
 )
 from minplus_apsp.graph import EdgeError
+from minplus_apsp.matio import edge_list_text
 
 
 def edge_tuples(g: Graph) -> list[tuple[int, int, int]]:
@@ -63,6 +64,16 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="empty"):
             parse_edge_list("")
 
+    def test_edgeless_graph_round_trips(self):
+        for n in (1, 2, 5, 40):
+            for directed in (False, True):
+                text = edge_list_text(Graph(n, [], [], [], directed))
+                assert text == f"#n {n}\n"
+                g = parse_edge_list(text, directed=directed)
+                assert (g.n, edge_tuples(g), g.directed) == (n, [], directed)
+                m = to_distance_matrix(g)
+                assert np.array_equal(m.data, np.where(np.eye(n, dtype=bool), 0.0, INF))
+
     def test_duplicate_edges_collapse_to_min_weight(self):
         # the parser keeps both lines; the matrix keeps the lighter
         g = parse_edge_list("0 1 3\n0 1 2")
@@ -81,6 +92,11 @@ class TestParseEdgeList:
     def test_comments_and_blank_lines_skipped(self):
         g = parse_edge_list("# a comment\n\n0 1\n")
         assert edge_tuples(g) == [(0, 1, 1)]
+        # only a first token of exactly "#n" is a header
+        g = parse_edge_list("#nodes 5\n#n5\n0 1\n")
+        assert (g.n, edge_tuples(g)) == (2, [(0, 1, 1)])
+        with pytest.raises(GraphFormatError, match="empty"):
+            parse_edge_list("# a comment\n#nodes 5\n")
 
     def test_header_fixes_node_count(self):
         g = parse_edge_list("#n 5\n0 1")
@@ -118,6 +134,11 @@ class TestParseEdgeList:
             ("0 1\n1 2 1\n2 3 1.5\n", 3, "non-integer token"),
             ("0 1\n0 99999999999999999999\n", 2, "int64 range"),
             ("0 1 99999999999999999999\n", 1, "int64 range"),
+            ("#n -5\n0 1\n", 1, "node count must be positive, got -5"),
+            ("#n 0\n0 1\n", 1, "node count must be positive, got 0"),
+            ("0 1\n#n 3x\n", 2, "expected '#n <count>', got '#n 3x'"),
+            ("0 1\n\n#n\n", 3, "expected '#n <count>', got '#n'"),
+            ("#n 4 5\n0 1\n", 1, "expected '#n <count>'"),
         ],
         ids=[
             "negative_id",
@@ -129,6 +150,11 @@ class TestParseEdgeList:
             "non_integer",
             "id_past_int64",
             "weight_past_int64",
+            "header_negative",
+            "header_0",
+            "header_not_integer",
+            "header_bare",
+            "header_two_counts",
         ],
     )
     def test_rejection_names_line(self, text, line, reason):

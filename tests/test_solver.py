@@ -13,7 +13,6 @@ from minplus_apsp import (
     FeasibilityError,
     GenSpec,
     Graph,
-    SolveOptions,
     distance_product,
     epoch_stats_csv,
     fixed_squaring,
@@ -22,6 +21,7 @@ from minplus_apsp import (
     precision_limits,
     to_distance_matrix,
 )
+import minplus_apsp
 from minplus_apsp import solver
 from minplus_apsp.codec import largest_float32_x_tilde
 from minplus_apsp.solver import _distance_product, _scan
@@ -55,31 +55,32 @@ class TestDistanceProduct:
         solved = floyd_warshall(p3)
         assert np.array_equal(distance_product(solved).data, solved.data)
 
-    def test_equals_direct_definition(self):
+    def test_equals_direct_definition(self, force_kernel):
         rng = np.random.default_rng(11)
         for kernel in ("auto", "dense", "sparse"):
+            force_kernel(kernel)
             m = random_dist_matrix(rng, 20, max_weight=3)
-            got = distance_product(m, SolveOptions(kernel=kernel))
+            got = distance_product(m)
             assert np.array_equal(got.data, minplus_square(m).data)
 
-    def test_float32_and_float64_equal_direct_definition(self):
+    def test_float32_and_float64_equal_direct_definition(self, force_kernel):
         # weights up to 29 put x_tilde on both sides of largest_float32_x_tilde(n)
         rng = np.random.default_rng(12)
         ran = set()
         for kernel in ("dense", "sparse"):
+            force_kernel(kernel)
             for _ in range(20):
                 n = int(rng.integers(2, 40))
                 m = random_dist_matrix(
                     rng, n, max_weight=int(rng.integers(1, 30)), density=0.2,
                     directed=bool(rng.integers(2)),
                 )
-                opts = SolveOptions(kernel=kernel)
-                st = _scan(m, opts)
-                ran.add(_distance_product(st, opts))
+                st = _scan(m)
+                ran.add(_distance_product(st))
                 assert np.array_equal(st.distances().data, minplus_square(m).data), (kernel, n)
         assert ran == {("dense", "float32"), ("dense", "float64"), ("sparse", "float64")}
 
-    def test_dense_and_sparse_branches_equal_definition(self):
+    def test_dense_and_sparse_branches_equal_definition(self, force_kernel):
         rng = np.random.default_rng(13)
         for _ in range(30):
             n = int(rng.integers(1, 50))
@@ -88,9 +89,10 @@ class TestDistanceProduct:
             )
             want = minplus_square(m).data
             for kernel in ("dense", "sparse"):
-                assert np.array_equal(distance_product(m, SolveOptions(kernel=kernel)).data, want)
+                force_kernel(kernel)
+                assert np.array_equal(distance_product(m).data, want)
 
-    def test_summary_is_finite_summary_of_result(self):
+    def test_summary_is_finite_summary_of_result(self, force_kernel):
         def rescan(d):
             fin = d.data[np.isfinite(d.data)]
             return fin.size, int(fin.max()), int(fin.sum())
@@ -108,24 +110,19 @@ class TestDistanceProduct:
         ran = set()
         for m in cases:
             for kernel in ("dense", "sparse"):
-                opts = SolveOptions(kernel=kernel)
-                st = _scan(m, opts)
+                force_kernel(kernel)
+                st = _scan(m)
                 # convergence compares these sums, so check each against
                 # a full rescan of the matrix it summarises
                 assert st.summary == rescan(m)
                 single = kernel == "dense" and st.summary.top <= largest_float32_x_tilde(m.n)
                 arithmetic = "float32" if single else "float64"
-                assert _distance_product(st, opts) == (kernel, arithmetic)
+                assert _distance_product(st) == (kernel, arithmetic)
                 ran.add(arithmetic)
                 assert st.summary == rescan(st.distances())
         assert ran == {"float32", "float64"}
 
-    def test_unknown_kernel_rejected(self):
-        for kernel in ("naive", "blocked", "strassen", "dense_blocked"):
-            with pytest.raises(ValueError, match="unknown kernel"):
-                SolveOptions(kernel=kernel)
-
-    def test_feasibility_error_before_multiplying(self, monkeypatch):
+    def test_feasibility_error_before_multiplying(self, monkeypatch, force_kernel):
         def refuse(*args, **kwargs):
             raise AssertionError("an infeasible product ran")
 
@@ -134,15 +131,16 @@ class TestDistanceProduct:
         # weight 600 at n = 2 needs 1903 exponent bits, above the 64-bit 1024
         m = DistMatrix.from_rows([[0, 600], [600, 0]])
         for kernel in ("dense", "sparse"):
+            force_kernel(kernel)
             with pytest.raises(FeasibilityError):
-                distance_product(m, SolveOptions(kernel=kernel))
+                distance_product(m)
 
 
 class TestResultsValidate:
     """Internal matrices skip validation; every one a caller receives must
     still pass it."""
 
-    def test_every_returned_matrix_is_valid(self):
+    def test_every_returned_matrix_is_valid(self, force_kernel):
         rng = np.random.default_rng(15)
         for _ in range(20):
             n = int(rng.integers(1, 40))
@@ -152,12 +150,8 @@ class TestResultsValidate:
                 density=float(rng.uniform(0, 0.4)), directed=bool(rng.integers(2)),
             )
             for kernel in ("auto", "dense", "sparse"):
-                opts = SolveOptions(kernel=kernel)
-                got = [
-                    power_law_bound(m, opts).distances,
-                    fixed_squaring(m, opts)[0],
-                    distance_product(m, opts),
-                ]
+                force_kernel(kernel)
+                got = [power_law_bound(m).distances, fixed_squaring(m)[0], distance_product(m)]
                 for d in got:
                     assert d.data.dtype == np.float64
                     DistMatrix(d.data)
@@ -186,11 +180,11 @@ class TestArithmetic:
         for m_attach, seed, first in ((7, 11, "sparse"), (60, 3, "dense")):
             g = generate_scale_free(GenSpec(n=n, m_attach=m_attach, seed=seed))
             w = to_distance_matrix(g)
-            st = _scan(w, SolveOptions())
-            assert _distance_product(st, SolveOptions())[0] == first
+            st = _scan(w)
+            assert _distance_product(st)[0] == first
             tracemalloc.start()
             try:
-                assert _distance_product(st, SolveOptions()) == ("dense", "float32")
+                assert _distance_product(st) == ("dense", "float32")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -234,12 +228,12 @@ class TestArithmetic:
         monkeypatch.setattr(solver.kernels, "multiply_dense", check)
         for g in graphs:
             # the first epoch's input is the caller's matrix, which stays alive
-            st = _scan(to_distance_matrix(g), SolveOptions())
-            _distance_product(st, SolveOptions())
+            st = _scan(to_distance_matrix(g))
+            _distance_product(st)
             for _ in range(2):
                 form = "csr" if st.csr is not None else "dense"
                 previous[:] = map(weakref.ref, st.csr or (st.dense.data,))
-                kind, arithmetic = _distance_product(st, SolveOptions())
+                kind, arithmetic = _distance_product(st)
                 ran.add((form, kind, arithmetic))
         assert {(f, a) for f, k, a in ran if k == "dense"} == {
             ("csr", "float32"), ("csr", "float64"), ("dense", "float32"), ("dense", "float64")
@@ -253,8 +247,8 @@ class TestArithmetic:
             np.fill_diagonal(a, 0.0)
             a[0, 1] = a[1, 0] = x_tilde
             m = DistMatrix(a)
-            st = _scan(m, SolveOptions())
-            assert _distance_product(st, SolveOptions()) == ("dense", arithmetic)
+            st = _scan(m)
+            assert _distance_product(st) == ("dense", arithmetic)
             assert np.array_equal(st.distances().data, minplus_square(m).data)
 
 
@@ -489,7 +483,7 @@ class TestEdgeStop:
             assert len([st for st in off.epochs if st.kernel]) == len(products) + 1
         assert fired >= 6
 
-    def test_edges_kept_up_to_the_limit(self):
+    def test_edges_kept_up_to_the_limit(self, force_kernel):
         # n = 64: at most 64 edges are kept
         n = 64
         for edges, kept in ((64, True), (65, False)):
@@ -500,13 +494,14 @@ class TestEdgeStop:
                 a[0, 2] = 3.0
             m = DistMatrix(a)
             for kernel in ("auto", "dense", "sparse"):
-                st = _scan(m, SolveOptions(kernel=kernel))
+                force_kernel(kernel)
+                st = _scan(m)
                 assert (st.edges is not None) == kept
                 if kept:
                     got = sorted(zip(*(x.tolist() for x in st.edges)))
                     assert got == sorted(zip(*(x.tolist() for x in input_edges(m))))
 
-    def test_never_called_above_the_edge_limit(self, monkeypatch):
+    def test_never_called_above_the_edge_limit(self, monkeypatch, force_kernel):
         def refuse(a, edges):
             raise AssertionError("fixed-point check ran above the edge limit")
 
@@ -516,7 +511,8 @@ class TestEdgeStop:
             n = int(rng.integers(20, 60))
             m = random_dist_matrix(rng, n, max_weight=8, density=0.1, directed=True)
             for kernel in ("auto", "dense"):
-                r = power_law_bound(m, SolveOptions(kernel=kernel))
+                force_kernel(kernel)
+                r = power_law_bound(m)
                 assert r.converged
                 assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
 
@@ -527,7 +523,7 @@ class TestEdgeStop:
         monkeypatch.setattr(solver, "_edges_prove_converged", refuse)
         # acceptance criterion 6's routing graph
         w = to_distance_matrix(generate_scale_free(GenSpec(n=1600, m_attach=7, seed=11)))
-        assert _scan(w, SolveOptions()).edges is not None
+        assert _scan(w).edges is not None
         r = power_law_bound(w)
         assert r.converged and r.epochs[-1].proof == "bound"
 
@@ -536,7 +532,7 @@ class TestSparsePhase:
     """power_law_bound, which keeps CSR parts while epochs run sparse and
     compares summaries, against the dense-state reference loop."""
 
-    def test_matches_dense_state_loop(self):
+    def test_matches_dense_state_loop(self, force_kernel):
         rng = np.random.default_rng(21)
         rng_edges = np.random.default_rng(22)
         rng_heavy = np.random.default_rng(23)
@@ -579,15 +575,15 @@ class TestSparsePhase:
                     density=float(rng.uniform(0.01, 0.2)), directed=directed,
                 )
             for kernel in ("auto", "dense", "sparse"):
-                opts = SolveOptions(kernel=kernel)
+                force_kernel(kernel)
                 try:
-                    want, records, want_converged = dense_state_solve(m, opts)
+                    want, records, want_converged = dense_state_solve(m)
                 except FeasibilityError:
                     with pytest.raises(FeasibilityError):
-                        power_law_bound(m, opts)
+                        power_law_bound(m)
                     seen["refused"] += 1
                     continue
-                r = power_law_bound(m, opts)
+                r = power_law_bound(m)
                 assert np.array_equal(r.distances.data, want.data), (case, kernel)
                 got = [
                     (st.kernel, st.max_element, st.finite_before, st.finite_after, st.proof)
@@ -617,20 +613,19 @@ class TestSparsePhase:
         limit = math.floor(precision_limits(n, 64).safe_limit)
         complete = np.ones((n, n))
         np.fill_diagonal(complete, 0.0)
-        opts = SolveOptions()
         for base, form in ((path_matrix(n).data, "sparse"), (complete, "dense")):
             for x_tilde in (limit, limit + 1):
                 a = base.copy()
                 a[0, 1] = a[1, 0] = x_tilde
                 m = DistMatrix(a)
-                assert (_scan(m, opts).csr is not None) == (form == "sparse")
+                assert (_scan(m).csr is not None) == (form == "sparse")
                 if x_tilde == limit:
-                    distance_product(m, opts)
+                    distance_product(m)
                     continue
                 tracemalloc.start()
                 try:
                     with pytest.raises(FeasibilityError):
-                        power_law_bound(m, opts)
+                        power_law_bound(m)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -639,6 +634,9 @@ class TestSparsePhase:
 
 
 class TestSolveOptions:
+    """The solve takes no options: the density rule routes every epoch and
+    a proof picks every dense epoch's arithmetic."""
+
     @pytest.mark.parametrize(
         "removed",
         [
@@ -649,11 +647,16 @@ class TestSolveOptions:
             "enforce_precision",
             "trusted_diameter",
             "width",
+            "kernel",
         ],
     )
-    def test_removed_options_rejected(self, removed):
-        with pytest.raises(TypeError):
-            SolveOptions(**{removed: None})
+    def test_removed_options_rejected(self, p3, removed):
+        assert not hasattr(minplus_apsp, "SolveOptions")
+        for solve in (power_law_bound, fixed_squaring, distance_product):
+            with pytest.raises(TypeError):
+                solve(p3, None)
+            with pytest.raises(TypeError):
+                solve(p3, **{removed: None})
 
 
 class TestEpochStats:
