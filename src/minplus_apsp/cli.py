@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .codec import DecodeError, FeasibilityError, largest_float32_x_tilde, precision_limits
+from .codec import (
+    DecodeError,
+    EncodeParams,
+    FeasibilityError,
+    largest_float32_x_tilde,
+    precision_limits,
+)
 from .graph import GraphFormatError, parse_edge_list, to_distance_matrix
 from .netgen import GenSpec, diameter, estimate_diameter, generate_scale_free
 from .solver import epoch_stats_csv, power_law_bound
@@ -122,7 +128,9 @@ def cmd_check(args) -> int:
     print(f"n={args.n} estimated_diameter={est:.1f}")
     for width in (32, 64):
         lim = precision_limits(args.n, width)
-        verdict = "FEASIBLE" if est <= lim.safe_limit else "INFEASIBLE"
+        # safe_limit is the exponent half of the proof; x_tilde 0 tests the rounding half
+        rounding = EncodeParams(base=args.n + 1, x_tilde=0, width=width).is_feasible()
+        verdict = "FEASIBLE" if rounding and est <= lim.safe_limit else "INFEASIBLE"
         print(
             f"width={width} paper_limit={lim.paper_limit:.1f} "
             f"safe_limit={lim.safe_limit:.1f} {verdict}"

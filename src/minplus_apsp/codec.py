@@ -5,12 +5,12 @@ ordinary matrix product simulates the min-plus product: the largest term of
 each sum dominates because at most n terms contribute and every term is a
 power of base > n. Distances come back via a floored logarithm.
 
-Codes are float64 by default. The solver stores them in float32 where
-float32_exact proves that a float32 product decodes exactly: its exponent
-budget fits the float32 range, and the rounding of encode, product and n-term
-sum moves no entry's logarithm by as much as half the gap between the largest
-true sum, n * base**s, and the next power of base. decode_values then guards
-the floor with that half gap.
+EncodeParams.width is the float type in which codes are stored, multiplied
+and summed, and EncodeParams.is_feasible the one proof that such a product
+decodes exactly: its exponent budget fits the width's range, and the
+rounding of encode, product and n-term sum moves no entry's logarithm by as
+much as half the gap between the largest true sum, n * base**s, and the next
+power of base. decode_values guards the floor with that half gap.
 """
 from __future__ import annotations
 
@@ -24,19 +24,11 @@ from .graph import INF, DistMatrix
 # largest usable binary exponent per float width, matching published limits
 EMAX = {32: 127.9, 64: 1024.0}
 
-# additive guard inside the floored log of a float64 product; base**k is not
-# always exactly representable, so values can round to just below an integer
-# boundary. decode lowers it to half the decode gap at large n; a float32
-# product, whose rounding error is far larger, always takes the half gap
-_FLOOR_LOG_GUARD = 1e-9
-
-# unit roundoff of float32 (round to nearest)
-_U32 = 2.0**-24
-# share of the half decode gap that float32 rounding may use; the rest
+# share of the half decode gap that the product's rounding may use; the rest
 # covers the float64 log, divide and add of decode (about 1e-14 in log_base
-# units against a half gap above 2e-5) and the float64 power computed before
-# each table entry is rounded to float32 (a few 2**-53 on top of 2**-24)
-_FLOAT32_GAP_SHARE = 0.99
+# units against a half gap above 4e-10 wherever the proof holds) and the
+# float64 power computed before each table entry is rounded to its width
+_GAP_SHARE = 0.99
 
 # entries decode_values decodes per pass (512 KiB of float64 output), and
 # about the entries encode indexes per row block
@@ -44,7 +36,7 @@ _DECODE_CHUNK = 1 << 16
 
 
 class FeasibilityError(RuntimeError):
-    """Encoding would overflow the float exponent range."""
+    """Encoding outside the proof: its product could overflow or misdecode."""
 
 
 class DecodeError(RuntimeError):
@@ -61,7 +53,8 @@ class NonFiniteEntryError(DecodeError):
 
 @dataclass(frozen=True)
 class EncodeParams:
-    """Parameters shared by encode and decode of one distance product."""
+    """Parameters shared by encode and decode of one distance product; width
+    is the float type, 32 or 64 bits, of its codes, product and sums."""
 
     base: int
     x_tilde: int
@@ -79,8 +72,32 @@ class EncodeParams:
         """Binary exponent of the worst product entry, n * base**(2*x_tilde)."""
         return 2 * self.x_tilde * math.log2(self.base) + math.log2(self.base - 1)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(f"float{self.width}")
+
     def is_feasible(self) -> bool:
-        return self.exponent_budget() <= EMAX[self.width]
+        """True when a product of codes stored, multiplied and summed in
+        dtype decodes exactly, whatever the summation order.
+
+        Two conditions: the worst entry n * base**(2*x_tilde) fits the
+        exponent range of width, and the relative error of every entry stays
+        inside half the decode gap. Each term of an n-term sum passes through
+        at most n + 2 roundings (its two codes, their product and n - 1
+        additions), so with positive terms the error is at most gamma_(n+2) =
+        k*u / (1 - k*u), k = n + 2, u the unit roundoff of dtype (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 3). The error
+        condition depends on n alone and holds up to n = 2880 in float32 and
+        n = 66 772 474 in float64.
+        """
+        n = self.base - 1
+        ku = (n + 2) * np.finfo(self.dtype).eps / 2
+        # beyond this the bound is 1 or more (or undefined), which proves nothing
+        if ku >= 0.5:
+            return False
+        delta = ku / (1 - ku)
+        error_fits = -math.log1p(-delta) < _GAP_SHARE * 0.5 * math.log1p(1 / n)
+        return error_fits and self.exponent_budget() <= EMAX[self.width]
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,8 @@ class EncodedMatrix:
 
 @dataclass(frozen=True)
 class PrecisionLimits:
-    """Maximum diameter supported by a float width at a given node count."""
+    """Maximum diameter supported by the exponent range of a float width at
+    a given node count; safe_limit is only the exponent half of the proof."""
 
     n: int
     width: int
@@ -120,73 +138,48 @@ def max_finite(m: DistMatrix) -> int:
     return int(np.amax(m.data, initial=0.0, where=np.isfinite(m.data)))
 
 
-def float32_exact(p: EncodeParams) -> bool:
-    """True when a product of codes stored, multiplied and summed in float32
-    decodes exactly, whatever the summation order.
-
-    Two conditions: the worst entry n * base**(2*x_tilde) fits the float32
-    exponent range, and the relative error of every entry stays inside half
-    the decode gap. Each term of an n-term sum passes through at most n + 2
-    roundings (its two codes, their product and n - 1 additions), so with
-    positive terms the error is at most gamma_(n+2) = k*u / (1 - k*u), k =
-    n + 2 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
-    The error condition depends on n alone and holds up to n = 2880.
-    """
-    n = p.base - 1
-    ku = (n + 2) * _U32
-    # beyond this the bound is 1 or more (or undefined), which proves nothing
-    if ku >= 0.5:
-        return False
-    delta = ku / (1 - ku)
-    error_fits = -math.log1p(-delta) < _FLOAT32_GAP_SHARE * 0.5 * math.log1p(1 / n)
-    return error_fits and p.exponent_budget() <= EMAX[32]
-
-
 def largest_float32_x_tilde(n: int) -> int | None:
     """Largest x_tilde whose products run in float32 at node count n; None
-    when n is above the bound of float32_exact."""
+    when n is above the float32 rounding bound."""
     x = -1
-    while float32_exact(EncodeParams(base=n + 1, x_tilde=x + 1)):
+    while EncodeParams(base=n + 1, x_tilde=x + 1, width=32).is_feasible():
         x += 1
     return x if x >= 0 else None
 
 
-def encode_table(p: EncodeParams, dtype=np.float64) -> np.ndarray:
+def encode_table(p: EncodeParams) -> np.ndarray:
     """The code of every distance a in 0..x_tilde, base**(x_tilde - a) at
-    index a, and 0 for unreachable at index x_tilde + 1, as dtype.
+    index a, and 0 for unreachable at index x_tilde + 1, as p.dtype.
 
     Every encoder takes its table from here, so this is the one place that
-    refuses an exponent budget above the cap of p.width: no product of
-    encoded values can overflow.
+    refuses a p that is_feasible does not prove: no product of encoded
+    values can overflow or decode wrongly.
     """
     if not p.is_feasible():
-        raise FeasibilityError(
-            f"x_tilde={p.x_tilde} needs a binary exponent budget of "
-            f"{p.exponent_budget():.1f} bits, above the {p.width}-bit limit "
-            f"{EMAX[p.width]}"
-        )
-    table = np.zeros(p.x_tilde + 2, dtype)
+        bits = p.exponent_budget()
+        why = f"at n={p.base - 1}: {p.width}-bit rounding may pass half the decode gap"
+        if bits > EMAX[p.width]:
+            why = f"needs {bits:.1f} exponent bits, above the {p.width}-bit limit {EMAX[p.width]}"
+        raise FeasibilityError(f"x_tilde={p.x_tilde} {why}")
+    table = np.zeros(p.x_tilde + 2, p.dtype)
     table[:-1] = float(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=np.float64)
     return table
 
 
-def encode(
-    m: DistMatrix, p: EncodeParams, dtype=np.float64, out: np.ndarray | None = None
-) -> EncodedMatrix:
-    """Map finite entry a to base**(x_tilde - a), unreachable to 0, as dtype
-    (float32 only where float32_exact(p) admits it).
+def encode(m: DistMatrix, p: EncodeParams, *, out: np.ndarray | None = None) -> EncodedMatrix:
+    """Map finite entry a to base**(x_tilde - a), unreachable to 0, as
+    p.dtype.
 
-    Refuses when the exponent budget exceeds the cap of p.width, so that the
-    product cannot overflow. out, when given, is a contiguous array of m's
-    shape and of dtype that receives the codes; otherwise a new array is
-    returned.
+    Refuses, before any n x n allocation, a p that is_feasible does not
+    prove. out, when given, is a contiguous array of m's shape and of
+    p.dtype that receives the codes; otherwise a new array is returned.
     """
     if p.base != m.n + 1:
         raise ValueError(f"base {p.base} does not match n + 1 = {m.n + 1}")
-    table = encode_table(p, dtype)
+    table = encode_table(p)
     a = m.data
     if out is None:
-        out = np.empty(a.shape, dtype)
+        out = np.empty(a.shape, p.dtype)
     # per row block, one pass writes each entry's table index (inf clips to
     # the zero slot at x_tilde + 1) and one gather reads the table; a
     # feasible x_tilde is at most 512, so every index fits in int16
@@ -210,21 +203,16 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     """Distances of bare product entries encoded with p, as float64.
 
     Entry v > 0 becomes 2*x_tilde - floor(log_base(v) + guard); 0 becomes inf,
-    because log(0) = -inf. The guard follows arr's dtype: half the decode gap
-    for float32, the smaller of _FLOOR_LOG_GUARD and that for float64.
-    out, when given, is a contiguous float64 array of arr's shape; otherwise
-    a new array is returned. out may share memory with arr in two ways: a
-    float64 arr decodes in place as out=arr, and a float32 arr may fill the
-    second half of out's bytes. Both are safe because entries are decoded in
-    forward chunks and the bytes of out up to entry k never reach the bytes
-    of arr's entries beyond k.
+    because log(0) = -inf. The guard is half the decode gap. arr must be of
+    p.dtype, and p proven by is_feasible. out, when given, is a contiguous
+    float64 array of arr's shape; otherwise a new array is returned. out may
+    share memory with arr in two ways: a float64 arr decodes in place as
+    out=arr, and a float32 arr may fill the second half of out's bytes. Both
+    are safe because entries are decoded in forward chunks and the bytes of
+    out up to entry k never reach the bytes of arr's entries beyond k.
     """
-    single = arr.dtype == np.float32
-    if single and not float32_exact(p):
-        raise DecodeError(
-            f"float32 product at n={p.base - 1}, x_tilde={p.x_tilde}: "
-            "float32_exact does not prove its decode exact"
-        )
+    if arr.dtype != p.dtype:
+        raise DecodeError(f"{arr.dtype} product decoded with {p.dtype} parameters")
     # NaN and inf both make the max non-finite
     if not math.isfinite(np.max(arr, initial=0.0)):
         raise NonFiniteEntryError(
@@ -233,17 +221,20 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
         )
     if np.min(arr, initial=0.0) < 0:
         raise NegativeEntryError("negative entry in product matrix")
+    if not p.is_feasible():
+        raise DecodeError(
+            f"{p.dtype} product at n={p.base - 1}, x_tilde={p.x_tilde}: "
+            "is_feasible does not prove its decode exact"
+        )
     # n tied witnesses give n * base**s, which lies log_base((n+1)/n) below
-    # the integer s + 1; a guard of half that gap keeps the floor exact at
-    # every n, not only while the gap exceeds the fixed guard. float32
-    # rounding can move an exact power base**s below s by nearly the half
-    # gap (float32_exact bounds it), so its guard is the whole half gap
-    gap = math.log1p(1 / (p.base - 1)) / math.log(p.base)
-    guard = 0.5 * gap if single else min(_FLOOR_LOG_GUARD, 0.5 * gap)
+    # the integer s + 1, and rounding can move an exact power base**s below
+    # s by nearly half that gap (is_feasible bounds it), so a guard of the
+    # half gap keeps the floor exact
+    log_base = math.log(p.base)
+    guard = 0.5 * math.log1p(1 / (p.base - 1)) / log_base
     if out is None:
         out = np.empty(arr.shape)
     src, dst = arr.reshape(-1), out.reshape(-1)
-    log_base = math.log(p.base)
     # chunks that fit the cache: the five passes below read and write each
     # chunk once from memory instead of the whole array five times
     with np.errstate(divide="ignore"):
@@ -270,8 +261,8 @@ def precision_limits(n: int, width: int) -> PrecisionLimits:
     """Diameter limits imposed by the float exponent range at node count n.
 
     paper_limit bounds base**D itself; safe_limit bounds the worst product
-    term n * base**(2*D) that actually occurs during decode, and is what the
-    solver enforces.
+    term n * base**(2*D) that actually occurs during decode, the exponent
+    half of EncodeParams.is_feasible.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

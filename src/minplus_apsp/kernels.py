@@ -1,9 +1,9 @@
 """The two kernels for the numeric matrix product, and the rule between them.
 
 The dense kernel is one BLAS product in the dtype of its operands: sgemm on
-float32 codes, which the solver builds only where codec.float32_exact proves
-the decode exact (sgemm runs about twice as fast as dgemm), and dgemm on
-float64 codes otherwise. The sparse kernel is scipy's CSR product, always in
+float32 codes, which the solver builds only where EncodeParams.is_feasible
+proves width 32 exact (sgemm runs about twice as fast as dgemm), and dgemm
+on float64 codes otherwise. The sparse kernel is scipy's CSR product, always in
 float64: SpGEMM is bound by its index work, not its arithmetic. scipy.sparse
 is not imported here: it costs a quarter of a second, and only a solve whose
 epochs run sparse needs it (the solver imports it for those).

@@ -27,14 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .codec import (
-    EncodedMatrix,
-    EncodeParams,
-    decode_values,
-    encode,
-    encode_table,
-    float32_exact,
-)
+from .codec import EncodedMatrix, EncodeParams, decode_values, encode, encode_table
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
 
@@ -264,8 +257,8 @@ def _distance_product(st: _State) -> tuple[str, str]:
 
     A sparse epoch encodes, multiplies and decodes only the stored values,
     in float64; the product feeds the next epoch as it is. A dense epoch
-    runs in float32 when codec.float32_exact admits it, in float64
-    otherwise. Its E is encoded from a dense state, or, after sparse
+    runs in float32 when EncodeParams.is_feasible proves width 32 exact, in
+    float64 otherwise. Its E is encoded from a dense state, or, after sparse
     epochs, scattered from the CSR parts into zeros. st's previous
     distances are dropped once E is built and before the product's array
     is touched: at scale every full matrix is a large fraction of RAM. A
@@ -292,12 +285,13 @@ def _distance_product(st: _State) -> tuple[str, str]:
         # every stored product entry is positive, so each decodes, in place,
         # to a finite distance
         st.set_sparse(prod.indptr, prod.indices, decode_values(prod.data, p, out=prod.data))
-        return kind, "float64"
-    dtype = np.dtype(np.float32 if float32_exact(p) else np.float64)
+        return kind, p.dtype.name
+    p32 = EncodeParams(base=n + 1, x_tilde=st.summary.top, width=32)
+    p = p32 if p32.is_feasible() else p
     # the table refuses an infeasible x_tilde, so it comes before any n x n
     # allocation
-    table = encode_table(p, dtype)
-    if dtype == np.float32:
+    table = encode_table(p)
+    if p.width == 32:
         # E, the float32 product and the decoded distances share one float64
         # array: E fills the first half of its bytes, the product the
         # second, and decode_values writes the distances over both
@@ -310,7 +304,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
         e = np.empty((n, n)) if st.dense is not None else np.zeros((n, n))
         dist = out = None
     if st.dense is not None:
-        encode(st.dense, p, dtype, out=e)
+        encode(st.dense, p, out=e)
     else:
         _scatter_rows(e, *st.csr, table)
     st.dense = st.csr = None
@@ -318,7 +312,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
     prod = kernels.multiply_dense(enc, enc, out=out).data
     del enc, e
     st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=prod if dist is None else dist)))
-    return kind, dtype.name
+    return kind, p.dtype.name
 
 
 def _scatter_rows(

@@ -265,6 +265,16 @@ class TestCheck:
         assert main(["check", "2881"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "float32_products=none"
 
+    def test_rounding_bound_refuses_a_width(self, capsys):
+        # n = 7e7 has its estimated diameter within the 64-bit exponent
+        # range, but is above the float64 rounding bound (n <= 66 772 474)
+        assert main(["check", "70000000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "width=64 paper_limit=39.3 safe_limit=19.1 INFEASIBLE"
+        assert lines[1].endswith(" INFEASIBLE")
+        assert main(["check", "66772474"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].endswith(" FEASIBLE")
+
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_nonpositive_n_reported(self, n, capsys):
         assert main(["check", n]) == 1

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from minplus_apsp import (
+    EMAX,
     INF,
     DistMatrix,
     EncodedMatrix,
@@ -23,7 +25,6 @@ from minplus_apsp.codec import (
     DecodeError,
     decode_values,
     encode_table,
-    float32_exact,
     largest_float32_x_tilde,
 )
 from conftest import minplus_square, random_dist_matrix
@@ -61,18 +62,19 @@ class TestEncode:
         assert enc.data.tolist() == [[9, 1], [1, 9]]
 
     def test_width_32_dtype(self, p3):
-        # width caps the exponent budget only: the encoding is the same float64
-        enc = encode(p3, params_for(p3, width=32))
-        assert enc.data.dtype == np.float64
-        assert enc.width == 64
-        assert enc.data.tobytes() == encode(p3, params_for(p3)).data.tobytes()
+        # width is the float type of the codes
+        p = params_for(p3, width=32)
+        assert p.dtype == np.float32 and params_for(p3).dtype == np.float64
+        assert encode_table(p).dtype == np.float32
+        out = np.empty((3, 3), np.float32)
+        assert encode(p3, p, out=out).data is out
+        assert out.tolist() == [[4, 1, 0], [1, 4, 1], [0, 1, 4]]
 
     def test_float32_codes_report_width_32(self, p3):
-        p = params_for(p3)
-        enc = encode(p3, p, np.float32)
+        enc = encode(p3, params_for(p3, width=32))
         assert enc.data.dtype == np.float32
         assert enc.width == 32
-        assert enc.data.tolist() == encode(p3, p).data.tolist()
+        assert enc.data.tolist() == encode(p3, params_for(p3)).data.tolist()
 
     def test_feasibility_error(self):
         m = DistMatrix.from_rows([[0, 45], [45, 0]])
@@ -83,6 +85,48 @@ class TestEncode:
         m = DistMatrix.from_rows([[0, 100], [100, 0]])
         with pytest.raises(TypeError):
             encode(m, params_for(m), enforce=False)
+
+    def test_guard_cannot_be_bypassed_through_float32(self):
+        # the float type is p.width, so no argument can pair float32 codes
+        # with a p proven only for float64
+        m = DistMatrix.from_rows([[0, 100], [100, 0]])
+        with pytest.raises(TypeError):
+            encode(m, params_for(m), np.float32)
+        with pytest.raises(TypeError):
+            encode_table(params_for(m), np.float32)
+        with pytest.raises(FeasibilityError, match="exponent"):
+            encode(m, params_for(m, width=32))
+        # x_tilde 1 at n = 2881 fits the float32 exponent range, but its
+        # rounding is outside the proof; a zero-strided n x n view stands in
+        # for the input, so only encode itself could allocate
+        n = 2881
+        p = EncodeParams(base=n + 1, x_tilde=1, width=32)
+        assert p.exponent_budget() < EMAX[32]
+        view = DistMatrix._trusted(np.broadcast_to(0.0, (n, n)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError, match="rounding"):
+                encode_table(p)
+            with pytest.raises(FeasibilityError, match="rounding"):
+                encode(view, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("width, top", [(32, 2880), (64, 66_772_474)])
+    def test_rounding_bound_pins_n(self, width, top):
+        # the rounding half of the proof admits x_tilde 1 at n = top and not
+        # even x_tilde 0 one node further; a table holds x_tilde + 2 codes,
+        # so neither side allocates anything of size n
+        assert EncodeParams(base=top + 1, x_tilde=1, width=width).is_feasible()
+        table = encode_table(EncodeParams(base=top + 1, x_tilde=1, width=width))
+        assert table.dtype == f"float{width}" and len(table) == 3
+        p = EncodeParams(base=top + 2, x_tilde=0, width=width)
+        assert p.exponent_budget() < EMAX[width]
+        assert not p.is_feasible()
+        with pytest.raises(FeasibilityError, match="rounding"):
+            encode_table(p)
 
     def test_largest_feasible_x_tilde(self):
         # base 2 admits x_tilde = 512, the most any feasible encoding has
@@ -162,6 +206,7 @@ class TestDecode:
             m = random_dist_matrix(rng, 8, max_weight=2)
             p = params_for(m, width=32)
             prod = multiply_dense(encode(m, p), encode(m, p))
+            assert prod.data.dtype == np.float32
             assert np.array_equal(decode(prod, p).data, minplus_square(m).data)
 
     def test_input_left_unchanged(self):
@@ -189,37 +234,33 @@ class TestDecode:
         assert vals.tolist() == [0.0, 2.0, 1.0, INF]
 
 
-def _largest_feasible_x_tilde(n: int, width: int) -> int:
-    x = 0
-    while EncodeParams(base=n + 1, x_tilde=x + 1, width=width).is_feasible():
-        x += 1
-    return x
-
-
 class TestDecodeExactAtLargeN:
     """c tied witnesses at distance d give the product entry c * base**(2x - d),
     which lies log_base((n+1)/n) below the next power of base when c = n.
 
-    These products are float64 (width caps only the exponent); the width-32
-    cases check x_tilde up to the 32-bit cap. TestFloat32Exact covers float32
-    products.
+    These products are float64, decoded under the half-gap guard; a cap of
+    32 checks x_tilde up to the 32-bit exponent cap, a cap of 64 up to the
+    64-bit one. TestFloat32Exact covers float32 products.
     """
 
     def test_n_tied_witnesses_width_32(self):
+        # above n = 2880 the proof refuses float32 at every x_tilde, and the
+        # x_tilde of the 32-bit exponent cap decodes in float64
         for n in (11_000, 20_000, 100_000):
-            p = EncodeParams(base=n + 1, x_tilde=2, width=32)
-            assert p.is_feasible()
+            assert not EncodeParams(base=n + 1, x_tilde=0, width=32).is_feasible()
+            p = EncodeParams(base=n + 1, x_tilde=2)
+            assert p.exponent_budget() <= EMAX[32]
             b = float(p.base)
             prod = np.array([[b**4, n * b**2], [0.0, b**4]])
             assert decode(EncodedMatrix(prod), p).data[0, 1] == 2
 
-    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("cap", [32, 64])
     @pytest.mark.parametrize("n", [10, 1000, 11_000, 20_000, 100_000, 10**6])
-    def test_witness_counts(self, n, width):
-        top = _largest_feasible_x_tilde(n, width)
+    def test_witness_counts(self, n, cap):
+        top = math.floor(precision_limits(n, cap).safe_limit)
         assert top >= 1
         for x in sorted({1, 2, top} & set(range(1, top + 1))):
-            p = EncodeParams(base=n + 1, x_tilde=x, width=width)
+            p = EncodeParams(base=n + 1, x_tilde=x)
             # the factors as encode stores them, multiplied and summed in
             # float64, as the kernels do
             powers = float(p.base) ** np.arange(x + 1, dtype=np.float64)
@@ -235,14 +276,14 @@ class TestDecodeExactAtLargeN:
             np.fill_diagonal(prod, float(powers[x]) ** 2)
             prod[0, 1:] = entries
             dec = decode(EncodedMatrix(prod), p)
-            assert dec.data[0, 1:].tolist() == expected, (n, width, x)
+            assert dec.data[0, 1:].tolist() == expected, (n, cap, x)
 
 
-def _largest_float32_n() -> int:
-    n = 1
-    while float32_exact(EncodeParams(base=n + 2, x_tilde=0)):
-        n += 1
-    return n
+def _largest_float32_n(limit: int = 10**4) -> int:
+    for n in range(1, limit):
+        if not EncodeParams(base=n + 2, x_tilde=0, width=32).is_feasible():
+            return n
+    raise AssertionError(f"float32 proven at every n below {limit}")
 
 
 def _tied_witness_cases(n: int, x: int) -> np.ndarray:
@@ -258,9 +299,9 @@ def _tied_witness_cases(n: int, x: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _float32_product(d: np.ndarray, p: EncodeParams) -> np.ndarray:
-    """d times d.T through float32 codes, as a dense float32 epoch runs it."""
-    codes = encode_table(p, np.float32)[np.minimum(d, p.x_tilde + 1).astype(np.int16)]
+def _product(d: np.ndarray, p: EncodeParams) -> np.ndarray:
+    """d times d.T through BLAS on codes of p.dtype, as a dense epoch runs it."""
+    codes = encode_table(p)[np.minimum(d, p.x_tilde + 1).astype(np.int16)]
     return codes @ codes.T
 
 
@@ -270,8 +311,9 @@ def _minplus(d: np.ndarray) -> np.ndarray:
 
 
 class TestFloat32Exact:
-    """A float32 product is decoded only where float32_exact admits it; there
-    every tied-witness product decodes to the min-plus definition."""
+    """A product is decoded only where EncodeParams.is_feasible proves its
+    width exact; there every tied-witness product decodes to the min-plus
+    definition."""
 
     def test_bound_admits_route1600_not_wsf1600_or_sf6000(self):
         assert _largest_float32_n() == 2880
@@ -279,7 +321,7 @@ class TestFloat32Exact:
         assert largest_float32_x_tilde(2880) == 5
         assert largest_float32_x_tilde(1) == 63
         # wsf1600's dense epochs run at x_tilde 29..36; sf6000 is above the n bound
-        assert not float32_exact(EncodeParams(base=1601, x_tilde=29))
+        assert not EncodeParams(base=1601, x_tilde=29, width=32).is_feasible()
         for n in (6000, 2**23, 2**24, 10**23):
             assert largest_float32_x_tilde(n) is None, n
 
@@ -287,8 +329,8 @@ class TestFloat32Exact:
         big = _largest_float32_n()
         for n in (1600, big):
             top = largest_float32_x_tilde(n)
-            assert float32_exact(EncodeParams(base=n + 1, x_tilde=top))
-            assert not float32_exact(EncodeParams(base=n + 1, x_tilde=top + 1))
+            assert EncodeParams(base=n + 1, x_tilde=top, width=32).is_feasible()
+            assert not EncodeParams(base=n + 1, x_tilde=top + 1, width=32).is_feasible()
         assert largest_float32_x_tilde(big + 1) is None
 
     def test_largest_x_tilde_is_the_32_bit_safe_limit(self):
@@ -299,49 +341,60 @@ class TestFloat32Exact:
             assert top == math.floor(precision_limits(n, 32).safe_limit), n
         assert largest_float32_x_tilde(2881) is None
 
-    @pytest.mark.parametrize("n", [1600, _largest_float32_n()])
-    def test_tied_witnesses_decode_exactly(self, n):
-        for x in (1, largest_float32_x_tilde(n)):
-            p = EncodeParams(base=n + 1, x_tilde=x)
+    # each n at the width a dense epoch picks there; x_tilde 4 at n = 6000
+    # is sf6000's dense epoch
+    @pytest.mark.parametrize(
+        "n, width",
+        [(1600, 32), (2880, 32), (3000, 64), (6000, 64), (10_000, 64)],
+        ids=["1600", "2880", "3000", "6000", "10000"],
+    )
+    def test_tied_witnesses_decode_exactly(self, n, width):
+        assert EncodeParams(base=n + 1, x_tilde=1, width=32).is_feasible() == (width == 32)
+        for x in (1, largest_float32_x_tilde(n)) if width == 32 else (1, 4):
+            p = EncodeParams(base=n + 1, x_tilde=x, width=width)
             d = _tied_witness_cases(n, x)
-            prod = _float32_product(d, p)
-            assert prod.dtype == np.float32
+            prod = _product(d, p)
+            assert prod.dtype == p.dtype
             assert np.array_equal(decode_values(prod, p), _minplus(d)), (n, x)
 
-    def test_float64_guard_misreads_a_float32_product(self):
-        # pins the guard choice: the float32 code of distance 0 at x_tilde=2,
-        # n=1600, squared and rounded to float32, lies below base**4, so the
-        # float64 guard (1e-9) floors it one step low
+    def test_product_of_another_dtype_refused(self):
+        # a product decodes only under the width it was multiplied in: a
+        # float32 product's rounding is far outside the float64 proof
         n, x = 1600, 2
-        p = EncodeParams(base=n + 1, x_tilde=x)
+        p32 = EncodeParams(base=n + 1, x_tilde=x, width=32)
+        p64 = EncodeParams(base=n + 1, x_tilde=x)
         d = _tied_witness_cases(n, x)
-        prod = _float32_product(d, p)
-        i = 2  # the row of (a=0, c=1)
-        assert (d[i] == 0).sum() == 1
-        assert decode_values(prod, p)[i, i] == 0
-        assert decode_values(prod.astype(np.float64), p)[i, i] == 1
+        prod = _product(d, p32)
+        assert np.array_equal(decode_values(prod, p32), _minplus(d))
+        with pytest.raises(DecodeError, match="float32 product decoded with float64"):
+            decode_values(prod, p64)
+        with pytest.raises(DecodeError, match="float64 product decoded with float32"):
+            decode_values(_product(d, p64), p32)
 
     def test_decodes_into_the_float64_array_behind_it(self):
         # the solver's float32 epoch keeps its product in the second half of
         # the bytes of the float64 array the distances are decoded into
         n, x = 400, 3
         assert n * n > 2 * codec._DECODE_CHUNK
-        p = EncodeParams(base=n + 1, x_tilde=x)
+        p = EncodeParams(base=n + 1, x_tilde=x, width=32)
         rng = np.random.default_rng(5)
         d = rng.integers(0, x + 1, (n, n)).astype(float)
         d[rng.random((n, n)) < 0.5] = INF
         buf = np.empty((n, n))
         halves = buf.reshape(-1).view(np.float32).reshape(2, n, n)
-        halves[1] = _float32_product(d, p)
+        halves[1] = _product(d, p)
         assert decode_values(halves[1], p, out=buf) is buf
         assert np.array_equal(buf, [np.min(d[i] + d, axis=1) for i in range(n)])
 
     def test_float32_product_outside_the_bound_refused(self):
-        p = EncodeParams(base=1601, x_tilde=6)
+        p = EncodeParams(base=1601, x_tilde=6, width=32)
         with pytest.raises(DecodeError, match="float32"):
             decode_values(np.ones((2, 2), np.float32), p)
         with pytest.raises(DecodeError, match="float32"):
-            decode_values(np.ones(2, np.float32), EncodeParams(base=3000, x_tilde=1))
+            decode_values(np.ones(2, np.float32), EncodeParams(base=3000, x_tilde=1, width=32))
+        # and float64 one node above its rounding bound
+        with pytest.raises(DecodeError, match="float64"):
+            decode_values(np.ones(2), EncodeParams(base=66_772_476, x_tilde=1))
 
 
 class TestPrecisionLimits:
@@ -371,8 +424,10 @@ class TestPrecisionLimits:
     def test_safe_limit_is_the_encode_guard(self, width):
         # check's verdict (D <= safe_limit) and encode's refusal of x_tilde
         # agree at every integer diameter: floor(safe_limit) is the largest
-        # x_tilde that encode admits
-        for n in [*range(1, 3001), 8508, 10**4, 10**5, 10**6, 10**8]:
+        # x_tilde that encode admits, at every n the width's rounding bound
+        # admits (2880 in float32, 66 772 474 in float64)
+        ns = range(1, 2881) if width == 32 else [*range(1, 3001), 8508, 10**4, 10**5, 10**6]
+        for n in ns:
             top = math.floor(precision_limits(n, width).safe_limit)
             assert EncodeParams(base=n + 1, x_tilde=top, width=width).is_feasible(), n
             assert not EncodeParams(base=n + 1, x_tilde=top + 1, width=width).is_feasible(), n

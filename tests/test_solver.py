@@ -158,8 +158,8 @@ class TestResultsValidate:
 
 
 class TestArithmetic:
-    """A dense epoch runs float32 exactly where codec.float32_exact admits
-    it; every epoch's distances still equal the definition."""
+    """A dense epoch runs float32 exactly where EncodeParams.is_feasible
+    proves width 32; every epoch's distances still equal the definition."""
 
     def test_route_graph_dense_epoch_runs_float32(self):
         w = to_distance_matrix(generate_scale_free(GenSpec(n=400, m_attach=7, seed=11)))
