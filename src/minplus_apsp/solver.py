@@ -3,10 +3,11 @@ judgments, and per-epoch statistics.
 
 One epoch = select kernel by density -> encode -> multiply -> decode. The
 squared matrix doubles the path-edge budget, so convergence needs at most
-ceil(log2(n - 1)) improving epochs plus one confirming epoch. The confirming
-epoch runs no product when a proof that needs none fires first: a bound on
-path weights, or, after a dense epoch, the Bellman-Ford fixed-point check of
-the distances against the input edges (_edges_prove_converged).
+ceil(log2(n - 1)) improving epochs plus one confirming epoch. The solve
+stops without the confirming product when a proof that needs none fires
+first: a bound on path weights, or, after a dense epoch, relaxation of the
+distances over the input edges to the Bellman-Ford fixed point
+(_relax_edges), which can stand in for the last improving products too.
 
 While epochs run sparse, the state is the CSR parts of the finite entries:
 one finite scan of the input builds them, each sparse epoch encodes only the
@@ -15,8 +16,8 @@ first dense epoch scatters the encoded values into a zero-filled matrix; an
 n x n distance matrix is built from CSR parts only when the solve ends
 sparse. Convergence compares two summaries, the finite count and the sum of
 the finite entries, in place of the two matrices (see _unchanged). The
-same scan keeps the input's edges for the fixed-point check when there are
-few enough of them (_EDGE_DIVISOR).
+same scan keeps the input's edges for the relaxation when there are few
+enough of them (_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
@@ -33,17 +34,20 @@ from .kernels import DENSE, SPARSE
 
 _BLOCK_ROWS = 64
 
-# Keep the input's edges, and so run the fixed-point check, only when there
-# are at most n * n // _EDGE_DIVISOR of them. A passing check reads n int16
-# entries per edge at about 0.65 ns each, so at the limit it costs
-# n**3 / 64 * 0.65 ns: 0.04 s at n = 1600, about one sgemm, and less than
-# the float64 product it saves.
+# Keep the input's edges, and so relax over them, only when there are at
+# most n * n // _EDGE_DIVISOR of them; one relaxation gathers at most
+# n**3 // _EDGE_DIVISOR int16 entries, n per edge it relaxes. A pass costs
+# about 1.1 ns per gathered entry (wsf1600's first pass: 15.3 M entries in
+# 17 ms on a 2-vCPU Xeon), so at n = 1600 the cap is about 0.07 s: about
+# one product, between a float32 one (0.04 s) and a float64 one (0.13 s),
+# the kind a successful relaxation saves on weighted graphs. A relaxation
+# that would pass the cap gives up, and the solve squares on.
 _EDGE_DIVISOR = 64
-# edges per gather of the fixed-point check
+# edges per gather of the relaxation
 _EDGE_CHUNK = 64
-# stands for inf in the check's int16 copy of the distances: it exceeds
-# every finite entry plus a weight (at most 2 * 512 + 512), and with any
-# weight added it stays below 2**15
+# stands for inf in the relaxation's int16 copy of the distances: with any
+# weight (at most 512) added it stays below 2**15; a finite entry that
+# could reach it makes the relaxation give up
 _UNREACHABLE16 = 2**14
 
 
@@ -52,11 +56,13 @@ class EpochStats:
     """Per-epoch convergence record.
 
     kernel names the kernel of the epoch's product and arithmetic its
-    float type, "float32" or "float64"; both are None only on a confirming
-    epoch that a proof settles without a product. proof names that proof,
-    "bound" (the path-weight bound) or "edges" (the fixed-point check
-    against the input edges), and is None on every epoch that ran a product
-    (see power_law_bound). convergence_quantity/_pct are defined against
+    float type, "float32" or "float64"; both are None only on the last
+    epoch, when a proof settles it without a product. proof names that
+    proof, "bound" (the path-weight bound) or "edges" (relaxation over the
+    input edges to the fixed point), and is None on every epoch that ran a
+    product (see power_law_bound). A "bound" record repeats the matrix of
+    the epoch before; an "edges" record holds the relaxed matrix, so its
+    delta may be positive. convergence_quantity/_pct are defined against
     the final unreachable set and are back-filled once the solve finishes.
     """
 
@@ -82,8 +88,8 @@ class EpochStats:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of a solve: distances, one record per epoch, and whether the
-    solve proved that no further product can change the distances: by an
-    epoch that changed nothing, or by the proof that the last record names
+    solve proved that the distances are the shortest ones: by an epoch that
+    changed nothing, or by the proof that the last record names
     (EpochStats.proof)."""
 
     distances: DistMatrix
@@ -144,15 +150,17 @@ def _summary(values: np.ndarray) -> _Summary:
     return _Summary(len(values), int(values.max()), int(values.sum()))
 
 
-def _dense_summary(a: np.ndarray) -> _Summary:
+def _dense_summary(a: np.ndarray, unreachable: float = INF) -> _Summary:
+    """Summary of a dense matrix whose unreachable pairs hold unreachable,
+    the largest value it can hold."""
     top = a.max()
-    # a finite maximum means every pair is reachable
-    if top < INF:
+    # a maximum below unreachable means every pair is reachable
+    if top < unreachable:
         return _Summary(a.size, int(top), int(a.sum()))
     # compressed copies of row blocks: no n x n temporary, and faster than
     # masked reductions over the whole matrix
     blocks = (a[i : i + _BLOCK_ROWS] for i in range(0, len(a), _BLOCK_ROWS))
-    parts = [_summary(b[np.isfinite(b)]) for b in blocks]
+    parts = [_summary(b[b < unreachable]) for b in blocks]
     return _Summary(
         sum(q.finite for q in parts), max(q.top for q in parts), sum(q.total for q in parts)
     )
@@ -378,44 +386,102 @@ def _bound_proves_converged(
     return all_reachable_found and top < (m + 1) * w_min
 
 
-def _edges_prove_converged(a: np.ndarray, edges: _Edges) -> bool:
-    """True when the distance matrix a, the decoded result of a dense epoch
-    of the solve of an input whose finite off-diagonal entries are edges,
-    already holds every shortest distance, so that a (x) a = a.
+def _rank_order(src: np.ndarray) -> np.ndarray:
+    """Order that sorts edges sorted by source by (rank among their
+    source's out-edges, source): each rank then lists distinct sources in
+    increasing order."""
+    counts = np.bincount(src)
+    rank = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.argsort(rank, kind="stable")
 
-    This is the Bellman-Ford optimality condition (Bellman 1958), checked
-    in row form: a[u, :] <= w(u, v) + a[v, :] for every edge u -> v. Every
-    finite entry of an exactly decoded product is the weight of a real
-    walk, so a >= dist. If the condition holds, take a shortest path
-    u = p0 -> p1 -> ... -> pk = x: a[pk, x] = 0 = dist(pk, x) (the diagonal
-    is 0), and a[pj, x] <= w(pj, pj+1) + a[pj+1, x] <= dist(pj, x) by
-    induction from the end. So a <= dist, a = dist, and a (x) a = a since
-    dist is closed under the min-plus product. Unreachable pairs need no
-    path: dist = inf there, and a >= dist.
 
-    Runs on an int16 copy of a with inf mapped to _UNREACHABLE16, which is
-    exact: after a feasible epoch every finite entry is at most 2 * 512 and
-    every weight at most 512 (the first epoch's x_tilde bounds them), so
-    the sentinel plus a weight stays below 2**15 and above every finite
-    entry plus a weight. Gathers whole rows for chunks of _EDGE_CHUNK edges
-    and returns at the first chunk that fails; the first chunk is checked
-    in float64, where inf needs no sentinel, before the copy is made.
+def _chunks(src: np.ndarray):
+    """(lo, hi) bounds of consecutive slices of at most _EDGE_CHUNK edges
+    whose sources strictly increase, so that no slice names a row twice."""
+    m = len(src)
+    pos = np.arange(m)
+    new = np.ones(m, bool)
+    new[1:] = src[1:] <= src[:-1]
+    # each edge's offset in its run of increasing sources
+    pos -= np.maximum.accumulate(np.where(new, pos, 0))
+    starts = np.flatnonzero(pos % _EDGE_CHUNK == 0)
+    return zip(starts.tolist(), [*starts[1:].tolist(), m])
+
+
+def _relax_edges(st: _State) -> bool:
+    """Relax st's dense distances over the input edges to the Bellman-Ford
+    fixed point; True, with st's distances and summary replaced by the
+    shortest distances, when it is reached within the work cap, False with
+    st left as it was otherwise.
+
+    Each pass sets D[u, :] = min(D[u, :], w(u, v) + D[v, :]) for its edges
+    u -> v, Gauss-Seidel style: a chunk of edges reads the rows that earlier
+    chunks wrote. The first pass takes every edge; each later one only the
+    edges whose head row v changed in the pass before, since only those can
+    have lost the condition D[u, :] <= w(u, v) + D[v, :]. So a pass that
+    changes nothing leaves the condition holding for every edge, and then
+    (Bellman 1958) D[pk, x] = 0 = dist(pk, x) at the end of a shortest path
+    u = p0 -> ... -> pk = x, and D[pj, x] <= w(pj, pj+1) + D[pj+1, x]
+    <= dist(pj, x) by induction from the end, so D <= dist. Every finite
+    entry of an exactly decoded product is the weight of a real walk, and
+    so is every entry a relaxation writes, so D >= dist, and D = dist.
+    Unreachable pairs need no path: dist = inf there, and D >= dist.
+
+    Runs on an int16 copy of D with inf mapped to _UNREACHABLE16. Entries
+    only fall, and the sentinel plus any weight (at most 512: the first
+    epoch's x_tilde bounds them) stays below 2**15, so nothing overflows.
+    A finite entry whose sum with a weight reached the sentinel would be
+    taken for unreachable; at the fixed point that cannot have happened
+    when the largest finite entry plus the largest weight is below the
+    sentinel, which is checked before the result is written back. The
+    edges are relaxed in the order (rank among their source's out-edges,
+    source), so a chunk of them has distinct sources and writes back with
+    one fancy assignment.
+
+    Work is capped at n**3 // _EDGE_DIVISOR gathered entries, n per edge
+    relaxed (see _EDGE_DIVISOR); a pass that would pass the cap is not
+    started.
     """
-    src, dst, weight = edges
-    # a matrix that is not final yet almost always fails on the first
-    # chunk, so test that one on a itself before making the int16 copy
-    head = slice(0, _EDGE_CHUNK)
-    if (a[src[head]] > a[dst[head]] + weight[head, None]).any():
-        return False
+    n = st.n
+    a = st.dense.data
+    order = _rank_order(st.edges.src)
+    src, dst, weight = (x[order] for x in st.edges)
+    budget = n**3 // _EDGE_DIVISOR
     d = np.empty(a.shape, np.int16)
     np.minimum(a, _UNREACHABLE16, out=d, casting="unsafe")
-    weight = weight.astype(np.int16)[:, None]
-    for lo in range(0, len(src), _EDGE_CHUNK):
-        hi = lo + _EDGE_CHUNK
-        through = d[dst[lo:hi]]
-        through += weight[lo:hi]
-        if (d[src[lo:hi]] > through).any():
+    weight16 = weight.astype(np.int16)[:, None]
+    touched = np.zeros(n, bool)
+    active = np.ones(len(src), bool)
+    while True:
+        s, t, wt = src[active], dst[active], weight16[active]
+        budget -= n * len(s)
+        if budget < 0:
             return False
+        changed = np.zeros(n, bool)
+        for lo, hi in _chunks(s):
+            through = d[t[lo:hi]]
+            through += wt[lo:hi]
+            rows = d[s[lo:hi]]
+            better = (through < rows).any(axis=1)
+            if better.any():
+                u = s[lo:hi][better]
+                d[u] = np.minimum(rows[better], through[better])
+                changed[u] = True
+        if not changed.any():
+            break
+        touched |= changed
+        active = changed[dst]
+    summary = _dense_summary(d, _UNREACHABLE16)
+    if summary.top + weight.max(initial=0) >= _UNREACHABLE16:
+        return False
+    rows = np.flatnonzero(touched)
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        r = rows[i : i + _BLOCK_ROWS]
+        b = d[r]
+        block = b.astype(np.float64)
+        block[b == _UNREACHABLE16] = INF
+        a[r] = block
+    st.summary = summary
     return True
 
 
@@ -423,14 +489,17 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
     """Solve APSP by repeated min-plus squaring with convergence detection.
 
     Stops when an epoch leaves the matrix unchanged, when a proof shows
-    that the next epoch would change nothing, or when the epoch budget runs
-    out (converged=False on the partial result in that case). The proofs are
-    the path-weight bound (_bound_proves_converged), tried after every epoch
-    that changed the matrix, and, when it fails after a dense epoch of an
-    input with kept edges, the fixed-point check against those edges
-    (_edges_prove_converged). A stop by a proof still records the confirming
-    epoch, with no change, kernel=arithmetic=None and proof naming the
-    proof ("bound" or "edges"), but runs no product for it.
+    that the matrix holds the shortest distances, or when the epoch budget
+    runs out (converged=False on the partial result in that case). The
+    proofs are the path-weight bound (_bound_proves_converged), tried after
+    every epoch that changed the matrix, and, when it fails after a dense
+    epoch of an input with kept edges, relaxation over those edges to the
+    Bellman-Ford fixed point (_relax_edges), which may lower entries and
+    make pairs finite. A relaxation that gives up at its work cap leaves the
+    product's matrix as it was, and squaring goes on. A stop by a proof
+    records one more epoch, with kernel=arithmetic=None, proof naming the
+    proof ("bound" or "edges") and the final matrix's summary, but runs no
+    product for it.
     """
     n = w.n
     total = _epoch_budget(n) + 1  # room for the confirming epoch
@@ -462,18 +531,16 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
         m *= 2
         if _bound_proves_converged(n, m, w_min, after.finite, before.finite, after.top):
             proof = "bound"
-        elif kind == DENSE and st.edges is not None and _edges_prove_converged(
-            st.dense.data, st.edges
-        ):
+        elif kind == DENSE and st.edges is not None and _relax_edges(st):
             proof = "edges"
         else:
             continue
         stats.append(
             EpochStats(
                 epoch=epoch + 1,
-                max_element=after.top,
+                max_element=st.summary.top,
                 finite_before=after.finite,
-                finite_after=after.finite,
+                finite_after=st.summary.finite,
                 proof=proof,
             )
         )

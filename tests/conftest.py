@@ -5,6 +5,7 @@ from minplus_apsp import (
     INF,
     DensityReport,
     DistMatrix,
+    FeasibilityError,
     choose_kernel,
     distance_product,
     kernels,
@@ -81,12 +82,14 @@ def dense_state_solve(w: DistMatrix):
     DistMatrix with distance_product and compares it with its input entry by
     entry, where power_law_bound keeps CSR parts while epochs run
     sparse and compares summaries. After a dense epoch that the bound does
-    not settle, the edge stop compares the matrix with w's finite
-    off-diagonal entries directly (d[u, :] <= w[u, v] + d[v, :] for each),
-    when there are at most n * n // _EDGE_DIVISOR of them.
+    not settle, the edge stop checks the Bellman-Ford condition of the
+    matrix against w's finite off-diagonal entries directly
+    (d[u, :] <= w[u, v] + d[v, :] for each), when there are at most
+    n * n // _EDGE_DIVISOR of them, and relaxes nothing.
 
     Returns (distances, [(kernel, max_element, finite_before, finite_after,
-    proof) per epoch], converged).
+    proof) per epoch], converged). When an epoch's x_tilde is refused,
+    distances is None and the records are those of the epochs before it.
     """
     n = w.n
     current = w
@@ -99,7 +102,10 @@ def dense_state_solve(w: DistMatrix):
     for _ in range(_epoch_budget(n) + 1):
         kind = choose_kernel(DensityReport(finite, n * n))
         # current holds `finite` finite entries, so its product runs kind too
-        nxt = distance_product(current)
+        try:
+            nxt = distance_product(current)
+        except FeasibilityError:
+            return None, records, False
         fin = nxt.data[np.isfinite(nxt.data)]
         records.append((kind, int(fin.max()), finite, fin.size, None))
         same = np.array_equal(current.data, nxt.data)

@@ -394,24 +394,43 @@ def sparse_weighted_digraph(rng, n):
     )
 
 
+def edge_state(m: DistMatrix, d: np.ndarray) -> solver._State:
+    """A dense solve state of input m holding a copy of the distances d,
+    with m's edges kept as _scan keeps them."""
+    st = _scan(m)
+    assert st.edges is not None
+    st.set_dense(DistMatrix._trusted(d.copy()))
+    return st
+
+
+def first_dense_state(m: DistMatrix) -> solver._State:
+    """m's solve state after its first dense product."""
+    st = _scan(m)
+    while _distance_product(st)[0] != "dense":
+        pass
+    return st
+
+
 class TestEdgeStop:
-    """The Bellman-Ford fixed-point check against Floyd-Warshall and csgraph."""
+    """Relaxation over the input edges to the Bellman-Ford fixed point,
+    against Floyd-Warshall and csgraph."""
 
     def test_true_on_shortest_distances(self):
+        # a first pass that changes nothing: the old fixed-point check
         rng = np.random.default_rng(31)
-        for _ in range(20):
-            n = int(rng.integers(2, 40))
-            m = random_dist_matrix(
-                rng, n, max_weight=int(rng.integers(1, 9)),
-                density=float(rng.uniform(0.02, 0.4)), directed=bool(rng.integers(2)),
-            )
-            assert solver._edges_prove_converged(floyd_warshall(m).data, input_edges(m))
+        for _ in range(10):
+            m = sparse_weighted_digraph(rng, int(rng.integers(192, 256)))
+            dist = floyd_warshall(m).data
+            st = edge_state(m, dist)
+            assert solver._relax_edges(st)
+            assert np.array_equal(st.dense.data, dist)
+            assert st.summary == solver._dense_summary(dist)
 
-    def test_false_after_one_entry_raised_or_lost(self):
+    def test_repairs_one_entry_raised_or_lost(self):
         rng = np.random.default_rng(32)
-        for _ in range(20):
-            n = int(rng.integers(3, 40))
-            m = random_dist_matrix(rng, n, max_weight=6, density=0.2, directed=True)
+        for _ in range(10):
+            n = int(rng.integers(256, 320))
+            m = sparse_weighted_digraph(rng, n)
             dist = floyd_warshall(m).data
             i, j = np.argwhere(np.isfinite(dist) & ~np.eye(n, dtype=bool))[
                 int(rng.integers(np.count_nonzero(np.isfinite(dist)) - n))
@@ -419,46 +438,101 @@ class TestEdgeStop:
             for wrong in (dist[i, j] + 1, INF):
                 d = dist.copy()
                 d[i, j] = wrong
-                assert not solver._edges_prove_converged(d, input_edges(m)), (i, j, wrong)
+                st = edge_state(m, d)
+                assert solver._relax_edges(st), (i, j, wrong)
+                assert np.array_equal(st.dense.data, dist), (i, j, wrong)
+                assert st.summary == solver._dense_summary(dist)
 
     def test_zero_weights_and_unreachable_pairs(self):
-        # 0 -0-> 1 -3-> 2 -0-> 3, and node 4 on its own
-        m = DistMatrix.from_rows(
-            [
-                [0, 0, INF, INF, INF],
-                [INF, 0, 3, INF, INF],
-                [INF, INF, 0, 0, INF],
-                [INF, INF, INF, 0, INF],
-                [INF, INF, INF, INF, 0],
-            ]
-        )
+        # 0 -0-> 1 -3-> 2 -0-> 3, and nodes 4..63 on their own: n = 64
+        # leaves room for 64 edge relaxations
+        n = 64
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        a[0, 1], a[1, 2], a[2, 3] = 0, 3, 0
+        m = DistMatrix(a)
         dist = floyd_warshall(m).data
         assert dist[0, 3] == 3 and dist[3, 0] == INF
-        assert solver._edges_prove_converged(dist, input_edges(m))
-        for pair, wrong in (((0, 3), 4), ((0, 2), INF), ((1, 3), 4)):
+        for pair, wrong in (((0, 3), 4), ((0, 2), INF), ((1, 3), 4), ((0, 3), INF)):
             d = dist.copy()
             d[pair] = wrong
-            assert not solver._edges_prove_converged(d, input_edges(m)), pair
+            st = edge_state(m, d)
+            assert solver._relax_edges(st), pair
+            assert np.array_equal(st.dense.data, dist), pair
 
     def test_largest_entries_stay_exact(self):
         # weights of 512 and a distance of 1024, the largest a feasible solve
-        # holds, next to unreachable pairs; a unit chain of 70 edges comes
-        # first in row order, so these edges are checked on the int16 copy
+        # holds, next to unreachable pairs
         n = 74
         a = np.full((n, n), INF)
         np.fill_diagonal(a, 0.0)
         a[np.arange(70), np.arange(1, 71)] = 1.0
         a[71, 72] = a[72, 73] = 512.0
         m = DistMatrix(a)
-        edges = input_edges(m)
-        assert list(edges.src[solver._EDGE_CHUNK :]) == [64, 65, 66, 67, 68, 69, 71, 72]
         dist = floyd_warshall(m).data
-        assert dist[71, 73] == 1024
-        assert solver._edges_prove_converged(dist, edges)
+        assert dist[71, 73] == 1024 and dist[73, 71] == INF
         for wrong in (1025, INF):
             d = dist.copy()
             d[71, 73] = wrong
-            assert not solver._edges_prove_converged(d, edges)
+            st = edge_state(m, d)
+            assert solver._relax_edges(st)
+            assert np.array_equal(st.dense.data, dist)
+
+    def test_gives_up_where_an_entry_could_reach_the_sentinel(self):
+        # a path of 40 edges of weight 512 into node 0, among 360 nodes on
+        # their own: its distances reach 20480, past the int16 sentinel 2**14
+        n = 400
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        a[np.arange(1, 41), np.arange(40)] = 512.0
+        m = DistMatrix(a)
+        st = edge_state(m, a)
+        assert not solver._relax_edges(st)
+        assert np.array_equal(st.dense.data, a)
+
+    def test_reaches_floyd_warshall_from_product_states(self):
+        # every dense state of each solve, relaxed on a copy: the relaxation
+        # reaches the shortest distances or gives up with the copy untouched
+        rng = np.random.default_rng(35)
+        reached = gave_up = 0
+        for case in range(12):
+            n = int(rng.integers(256, 400))
+            m = sparse_weighted_digraph(rng, n)
+            if case % 2:
+                m = DistMatrix(np.minimum(m.data, m.data.T))
+            dist = floyd_warshall(m).data
+            st = _scan(m)
+            while st.dense is None or not np.array_equal(st.dense.data, dist):
+                kind, _ = _distance_product(st)
+                if kind != "dense":
+                    continue
+                copy = edge_state(m, st.dense.data)
+                if solver._relax_edges(copy):
+                    reached += 1
+                    assert np.array_equal(copy.dense.data, dist), case
+                    assert copy.summary == solver._dense_summary(dist)
+                else:
+                    gave_up += 1
+                    assert np.array_equal(copy.dense.data, st.dense.data), case
+                    assert copy.summary == st.summary
+        assert reached >= 10 and gave_up >= 5, (reached, gave_up)
+
+    def test_give_up_leaves_the_state_bit_identical(self):
+        # about two edges per node leave room for little more than one
+        # pass over the edges at n = 200, so about half of these give up
+        rng = np.random.default_rng(36)
+        gave_up = 0
+        for _ in range(16):
+            m = sparse_weighted_digraph(rng, int(rng.integers(192, 256)))
+            st = first_dense_state(m)
+            data, summary = st.dense.data, st.summary
+            before = data.tobytes()
+            if solver._relax_edges(st):
+                continue
+            gave_up += 1
+            assert st.dense.data is data and data.tobytes() == before
+            assert st.summary is summary
+        assert gave_up >= 6
 
     def test_edge_stop_saves_one_product(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -472,16 +546,19 @@ class TestEdgeStop:
                 continue
             fired += 1
             last = r.epochs[-1]
-            assert (last.kernel, last.arithmetic, last.delta) == (None, None, 0)
+            fin = want[np.isfinite(want)]
+            assert (last.kernel, last.arithmetic) == (None, None)
+            assert (last.max_element, last.finite_after) == (fin.max(), fin.size)
+            assert last.finite_before == r.epochs[-2].finite_after
             assert r.epochs[-2].kernel == "dense"
             with monkeypatch.context() as mp:
-                mp.setattr(solver, "_edges_prove_converged", lambda a, edges: False)
+                mp.setattr(solver, "_relax_edges", lambda st: False)
                 off = power_law_bound(m)
             assert np.array_equal(off.distances.data, want)
-            assert off.epochs[-1].proof is None
+            assert off.epochs[-1].proof != "edges"
             products = [st for st in r.epochs if st.kernel]
-            assert len([st for st in off.epochs if st.kernel]) == len(products) + 1
-        assert fired >= 6
+            assert len([st for st in off.epochs if st.kernel]) >= len(products) + 1
+        assert fired >= 10
 
     def test_edges_kept_up_to_the_limit(self, force_kernel):
         # n = 64: at most 64 edges are kept
@@ -501,11 +578,25 @@ class TestEdgeStop:
                     got = sorted(zip(*(x.tolist() for x in st.edges)))
                     assert got == sorted(zip(*(x.tolist() for x in input_edges(m))))
 
-    def test_never_called_above_the_edge_limit(self, monkeypatch, force_kernel):
-        def refuse(a, edges):
-            raise AssertionError("fixed-point check ran above the edge limit")
+    def test_edges_relaxed_by_rank_then_source(self):
+        rng = np.random.default_rng(37)
+        m = sparse_weighted_digraph(rng, 200)
+        u, v, _ = _scan(m).edges
+        order = solver._rank_order(u)
+        rank = np.arange(len(u)) - np.searchsorted(u, u)
+        want = sorted(zip(rank.tolist(), u.tolist(), v.tolist()))
+        assert list(zip(u[order].tolist(), v[order].tolist())) == [(s, t) for _, s, t in want]
+        # so every chunk the relaxation gathers has distinct sources
+        src = u[order]
+        for lo, hi in solver._chunks(src):
+            assert hi - lo <= solver._EDGE_CHUNK
+            assert len(set(src[lo:hi].tolist())) == hi - lo
 
-        monkeypatch.setattr(solver, "_edges_prove_converged", refuse)
+    def test_never_called_above_the_edge_limit(self, monkeypatch, force_kernel):
+        def refuse(st):
+            raise AssertionError("relaxation ran above the edge limit")
+
+        monkeypatch.setattr(solver, "_relax_edges", refuse)
         rng = np.random.default_rng(34)
         for _ in range(10):
             n = int(rng.integers(20, 60))
@@ -517,29 +608,70 @@ class TestEdgeStop:
                 assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
 
     def test_routing_graph_stops_by_the_bound(self, monkeypatch):
-        def refuse(a, edges):
-            raise AssertionError("fixed-point check ran where the bound fires")
+        def refuse(st):
+            raise AssertionError("relaxation ran where the bound fires")
 
-        monkeypatch.setattr(solver, "_edges_prove_converged", refuse)
+        monkeypatch.setattr(solver, "_relax_edges", refuse)
         # acceptance criterion 6's routing graph
         w = to_distance_matrix(generate_scale_free(GenSpec(n=1600, m_attach=7, seed=11)))
         assert _scan(w).edges is not None
         r = power_law_bound(w)
         assert r.converged and r.epochs[-1].proof == "bound"
 
+    @pytest.mark.parametrize(
+        "n, chords, diameter, solved",
+        [(400, 9, 81, True), (400, 10, 82, False), (800, 20, 111, False)],
+    )
+    def test_ring_past_the_diameter_ceiling(self, n, chords, diameter, solved):
+        # an undirected unit-weight ring with random chords: every epoch up
+        # to x_tilde = 32 is feasible and x_tilde = 64 is not (safe_limit
+        # 58.7 at n = 400, 52.6 at n = 800). Past epoch 6 only the
+        # relaxation can finish, within its work cap: from epoch 6's state
+        # the diameter-81 ring needs fewer than n * n // 64 edge relaxations,
+        # the diameter-82 ring 3782 of 2500, and the n = 800 ring more still
+        rng = np.random.default_rng(5)
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        src, dst = rng.integers(0, n, chords), rng.integers(0, n, chords)
+        keep = src != dst
+        a[src[keep], dst[keep]] = 1.0
+        m = DistMatrix(np.minimum(a, a.T))
+        want = shortest_path(m.data, method="D")
+        assert want.max() == diameter
+        assert 32 <= precision_limits(n, 64).safe_limit < 64
+        if not solved:
+            with pytest.raises(FeasibilityError):
+                power_law_bound(m)
+            return
+        r = power_law_bound(m)
+        assert r.converged and r.epochs[-1].proof == "edges"
+        assert np.array_equal(r.distances.data, want)
+        assert r.epochs[-2].max_element == 64 < r.epochs[-1].max_element == diameter
+
 
 class TestSparsePhase:
-    """power_law_bound, which keeps CSR parts while epochs run sparse and
-    compares summaries, against the dense-state reference loop."""
+    """power_law_bound, which keeps CSR parts while epochs run sparse,
+    compares summaries and relaxes over the input edges, against the
+    dense-state reference loop, which only checks the edges."""
 
-    def test_matches_dense_state_loop(self, force_kernel):
+    def test_matches_dense_state_loop(self, monkeypatch, force_kernel):
+        relax = solver._relax_edges
+        outcomes = []
+
+        def spy(st):
+            outcomes.append(relax(st))
+            return outcomes[-1]
+
+        monkeypatch.setattr(solver, "_relax_edges", spy)
         rng = np.random.default_rng(21)
         rng_edges = np.random.default_rng(22)
         rng_heavy = np.random.default_rng(23)
         # the last four count dense epochs by the state form E is encoded
-        # from and by arithmetic
+        # from and by arithmetic; gave_up counts solves in which a
+        # relaxation gave up
         seen = dict.fromkeys(
-            ("ended_sparse", "switched", "unchanged", "bound", "edges", "refused",
+            ("ended_sparse", "switched", "unchanged", "bound", "edges", "refused", "gave_up",
              "csr float32", "csr float64", "dense float32", "dense float64"),
             0,
         )
@@ -576,30 +708,43 @@ class TestSparsePhase:
                 )
             for kernel in ("auto", "dense", "sparse"):
                 force_kernel(kernel)
+                want, records, want_converged = dense_state_solve(m)
+                outcomes.clear()
                 try:
-                    want, records, want_converged = dense_state_solve(m)
+                    r = power_law_bound(m)
                 except FeasibilityError:
-                    with pytest.raises(FeasibilityError):
-                        power_law_bound(m)
+                    assert want is None, (case, kernel)
                     seen["refused"] += 1
                     continue
-                r = power_law_bound(m)
-                assert np.array_equal(r.distances.data, want.data), (case, kernel)
                 got = [
                     (st.kernel, st.max_element, st.finite_before, st.finite_after, st.proof)
                     for st in r.epochs
                 ]
-                assert got == records, (case, kernel)
-                assert r.converged == want_converged
+                # every product record is the reference's at the same epoch
+                products = [rec for rec in got if rec[0]]
+                assert products == records[: len(products)], (case, kernel)
+                if got[-1][-1] == "edges":
+                    # no later than the reference's stop, and the relaxed
+                    # matrix is the shortest distances
+                    assert want is None or len(got) <= len(records), (case, kernel)
+                    dist = shortest_path(m.data, method="D")
+                    fin = dist[np.isfinite(dist)]
+                    assert got[-1] == (None, fin.max(), products[-1][3], fin.size, "edges")
+                    assert r.converged and np.array_equal(r.distances.data, dist)
+                else:
+                    assert want is not None and got == records, (case, kernel)
+                    assert np.array_equal(r.distances.data, want.data), (case, kernel)
+                    assert r.converged == want_converged
+                seen["gave_up"] += not all(outcomes)
                 for prev, st in zip([None, *r.epochs], r.epochs):
                     if st.kernel == "dense":
                         form = "csr" if prev is not None and prev.kernel == "sparse" else "dense"
                         seen[f"{form} {st.arithmetic}"] += 1
                 if kernel == "auto":
-                    kinds = [k for k, *_ in records if k]
+                    kinds = [k for k, *_ in got if k]
                     seen["ended_sparse"] += kinds[-1] == "sparse"
                     seen["switched"] += kinds[0] == "sparse" and kinds[-1] == "dense"
-                    seen[records[-1][-1] or "unchanged"] += 1
+                    seen[got[-1][-1] or "unchanged"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_unchanged_needs_equal_count_and_sum(self):
