@@ -37,11 +37,13 @@ _BLOCK_ROWS = 64
 # Keep the input's edges, and so relax over them, only when there are at
 # most n * n // _EDGE_DIVISOR of them; one relaxation gathers at most
 # n**3 // _EDGE_DIVISOR int16 entries, n per edge it relaxes. A pass costs
-# about 1.1 ns per gathered entry (wsf1600's first pass: 15.3 M entries in
-# 17 ms on a 2-vCPU Xeon), so at n = 1600 the cap is about 0.07 s: about
-# one product, between a float32 one (0.04 s) and a float64 one (0.13 s),
-# the kind a successful relaxation saves on weighted graphs. A relaxation
-# that would pass the cap gives up, and the solve squares on.
+# about 0.9-1.1 ns per gathered entry on a 2-vCPU Xeon, so at n = 1600 the
+# cap is about 0.06-0.07 s: no more than one float32 dense epoch
+# (0.04-0.08 s) and about half a float64 one (0.12-0.13 s), the kind a
+# successful relaxation saves on weighted graphs. A relaxation gives up as
+# soon as its next pass is sure to pass the cap, and the solve squares on;
+# a give-up at n = 1600 measured 0.01-0.07 s: at most the first pass and
+# part of the second.
 _EDGE_DIVISOR = 64
 # edges per gather of the relaxation
 _EDGE_CHUNK = 64
@@ -439,14 +441,19 @@ def _relax_edges(st: _State) -> bool:
     one fancy assignment.
 
     Work is capped at n**3 // _EDGE_DIVISOR gathered entries, n per edge
-    relaxed (see _EDGE_DIVISOR); a pass that would pass the cap is not
-    started.
+    relaxed (see _EDGE_DIVISOR). A change to row v puts every edge into v
+    into the next pass, so the relaxation counts those edges as rows
+    change, and gives up as soon as the next pass is sure to pass the cap:
+    a matrix far from the fixed point is dropped early in the first pass or
+    two, not at the cap.
     """
     n = st.n
     a = st.dense.data
     order = _rank_order(st.edges.src)
     src, dst, weight = (x[order] for x in st.edges)
-    budget = n**3 // _EDGE_DIVISOR
+    # edges the cap leaves for passes after the current one
+    left = n * n // _EDGE_DIVISOR - len(src)
+    into = np.bincount(dst, minlength=n)
     d = np.empty(a.shape, np.int16)
     np.minimum(a, _UNREACHABLE16, out=d, casting="unsafe")
     weight16 = weight.astype(np.int16)[:, None]
@@ -454,10 +461,9 @@ def _relax_edges(st: _State) -> bool:
     active = np.ones(len(src), bool)
     while True:
         s, t, wt = src[active], dst[active], weight16[active]
-        budget -= n * len(s)
-        if budget < 0:
-            return False
         changed = np.zeros(n, bool)
+        # edges of the next pass so far
+        following = 0
         for lo, hi in _chunks(s):
             through = d[t[lo:hi]]
             through += wt[lo:hi]
@@ -465,10 +471,14 @@ def _relax_edges(st: _State) -> bool:
             better = (through < rows).any(axis=1)
             if better.any():
                 u = s[lo:hi][better]
+                following += int(into[u[~changed[u]]].sum())
+                if following > left:
+                    return False
                 d[u] = np.minimum(rows[better], through[better])
                 changed[u] = True
         if not changed.any():
             break
+        left -= following
         touched |= changed
         active = changed[dst]
     summary = _dense_summary(d, _UNREACHABLE16)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -533,6 +534,68 @@ class TestEdgeStop:
             assert st.dense.data is data and data.tobytes() == before
             assert st.summary is summary
         assert gave_up >= 6
+
+    @staticmethod
+    def count_relaxed(monkeypatch) -> list[int]:
+        """Patch _chunks to add the edges of each slice the relaxation
+        takes to the last entry of the returned list."""
+        relaxed = [0]
+        chunks = solver._chunks
+
+        def counting(src):
+            for lo, hi in chunks(src):
+                relaxed[-1] += hi - lo
+                yield lo, hi
+
+        monkeypatch.setattr(solver, "_chunks", counting)
+        return relaxed
+
+    def test_gives_up_only_where_the_passes_pass_the_cap(self, monkeypatch):
+        # the edges the passes relax with the cap lifted decide the outcome:
+        # a cap of that many edges reaches Floyd-Warshall's result, a cap of
+        # one edge fewer gives up within it
+        relaxed = self.count_relaxed(monkeypatch)
+
+        def relax(m, d, cap):
+            with monkeypatch.context() as mp:
+                # n * n // _EDGE_DIVISOR is then exactly cap
+                mp.setattr(solver, "_EDGE_DIVISOR", Fraction(m.n * m.n, cap))
+                st = edge_state(m, d)
+                relaxed.append(0)
+                return solver._relax_edges(st), relaxed[-1], st.dense.data
+
+        rng = np.random.default_rng(38)
+        gave_up = 0
+        for _ in range(16):
+            m = sparse_weighted_digraph(rng, int(rng.integers(192, 256)))
+            d = first_dense_state(m).dense.data
+            dist = floyd_warshall(m).data
+            ok, needed, got = relax(m, d, m.n * m.n)
+            assert ok and np.array_equal(got, dist)
+            ok, count, got = relax(m, d, needed)
+            assert ok and count == needed and np.array_equal(got, dist)
+            # a first pass that changed nothing leaves no smaller cap to try
+            if needed > len(input_edges(m).src):
+                ok, count, got = relax(m, d, needed - 1)
+                assert not ok and count <= needed - 1 and np.array_equal(got, d)
+            fits = needed <= m.n * m.n // solver._EDGE_DIVISOR
+            assert solver._relax_edges(edge_state(m, d)) == fits
+            gave_up += not fits
+        assert 4 <= gave_up <= 12
+
+    def test_far_from_the_fixed_point_gives_up_in_the_first_pass(self, monkeypatch):
+        # the input itself, at about 1000 of the 1024 edges the cap allows
+        # at n = 256: rows change at once, and the edges into them cannot
+        # fit in a second pass, so the first pass is not finished
+        relaxed = self.count_relaxed(monkeypatch)
+        m = random_dist_matrix(
+            np.random.default_rng(39), 256, max_weight=5, density=3.9 / 256, directed=True
+        )
+        st = edge_state(m, m.data)
+        assert len(st.edges.src) <= 1024
+        assert not solver._relax_edges(st)
+        assert 0 < relaxed[-1] < len(st.edges.src) // 4
+        assert np.array_equal(st.dense.data, m.data)
 
     def test_edge_stop_saves_one_product(self, monkeypatch):
         rng = np.random.default_rng(33)
