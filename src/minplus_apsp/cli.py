@@ -13,6 +13,7 @@ from .codec import (
     DecodeError,
     EncodeParams,
     FeasibilityError,
+    base_for,
     largest_float32_x_tilde,
     precision_limits,
 )
@@ -35,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--directed", action="store_true", help="treat edges as directed")
     solve.add_argument("--oracle", action="store_true", help="cross-check against scipy's Dijkstra")
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
-    solve.add_argument("--heatmap", metavar="PATH", help="write a grayscale PGM of the result")
     solve.add_argument("--stats", metavar="PATH", help="write per-epoch statistics CSV")
 
     check = sub.add_parser("check", help="print precision limits for a node count")
@@ -56,7 +56,7 @@ def cmd_solve(args) -> int:
         print("error: --format bin requires --output", file=sys.stderr)
         return 1
     # refuse, before any work, a target that can never be opened for writing
-    for target in filter(None, (args.output, args.stats, args.heatmap)):
+    for target in filter(None, (args.output, args.stats)):
         path = Path(target)
         if path.is_dir() or not path.parent.is_dir():
             what = "is a directory" if path.is_dir() else f"{path.parent} is not a directory"
@@ -86,8 +86,6 @@ def cmd_solve(args) -> int:
             sys.stdout.write(matio.distance_csv(result.distances))
         if args.stats:
             Path(args.stats).write_text(epoch_stats_csv(result.epochs))
-        if args.heatmap:
-            matio.write_heatmap_pgm(result.distances, args.heatmap)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -129,7 +127,7 @@ def cmd_check(args) -> int:
     for width in (32, 64):
         lim = precision_limits(args.n, width)
         # safe_limit is the exponent half of the proof; x_tilde 0 tests the rounding half
-        rounding = EncodeParams(base=args.n + 1, x_tilde=0, width=width).is_feasible()
+        rounding = EncodeParams(base=base_for(args.n), x_tilde=0, width=width).is_feasible()
         verdict = "FEASIBLE" if rounding and est <= lim.safe_limit else "INFEASIBLE"
         print(
             f"width={width} paper_limit={lim.paper_limit:.1f} "

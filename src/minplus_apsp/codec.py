@@ -1,16 +1,17 @@
-"""Exponential encoding of distance matrices and floor-log decoding.
+"""Exponential encoding of distance matrices and exponent decoding.
 
-A distance a maps to base**(x_tilde - a) with base = n + 1, so that an
-ordinary matrix product simulates the min-plus product: the largest term of
-each sum dominates because at most n terms contribute and every term is a
-power of base > n. Distances come back via a floored logarithm.
+The base is the power of two base_for(n) = 2**k above 2n. A distance a maps
+to 2**(k*(x_tilde - a) - c), with the offset c of the float type (_OFFSET),
+so every code and every product of two codes is an exact power of two. An
+ordinary matrix product then simulates the min-plus product: the entry for
+distance d sums at most n powers of two, the largest 2**E with
+E = k*(2*x_tilde - d) - 2c, and the sum lies in [2**E, 2**(E + k)). So its
+binary exponent e gives d = 2*x_tilde - (e + 2c) // k, read from the float's
+bits with one shift and one table lookup.
 
 EncodeParams.width is the float type in which codes are stored, multiplied
 and summed, and EncodeParams.is_feasible the one proof that such a product
-decodes exactly: its exponent budget fits the width's range, and the
-rounding of encode, product and n-term sum moves no entry's logarithm by as
-much as half the gap between the largest true sum, n * base**s, and the next
-power of base. decode_values guards the floor with that half gap.
+decodes exactly.
 """
 from __future__ import annotations
 
@@ -24,11 +25,10 @@ from .graph import INF, DistMatrix
 # largest usable binary exponent per float width, matching published limits
 EMAX = {32: 127.9, 64: 1024.0}
 
-# share of the half decode gap that the product's rounding may use; the rest
-# covers the float64 log, divide and add of decode (about 1e-14 in log_base
-# units against a half gap above 4e-10 wherever the proof holds) and the
-# float64 power computed before each table entry is rounded to its width
-_GAP_SHARE = 0.99
+# c = -minexp // 2 per width: codes start at 2**-c, so products of two codes
+# start at 2**-2c, the smallest normal number, and use the negative half of
+# the exponent range too
+_OFFSET = {32: 63, 64: 511}
 
 # entries decode_values decodes per pass (512 KiB of float64 output), and
 # about the entries encode indexes per row block
@@ -51,6 +51,11 @@ class NonFiniteEntryError(DecodeError):
     """Inf/NaN entry in a product matrix: the exponent range overflowed."""
 
 
+def base_for(n: int) -> int:
+    """The encoding base at node count n: the power of two above 2n."""
+    return 2 ** (n.bit_length() + 1)
+
+
 @dataclass(frozen=True)
 class EncodeParams:
     """Parameters shared by encode and decode of one distance product; width
@@ -69,8 +74,9 @@ class EncodeParams:
             raise ValueError(f"width must be 32 or 64, got {self.width}")
 
     def exponent_budget(self) -> float:
-        """Binary exponent of the worst product entry, n * base**(2*x_tilde)."""
-        return 2 * self.x_tilde * math.log2(self.base) + math.log2(self.base - 1)
+        """Binary exponent that every product entry stays below: a sum below
+        base times its largest term, 2**(k * 2 * x_tilde - 2c), base = 2**k."""
+        return (2 * self.x_tilde + 1) * math.log2(self.base) - 2 * _OFFSET[self.width]
 
     @property
     def dtype(self) -> np.dtype:
@@ -78,26 +84,24 @@ class EncodeParams:
 
     def is_feasible(self) -> bool:
         """True when a product of codes stored, multiplied and summed in
-        dtype decodes exactly, whatever the summation order.
+        dtype decodes exactly, whatever the summation order, at every node
+        count n < base / 2.
 
-        Two conditions: the worst entry n * base**(2*x_tilde) fits the
-        exponent range of width, and the relative error of every entry stays
-        inside half the decode gap. Each term of an n-term sum passes through
-        at most n + 2 roundings (its two codes, their product and n - 1
-        additions), so with positive terms the error is at most gamma_(n+2) =
-        k*u / (1 - k*u), k = n + 2, u the unit roundoff of dtype (Higham,
-        Accuracy and Stability of Numerical Algorithms, ch. 3). The error
-        condition depends on n alone and holds up to n = 2880 in float32 and
-        n = 66 772 474 in float64.
+        Three conditions. The base is a power of two 2**k, so codes and their
+        products are exact powers of two, normal by the choice of c. The
+        base times eps is at most 2: with positive terms, a computed n-term
+        sum whose largest term is 2**E is at least 2**E and at most
+        (1 + gamma_(n-1)) * n * 2**E, gamma_m = m*u / (1 - m*u), u = eps/2
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
+        gamma_(n-1) < 1 for n < base / 2, so the sum stays below 2n * 2**E
+        <= 2**(E + k) and its exponent tells E. And (2*x_tilde + 1) * k is at
+        most maxexp + 2c (254 for float32, 2046 for float64), so the largest
+        sum stays finite. The rounding condition holds for n < 2**23 in
+        float32 and n < 2**52 in float64.
         """
-        n = self.base - 1
-        ku = (n + 2) * np.finfo(self.dtype).eps / 2
-        # beyond this the bound is 1 or more (or undefined), which proves nothing
-        if ku >= 0.5:
-            return False
-        delta = ku / (1 - ku)
-        error_fits = -math.log1p(-delta) < _GAP_SHARE * 0.5 * math.log1p(1 / n)
-        return error_fits and self.exponent_budget() <= EMAX[self.width]
+        info = np.finfo(self.dtype)
+        exact = self.base & (self.base - 1) == 0 and self.base * info.eps <= 2
+        return exact and self.exponent_budget() <= info.maxexp
 
 
 @dataclass(frozen=True)
@@ -109,11 +113,6 @@ class EncodedMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        """Arithmetic width of the data in bits: 32 or 64."""
-        return self.data.dtype.itemsize * 8
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ class PrecisionLimits:
 
 
 def params_for(m: DistMatrix, width: int = 64) -> EncodeParams:
-    return EncodeParams(base=m.n + 1, x_tilde=max_finite(m), width=width)
+    return EncodeParams(base=base_for(m.n), x_tilde=max_finite(m), width=width)
 
 
 def max_finite(m: DistMatrix) -> int:
@@ -141,48 +140,53 @@ def max_finite(m: DistMatrix) -> int:
 def largest_float32_x_tilde(n: int) -> int | None:
     """Largest x_tilde whose products run in float32 at node count n; None
     when n is above the float32 rounding bound."""
-    x = -1
-    while EncodeParams(base=n + 1, x_tilde=x + 1, width=32).is_feasible():
-        x += 1
-    return x if x >= 0 else None
+    if not EncodeParams(base=base_for(n), x_tilde=0, width=32).is_feasible():
+        return None
+    return math.floor(precision_limits(n, 32).safe_limit)
 
 
 def encode_table(p: EncodeParams) -> np.ndarray:
-    """The code of every distance a in 0..x_tilde, base**(x_tilde - a) at
-    index a, and 0 for unreachable at index x_tilde + 1, as p.dtype.
+    """The code of every distance a in 0..x_tilde, 2**(k*(x_tilde - a) - c)
+    at index a, and 0 for unreachable at index x_tilde + 1, as p.dtype.
 
     Every encoder takes its table from here, so this is the one place that
     refuses a p that is_feasible does not prove: no product of encoded
     values can overflow or decode wrongly.
     """
     if not p.is_feasible():
+        maxexp = np.finfo(p.dtype).maxexp
         bits = p.exponent_budget()
-        why = f"at n={p.base - 1}: {p.width}-bit rounding may pass half the decode gap"
-        if bits > EMAX[p.width]:
-            why = f"needs {bits:.1f} exponent bits, above the {p.width}-bit limit {EMAX[p.width]}"
+        if p.base & (p.base - 1):
+            why = f"base {p.base} is not a power of two"
+        elif bits > maxexp:
+            why = f"needs exponents up to {bits:.0f}, above the {p.width}-bit limit {maxexp}"
+        else:
+            why = f"at base {p.base}: {p.width}-bit rounding may carry a sum past the next power"
         raise FeasibilityError(f"x_tilde={p.x_tilde} {why}")
+    k = p.base.bit_length() - 1
     table = np.zeros(p.x_tilde + 2, p.dtype)
-    table[:-1] = float(p.base) ** np.arange(p.x_tilde, -1, -1, dtype=np.float64)
+    table[:-1] = np.ldexp(1.0, k * np.arange(p.x_tilde, -1, -1) - _OFFSET[p.width])
     return table
 
 
 def encode(m: DistMatrix, p: EncodeParams, *, out: np.ndarray | None = None) -> EncodedMatrix:
-    """Map finite entry a to base**(x_tilde - a), unreachable to 0, as
+    """Map finite entry a to 2**(k*(x_tilde - a) - c), unreachable to 0, as
     p.dtype.
 
     Refuses, before any n x n allocation, a p that is_feasible does not
     prove. out, when given, is a contiguous array of m's shape and of
     p.dtype that receives the codes; otherwise a new array is returned.
     """
-    if p.base != m.n + 1:
-        raise ValueError(f"base {p.base} does not match n + 1 = {m.n + 1}")
+    if p.base != base_for(m.n):
+        raise ValueError(f"base {p.base} does not match base_for({m.n}) = {base_for(m.n)}")
     table = encode_table(p)
     a = m.data
     if out is None:
         out = np.empty(a.shape, p.dtype)
     # per row block, one pass writes each entry's table index (inf clips to
     # the zero slot at x_tilde + 1) and one gather reads the table; a
-    # feasible x_tilde is at most 512, so every index fits in int16
+    # feasible x_tilde at base_for(n) is at most 511 (base 4, n = 1), so
+    # every index fits in int16
     unreachable = p.x_tilde + 1
     rows = max(1, _DECODE_CHUNK // m.n)
     idx = np.empty((rows, m.n), np.int16)
@@ -202,14 +206,15 @@ def encode(m: DistMatrix, p: EncodeParams, *, out: np.ndarray | None = None) -> 
 def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = None) -> np.ndarray:
     """Distances of bare product entries encoded with p, as float64.
 
-    Entry v > 0 becomes 2*x_tilde - floor(log_base(v) + guard); 0 becomes inf,
-    because log(0) = -inf. The guard is half the decode gap. arr must be of
-    p.dtype, and p proven by is_feasible. out, when given, is a contiguous
-    float64 array of arr's shape; otherwise a new array is returned. out may
-    share memory with arr in two ways: a float64 arr decodes in place as
-    out=arr, and a float32 arr may fill the second half of out's bytes. Both
-    are safe because entries are decoded in forward chunks and the bytes of
-    out up to entry k never reach the bytes of arr's entries beyond k.
+    Each entry's biased exponent, one right shift of its bits, indexes a
+    table of 2*x_tilde - (e + 2c) // k over every exponent e; 0 becomes inf.
+    arr must be of p.dtype, and p proven by is_feasible. out, when given, is
+    a contiguous float64 array of arr's shape; otherwise a new array is
+    returned. out may share memory with arr in two ways: a float64 arr
+    decodes in place as out=arr, and a float32 arr may fill the second half
+    of out's bytes. Both are safe because entries are decoded in forward
+    chunks and the bytes of out up to entry i never reach the bytes of arr's
+    entries beyond i.
     """
     if arr.dtype != p.dtype:
         raise DecodeError(f"{arr.dtype} product decoded with {p.dtype} parameters")
@@ -223,36 +228,37 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
         raise NegativeEntryError("negative entry in product matrix")
     if not p.is_feasible():
         raise DecodeError(
-            f"{p.dtype} product at n={p.base - 1}, x_tilde={p.x_tilde}: "
+            f"{p.dtype} product at base {p.base}, x_tilde={p.x_tilde}: "
             "is_feasible does not prove its decode exact"
         )
-    # n tied witnesses give n * base**s, which lies log_base((n+1)/n) below
-    # the integer s + 1, and rounding can move an exact power base**s below
-    # s by nearly half that gap (is_feasible bounds it), so a guard of the
-    # half gap keeps the floor exact
-    log_base = math.log(p.base)
-    guard = 0.5 * math.log1p(1 / (p.base - 1)) / log_base
+    info = np.finfo(p.dtype)
+    # biased exponent b is e + maxexp - 1, and every normal e + 2c is >= 0;
+    # b = 0 holds 0.0, the code of unreachable
+    e = np.arange(2**info.nexp) - (info.maxexp - 1)
+    k = p.base.bit_length() - 1
+    table = (2 * p.x_tilde - (e + 2 * _OFFSET[p.width]) // k).astype(np.float64)
+    table[0] = INF
     if out is None:
         out = np.empty(arr.shape)
-    src, dst = arr.reshape(-1), out.reshape(-1)
-    # chunks that fit the cache: the five passes below read and write each
-    # chunk once from memory instead of the whole array five times
-    with np.errstate(divide="ignore"):
-        for i in range(0, src.size, _DECODE_CHUNK):
-            logs = dst[i : i + _DECODE_CHUNK]
-            np.log(src[i : i + _DECODE_CHUNK], out=logs, dtype=np.float64)
-            logs /= log_base
-            logs += guard
-            np.floor(logs, out=logs)
-            np.subtract(2 * p.x_tilde, logs, out=logs)
+    # the bits as signed integers: the sign bit of -0.0 makes a negative
+    # index, which clips to the inf slot like 0.0
+    bits = arr.reshape(-1).view(f"int{p.width}")
+    dst = out.reshape(-1)
+    idx = np.empty(min(bits.size, _DECODE_CHUNK), bits.dtype)
+    # chunks that fit the cache: the shift and the lookup read and write
+    # each chunk once from memory
+    for i in range(0, bits.size, _DECODE_CHUNK):
+        chunk = bits[i : i + _DECODE_CHUNK]
+        ix = np.right_shift(chunk, info.nmant, out=idx[: len(chunk)])
+        np.take(table, ix, out=dst[i : i + _DECODE_CHUNK], mode="clip")
     return out
 
 
 def decode(c_prime: EncodedMatrix, p: EncodeParams) -> DistMatrix:
     """Recover distances from a product of two encoded matrices.
 
-    Entry v > 0 becomes 2*x_tilde - floor(log_base(v) + guard); 0 becomes inf.
-    The product is left unchanged.
+    Entry v > 0 becomes 2*x_tilde - (e + 2c) // k, e the binary exponent of
+    v; 0 becomes inf. The product is left unchanged.
     """
     return DistMatrix._trusted(decode_values(c_prime.data, p))
 
@@ -260,16 +266,17 @@ def decode(c_prime: EncodedMatrix, p: EncodeParams) -> DistMatrix:
 def precision_limits(n: int, width: int) -> PrecisionLimits:
     """Diameter limits imposed by the float exponent range at node count n.
 
-    paper_limit bounds base**D itself; safe_limit bounds the worst product
-    term n * base**(2*D) that actually occurs during decode, the exponent
-    half of EncodeParams.is_feasible.
+    paper_limit is the paper's bound on base**D itself with Alon's base
+    n + 1; safe_limit is the largest x_tilde, as a real number, that the
+    exponent half of EncodeParams.is_feasible admits at base_for(n):
+    (2*x_tilde + 1) * k <= maxexp + 2c.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if width not in EMAX:
         raise ValueError(f"width must be 32 or 64, got {width}")
     emax = EMAX[width]
-    log_base = math.log2(n + 1)
-    paper = emax / log_base
-    safe = (emax - math.log2(n)) / (2 * log_base)
+    paper = emax / math.log2(n + 1)
+    maxexp = np.finfo(f"float{width}").maxexp
+    safe = ((maxexp + 2 * _OFFSET[width]) / (n.bit_length() + 1) - 1) / 2
     return PrecisionLimits(n=n, width=width, emax=emax, paper_limit=paper, safe_limit=safe)

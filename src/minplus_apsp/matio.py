@@ -1,4 +1,4 @@
-"""Matrix and graph serialization: CSV, raw binary, PGM heatmap, edge lists."""
+"""Matrix and graph serialization: CSV, raw binary, edge lists."""
 from __future__ import annotations
 
 import struct
@@ -64,20 +64,6 @@ def read_distance_binary(path: str | Path) -> DistMatrix:
     out = raw.astype(np.float64)
     out[raw == INF_SENTINEL] = INF
     return DistMatrix(out)
-
-
-def write_heatmap_pgm(m: DistMatrix, path: str | Path) -> None:
-    """Grayscale PGM of the distance matrix: darker = closer, white = unreachable."""
-    finite = np.isfinite(m.data)
-    max_d = m.data[finite].max()
-    gray = np.full(m.data.shape, 255, dtype=np.uint8)
-    if max_d > 0:
-        gray[finite] = np.round(230.0 * m.data[finite] / max_d).astype(np.uint8)
-    else:
-        gray[finite] = 0
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{m.n} {m.n}\n255\n".encode())
-        fh.write(gray.tobytes())
 
 
 def edge_list_text(g: Graph) -> str:

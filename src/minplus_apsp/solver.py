@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .codec import EncodedMatrix, EncodeParams, decode_values, encode, encode_table
+from .codec import EncodedMatrix, EncodeParams, base_for, decode_values, encode, encode_table
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
 
@@ -48,7 +48,7 @@ _EDGE_DIVISOR = 64
 # edges per gather of the relaxation
 _EDGE_CHUNK = 64
 # stands for inf in the relaxation's int16 copy of the distances: with any
-# weight (at most 512) added it stays below 2**15; a finite entry that
+# weight (at most 511) added it stays below 2**15; a finite entry that
 # could reach it makes the relaxation give up
 _UNREACHABLE16 = 2**14
 
@@ -139,9 +139,10 @@ def _unchanged(before: _Summary, after: _Summary) -> bool:
     Exact for a min-plus square D (x) D of a matrix D with a zero diagonal:
     it is <= D entrywise, so its finite set contains D's and an equal finite
     count means an equal finite set, on which an equal sum then leaves no
-    entry smaller. Every finite entry is an integer of at most 2 * 512
-    (twice the largest feasible x_tilde), so for every n below 2.9e6 each
-    sum stays below 2**53 and is exact in float64.
+    entry smaller. Every finite entry is an integer of at most 2 * 511
+    (twice the largest x_tilde is_feasible admits at base_for(n), at
+    n = 1), so for every n below 2.9e6 each sum stays below 2**53 and is
+    exact in float64.
     """
     return before.finite == after.finite and before.total == after.total
 
@@ -275,7 +276,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
     float32 epoch allocates no full array beyond the distances it returns.
     """
     n = st.n
-    p = EncodeParams(base=n + 1, x_tilde=st.summary.top)
+    p = EncodeParams(base=base_for(n), x_tilde=st.summary.top)
     kind = _kernel_for(st.summary.finite, n)
     if kind == SPARSE:
         # the state is CSR: _scan picks its form by the same kernel rule,
@@ -296,7 +297,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
         # to a finite distance
         st.set_sparse(prod.indptr, prod.indices, decode_values(prod.data, p, out=prod.data))
         return kind, p.dtype.name
-    p32 = EncodeParams(base=n + 1, x_tilde=st.summary.top, width=32)
+    p32 = EncodeParams(base=p.base, x_tilde=p.x_tilde, width=32)
     p = p32 if p32.is_feasible() else p
     # the table refuses an infeasible x_tilde, so it comes before any n x n
     # allocation
@@ -430,7 +431,7 @@ def _relax_edges(st: _State) -> bool:
     Unreachable pairs need no path: dist = inf there, and D >= dist.
 
     Runs on an int16 copy of D with inf mapped to _UNREACHABLE16. Entries
-    only fall, and the sentinel plus any weight (at most 512: the first
+    only fall, and the sentinel plus any weight (at most 511: the first
     epoch's x_tilde bounds them) stays below 2**15, so nothing overflows.
     A finite entry whose sum with a weight reached the sentinel would be
     taken for unreachable; at the fixed point that cannot have happened

@@ -66,14 +66,14 @@ class TestSolve:
         assert main(["solve", missing, "--format", "bin"]) == 1
         assert capsys.readouterr().err == "error: --format bin requires --output\n"
 
-    @pytest.mark.parametrize("flag", ["-o", "--stats", "--heatmap"])
+    @pytest.mark.parametrize("flag", ["-o", "--stats"])
     def test_unwritable_output_reported(self, p3_file, tmp_path, flag, capsys):
         target = str(tmp_path / "no_such_dir" / "out")
         assert main(["solve", p3_file, flag, target]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and "no_such_dir" in err
 
-    @pytest.mark.parametrize("flag", ["-o", "--stats", "--heatmap"])
+    @pytest.mark.parametrize("flag", ["-o", "--stats"])
     @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
     def test_unwritable_output_rejected_before_parsing(
         self, p3_file, tmp_path, monkeypatch, flag, where, capsys
@@ -102,19 +102,20 @@ class TestSolve:
         assert lines[0].startswith("epoch,max_element")
         assert len(lines) == 3
 
-    def test_heatmap_pgm(self, p3_file, tmp_path):
-        pgm = tmp_path / "d.pgm"
-        assert main(["solve", p3_file, "--heatmap", str(pgm)]) == 0
-        blob = pgm.read_bytes()
-        assert blob.startswith(b"P5\n3 3\n255\n")
-        assert len(blob) == len(b"P5\n3 3\n255\n") + 9
-
     def test_infeasible_diameter(self, tmp_path, capsys):
-        # one edge of weight 600 at n = 2 needs 1903 exponent bits
+        # one edge of weight 600 at n = 2 (base 8, k = 3) needs exponents up
+        # to 1201 * 3 - 1022 = 2581; x_tilde 340 is the float64 limit there
         path = tmp_path / "heavy.txt"
         path.write_text("0 1 600\n")
         assert main(["solve", str(path)]) == 1
-        assert "above the 64-bit limit 1024.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "x_tilde=600 needs exponents up to 2581, above the 64-bit limit 1024" in err
+        path.write_text("0 1 340\n")
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("0,340\n340,0\n")
+        path.write_text("0 1 341\n")
+        assert main(["solve", str(path)]) == 1
+        assert "x_tilde=341 needs exponents up to 1027, above" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_tuning_flags_rejected(self, p3_file, flag):
@@ -258,22 +259,26 @@ class TestCheck:
         assert "paper_limit=127.9" in out and "paper_limit=1024.0" in out
 
     def test_float32_products(self, capsys):
-        # route1600's dense epoch (x_tilde 2) runs float32; above n = 2880
-        # the float32 rounding bound admits no x_tilde
+        # route1600's dense epoch (x_tilde 2) and sf6000's (x_tilde 4) run
+        # float32, wsf1600's (x_tilde 29..36) float64
         assert main(["check", "1600"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "float32_products=x_tilde<=5"
-        assert main(["check", "2881"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "float32_products=none"
+        assert capsys.readouterr().out.splitlines()[-1] == "float32_products=x_tilde<=10"
+        assert main(["check", "6000"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "float32_products=x_tilde<=8"
 
     def test_rounding_bound_refuses_a_width(self, capsys):
-        # n = 7e7 has its estimated diameter within the 64-bit exponent
-        # range, but is above the float64 rounding bound (n <= 66 772 474)
-        assert main(["check", "70000000"]) == 0
+        # the float32 exponent range admits x_tilde 4 on both sides of
+        # n = 2**23, but the rounding bound (n < 2**23) refuses float32
+        # products above it
+        assert main(["check", str(2**23 - 1)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[2] == "width=64 paper_limit=39.3 safe_limit=19.1 INFEASIBLE"
-        assert lines[1].endswith(" INFEASIBLE")
-        assert main(["check", "66772474"]) == 0
-        assert capsys.readouterr().out.splitlines()[2].endswith(" FEASIBLE")
+        assert lines[1] == "width=32 paper_limit=5.6 safe_limit=4.8 INFEASIBLE"
+        assert lines[-1] == "float32_products=x_tilde<=4"
+        assert main(["check", str(2**23)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "width=32 paper_limit=5.6 safe_limit=4.6 INFEASIBLE"
+        assert lines[2].endswith(" FEASIBLE")
+        assert lines[-1] == "float32_products=none"
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_nonpositive_n_reported(self, n, capsys):

@@ -23,6 +23,7 @@ from minplus_apsp import (
 from minplus_apsp import codec
 from minplus_apsp.codec import (
     DecodeError,
+    base_for,
     decode_values,
     encode_table,
     largest_float32_x_tilde,
@@ -46,20 +47,29 @@ class TestMaxFinite:
         assert max_finite(m) == 8
 
 
+# codes of distance a are 2**(k*(x_tilde - a) - c), with c = 511 in float64
+# and 63 in float32; P3 has n = 3, so base 8 and k = 3, and x_tilde = 1
+P3_CODES = [
+    [2.0**-508, 2.0**-511, 0], [2.0**-511, 2.0**-508, 2.0**-511], [0, 2.0**-511, 2.0**-508]
+]
+P3_CODES_32 = [[2.0**-60, 2.0**-63, 0], [2.0**-63, 2.0**-60, 2.0**-63], [0, 2.0**-63, 2.0**-60]]
+
+
 class TestEncode:
     def test_p3_worked_example(self, p3):
+        assert params_for(p3) == EncodeParams(base=8, x_tilde=1)
         enc = encode(p3, params_for(p3))
-        assert enc.data.tolist() == [[4, 1, 0], [1, 4, 1], [0, 1, 4]]
+        assert enc.data.tolist() == P3_CODES
 
     def test_single_node(self):
         m = DistMatrix.from_rows([[0]])
-        enc = encode(m, EncodeParams(base=2, x_tilde=0))
-        assert enc.data.tolist() == [[1.0]]
+        enc = encode(m, EncodeParams(base=4, x_tilde=0))
+        assert enc.data.tolist() == [[2.0**-511]]
 
     def test_two_node_weight_two(self):
         m = DistMatrix.from_rows([[0, 2], [2, 0]])
-        enc = encode(m, EncodeParams(base=3, x_tilde=2))
-        assert enc.data.tolist() == [[9, 1], [1, 9]]
+        enc = encode(m, EncodeParams(base=8, x_tilde=2))
+        assert enc.data.tolist() == [[2.0**-505, 2.0**-511], [2.0**-511, 2.0**-505]]
 
     def test_width_32_dtype(self, p3):
         # width is the float type of the codes
@@ -68,15 +78,17 @@ class TestEncode:
         assert encode_table(p).dtype == np.float32
         out = np.empty((3, 3), np.float32)
         assert encode(p3, p, out=out).data is out
-        assert out.tolist() == [[4, 1, 0], [1, 4, 1], [0, 1, 4]]
+        assert out.tolist() == P3_CODES_32
 
     def test_float32_codes_report_width_32(self, p3):
         enc = encode(p3, params_for(p3, width=32))
         assert enc.data.dtype == np.float32
-        assert enc.width == 32
-        assert enc.data.tolist() == encode(p3, params_for(p3)).data.tolist()
+        # the same powers of two, each width shifted by its own offset c
+        wide = encode(p3, params_for(p3)).data
+        assert (enc.data.astype(np.float64) * 2.0**63).tolist() == (wide * 2.0**511).tolist()
 
     def test_feasibility_error(self):
+        # x_tilde 41 is the float32 limit at n = 2
         m = DistMatrix.from_rows([[0, 45], [45, 0]])
         with pytest.raises(FeasibilityError):
             encode(m, params_for(m, width=32))
@@ -96,12 +108,12 @@ class TestEncode:
             encode_table(params_for(m), np.float32)
         with pytest.raises(FeasibilityError, match="exponent"):
             encode(m, params_for(m, width=32))
-        # x_tilde 1 at n = 2881 fits the float32 exponent range, but its
+        # x_tilde 1 at n = 2**23 fits the float32 exponent range, but its
         # rounding is outside the proof; a zero-strided n x n view stands in
         # for the input, so only encode itself could allocate
-        n = 2881
-        p = EncodeParams(base=n + 1, x_tilde=1, width=32)
-        assert p.exponent_budget() < EMAX[32]
+        n = 2**23
+        p = EncodeParams(base=base_for(n), x_tilde=1, width=32)
+        assert p.exponent_budget() < np.finfo(np.float32).maxexp
         view = DistMatrix._trusted(np.broadcast_to(0.0, (n, n)))
         tracemalloc.start()
         try:
@@ -114,27 +126,53 @@ class TestEncode:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    @pytest.mark.parametrize("width, top", [(32, 2880), (64, 66_772_474)])
+    @pytest.mark.parametrize("width, top", [(32, 2**23 - 1), (64, 2**52 - 1)])
     def test_rounding_bound_pins_n(self, width, top):
-        # the rounding half of the proof admits x_tilde 1 at n = top and not
-        # even x_tilde 0 one node further; a table holds x_tilde + 2 codes,
-        # so neither side allocates anything of size n
-        assert EncodeParams(base=top + 1, x_tilde=1, width=width).is_feasible()
-        table = encode_table(EncodeParams(base=top + 1, x_tilde=1, width=width))
+        # the rounding half of the proof (base * eps <= 2) admits x_tilde 1
+        # at n = top and not even x_tilde 0 one node further, where the base
+        # doubles; a table holds x_tilde + 2 codes, so neither side
+        # allocates anything of size n
+        assert EncodeParams(base=base_for(top), x_tilde=1, width=width).is_feasible()
+        table = encode_table(EncodeParams(base=base_for(top), x_tilde=1, width=width))
         assert table.dtype == f"float{width}" and len(table) == 3
-        p = EncodeParams(base=top + 2, x_tilde=0, width=width)
-        assert p.exponent_budget() < EMAX[width]
+        p = EncodeParams(base=base_for(top + 1), x_tilde=0, width=width)
+        assert p.exponent_budget() < np.finfo(p.dtype).maxexp
         assert not p.is_feasible()
         with pytest.raises(FeasibilityError, match="rounding"):
             encode_table(p)
 
     def test_largest_feasible_x_tilde(self):
-        # base 2 admits x_tilde = 512, the most any feasible encoding has
+        # base 4 (n = 1) admits x_tilde = 511, the most any encoding at
+        # base_for(n) has; the int16 indices of encode and the relaxation's
+        # int16 sentinel rely on that bound
         m = DistMatrix.from_rows([[0]])
-        enc = encode(m, EncodeParams(base=2, x_tilde=512))
-        assert enc.data.tolist() == [[2.0**512]]
+        enc = encode(m, EncodeParams(base=4, x_tilde=511))
+        assert enc.data.tolist() == [[2.0**511]]
         with pytest.raises(FeasibilityError):
-            encode(m, EncodeParams(base=2, x_tilde=513))
+            encode(m, EncodeParams(base=4, x_tilde=512))
+        # every base_for(n) is 2**k with k >= 2
+        for k in range(2, 64):
+            for width in (32, 64):
+                assert not EncodeParams(base=2**k, x_tilde=512, width=width).is_feasible()
+
+    def test_base_is_the_power_of_two_above_2n(self):
+        # base_for(n) is admitted, and encode refuses half of it (or any
+        # other base) before it allocates: a zero-strided view is the input
+        for n in range(1, 3001):
+            b = base_for(n)
+            assert b & (b - 1) == 0 and 2 * n < b <= 4 * n, n
+            assert EncodeParams(base=b, x_tilde=1, width=32).is_feasible(), n
+        for n in (1, 2, 3, 64, 1000, 10**6):
+            view = DistMatrix._trusted(np.broadcast_to(0.0, (n, n)))
+            for base in (base_for(n) // 2, 2 * base_for(n), n + 1):
+                with pytest.raises(ValueError, match="base"):
+                    encode(view, EncodeParams(base=base, x_tilde=0))
+            if n <= 64:
+                assert encode(view, EncodeParams(base=base_for(n), x_tilde=0)).n == n
+
+    def test_base_not_a_power_of_two_refused(self):
+        with pytest.raises(FeasibilityError, match="power of two"):
+            encode_table(EncodeParams(base=7, x_tilde=1))
 
     def test_base_mismatch_rejected(self, p3):
         with pytest.raises(ValueError, match="base"):
@@ -142,7 +180,7 @@ class TestEncode:
 
     def test_x_tilde_too_small_rejected(self, p3):
         with pytest.raises(ValueError, match="x_tilde"):
-            encode(p3, EncodeParams(base=4, x_tilde=0))
+            encode(p3, EncodeParams(base=8, x_tilde=0))
 
     def test_antitone(self):
         m = DistMatrix.from_rows([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
@@ -158,17 +196,24 @@ class TestDecode:
     def test_p3_squared_worked_example(self, p3):
         p = params_for(p3)
         sq = multiply_dense(encode(p3, p), encode(p3, p))
-        # 4*4 + 1*1 + 0*0 = 17 on the diagonal corner, 4*0 + 1*1 + 0*4 = 1
-        # for the two-hop pair
-        assert sq.data[0, 0] == 17
-        assert sq.data[0, 2] == 1
+        # 2**-1016 + 2**-1022 + 0 on the diagonal corner, one witness
+        # 2**-511 * 2**-511 for the two-hop pair: binary exponents -1016 and
+        # -1022, and 2 * 1 - (e + 1022) // 3 gives 0 and 2
+        assert sq.data[0, 0] == 2.0**-1016 + 2.0**-1022
+        assert sq.data[0, 2] == 2.0**-1022
         dec = decode(sq, p)
         assert dec.data.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     def test_zero_decodes_to_inf(self):
         p = EncodeParams(base=4, x_tilde=1)
-        dec = decode(EncodedMatrix(np.array([[17.0, 0.0], [0.0, 17.0]])), p)
-        assert dec.data[0, 1] == INF
+        # -0.0 has the sign bit set, and decodes like 0.0
+        prod = np.array([[2.0**-1018, 0.0], [-0.0, 2.0**-1018]])
+        dec = decode(EncodedMatrix(prod), p)
+        assert dec.data.tolist() == [[0, INF], [INF, 0]]
+        # in float32 c = 63, so 2**-122 decodes to 2 - (-122 + 126) // 2 = 0
+        prod32 = np.array([[2.0**-122, 0.0], [-0.0, 2.0**-122]], np.float32)
+        dec32 = decode_values(prod32, EncodeParams(base=4, x_tilde=1, width=32))
+        assert dec32.tolist() == [[0, INF], [INF, 0]]
 
     def test_negative_entry_raises(self):
         p = EncodeParams(base=4, x_tilde=1)
@@ -227,31 +272,28 @@ class TestDecode:
             decode(bad, p)
 
     def test_decode_values_in_place(self):
+        # base 4: k = 2, so exponent e decodes to 2 - (e + 1022) // 2
         p = EncodeParams(base=4, x_tilde=1)
-        vals = np.array([17.0, 1.0, 4.0, 0.0])
+        vals = np.array([2.0**-1018, 2.0**-1022, 2.0**-1020 + 2.0**-1021, 0.0])
         out = decode_values(vals, p, out=vals)
         assert out is vals
         assert vals.tolist() == [0.0, 2.0, 1.0, INF]
 
 
 class TestDecodeExactAtLargeN:
-    """c tied witnesses at distance d give the product entry c * base**(2x - d),
-    which lies log_base((n+1)/n) below the next power of base when c = n.
-
-    These products are float64, decoded under the half-gap guard; a cap of
-    32 checks x_tilde up to the 32-bit exponent cap, a cap of 64 up to the
-    64-bit one. TestFloat32Exact covers float32 products.
-    """
+    """c tied witnesses at distance d give the product entry c * 2**E, the
+    largest sum a product entry with largest term 2**E can reach when
+    c = n. A width of 32 checks float32 products up to the float32 limit,
+    64 float64 products up to the float64 one. TestFloat32Exact runs the
+    sums through BLAS."""
 
     def test_n_tied_witnesses_width_32(self):
-        # above n = 2880 the proof refuses float32 at every x_tilde, and the
-        # x_tilde of the 32-bit exponent cap decodes in float64
+        # float32 is proven at every n below 2**23; x_tilde 2 fits each
         for n in (11_000, 20_000, 100_000):
-            assert not EncodeParams(base=n + 1, x_tilde=0, width=32).is_feasible()
-            p = EncodeParams(base=n + 1, x_tilde=2)
-            assert p.exponent_budget() <= EMAX[32]
-            b = float(p.base)
-            prod = np.array([[b**4, n * b**2], [0.0, b**4]])
+            p = EncodeParams(base=base_for(n), x_tilde=2, width=32)
+            assert p.is_feasible()
+            code = encode_table(p)
+            prod = np.array([[code[0] ** 2, n * code[1] ** 2], [0, code[0] ** 2]], np.float32)
             assert decode(EncodedMatrix(prod), p).data[0, 1] == 2
 
     @pytest.mark.parametrize("cap", [32, 64])
@@ -260,54 +302,61 @@ class TestDecodeExactAtLargeN:
         top = math.floor(precision_limits(n, cap).safe_limit)
         assert top >= 1
         for x in sorted({1, 2, top} & set(range(1, top + 1))):
-            p = EncodeParams(base=n + 1, x_tilde=x)
+            p = EncodeParams(base=base_for(n), x_tilde=x, width=cap)
             # the factors as encode stores them, multiplied and summed in
-            # float64, as the kernels do
-            powers = float(p.base) ** np.arange(x + 1, dtype=np.float64)
+            # p.dtype, as the kernels do
+            code = encode_table(p)[:-1]
             entries, expected = [], []
             for d in range(2 * x + 1):
                 a = min(d, x)
-                term = float(powers[x - a]) * float(powers[x - (d - a)])
+                term = code[a] * code[d - a]
                 for c in (n, n - 1, 1):
-                    entries.append(c * term)
+                    entries.append(p.dtype.type(c) * term)
                     expected.append(d)
             k = len(entries) + 1
-            prod = np.zeros((k, k))
-            np.fill_diagonal(prod, float(powers[x]) ** 2)
+            prod = np.zeros((k, k), p.dtype)
+            np.fill_diagonal(prod, code[0] ** 2)
             prod[0, 1:] = entries
             dec = decode(EncodedMatrix(prod), p)
             assert dec.data[0, 1:].tolist() == expected, (n, cap, x)
 
 
-def _largest_float32_n(limit: int = 10**4) -> int:
-    for n in range(1, limit):
-        if not EncodeParams(base=n + 2, x_tilde=0, width=32).is_feasible():
-            return n
-    raise AssertionError(f"float32 proven at every n below {limit}")
+def _largest_float32_n() -> int:
+    # base_for(n) doubles only where n reaches a power of two
+    for j in range(64):
+        if not EncodeParams(base=base_for(2**j), x_tilde=0, width=32).is_feasible():
+            assert EncodeParams(base=base_for(2**j - 1), x_tilde=0, width=32).is_feasible()
+            return 2**j - 1
+    raise AssertionError("float32 proven at every n below 2**63")
 
 
 def _tied_witness_cases(n: int, x: int) -> np.ndarray:
-    """Rows of distances, one per (a, c): c entries a, the rest unreachable,
-    for every a in 0..x and c in (n, n - 1, 1). Row i times row j (as a
-    column) has min(c_i, c_j) tied witnesses at a_i + a_j."""
+    """Rows of distances, three for each a in (0, 1, x // 2, x - 1, x): n
+    entries a (n tied witnesses), n - 1 entries a and one a + 1 (a near
+    tie; unreachable when a = x), and a single entry a with the rest
+    unreachable. Row i times row j (as a column) has up to n tied witnesses
+    at a_i + a_j, and near ties one term one step lighter."""
     rows = []
-    for a in range(x + 1):
-        for c in (n, n - 1, 1):
-            row = np.full(n, INF)
-            row[:c] = a
-            rows.append(row)
+    for a in sorted({0, 1, x // 2, x - 1, x} & set(range(x + 1))):
+        tie = np.full(n, float(a), np.float32)
+        near = tie.copy()
+        near[-1] = a + 1 if a < x else INF
+        single = np.full(n, INF, np.float32)
+        single[0] = a
+        rows += [tie, near, single]
     return np.array(rows)
 
 
 def _product(d: np.ndarray, p: EncodeParams) -> np.ndarray:
     """d times d.T through BLAS on codes of p.dtype, as a dense epoch runs it."""
-    codes = encode_table(p)[np.minimum(d, p.x_tilde + 1).astype(np.int16)]
+    idx = np.minimum(d, p.x_tilde + 1, out=np.empty(d.shape, np.int16), casting="unsafe")
+    codes = encode_table(p)[idx]
     return codes @ codes.T
 
 
 def _minplus(d: np.ndarray) -> np.ndarray:
     """min over k of d[i, k] + d[j, k], straight from the definition."""
-    return np.min(d[:, None, :] + d[None, :, :], axis=2)
+    return np.array([[np.min(di + dj) for dj in d] for di in d])
 
 
 class TestFloat32Exact:
@@ -315,54 +364,58 @@ class TestFloat32Exact:
     width exact; there every tied-witness product decodes to the min-plus
     definition."""
 
-    def test_bound_admits_route1600_not_wsf1600_or_sf6000(self):
-        assert _largest_float32_n() == 2880
-        assert largest_float32_x_tilde(1600) == 5
-        assert largest_float32_x_tilde(2880) == 5
+    def test_bound_admits_route1600_and_sf6000_not_wsf1600(self):
+        assert _largest_float32_n() == 2**23 - 1
+        assert largest_float32_x_tilde(1600) == 10
+        assert largest_float32_x_tilde(2880) == 9
+        assert largest_float32_x_tilde(8508) == 7
         assert largest_float32_x_tilde(1) == 63
-        # wsf1600's dense epochs run at x_tilde 29..36; sf6000 is above the n bound
-        assert not EncodeParams(base=1601, x_tilde=29, width=32).is_feasible()
-        for n in (6000, 2**23, 2**24, 10**23):
+        # route1600's dense epoch runs at x_tilde 2, sf6000's at 4;
+        # wsf1600's at 29..36
+        assert EncodeParams(base=base_for(1600), x_tilde=2, width=32).is_feasible()
+        assert EncodeParams(base=base_for(6000), x_tilde=4, width=32).is_feasible()
+        assert not EncodeParams(base=base_for(1600), x_tilde=29, width=32).is_feasible()
+        for n in (2**23, 2**24, 10**23):
             assert largest_float32_x_tilde(n) is None, n
 
     def test_next_n_and_next_x_tilde_route_to_float64(self):
         big = _largest_float32_n()
         for n in (1600, big):
             top = largest_float32_x_tilde(n)
-            assert EncodeParams(base=n + 1, x_tilde=top, width=32).is_feasible()
-            assert not EncodeParams(base=n + 1, x_tilde=top + 1, width=32).is_feasible()
+            assert EncodeParams(base=base_for(n), x_tilde=top, width=32).is_feasible()
+            assert not EncodeParams(base=base_for(n), x_tilde=top + 1, width=32).is_feasible()
         assert largest_float32_x_tilde(big + 1) is None
+        assert EncodeParams(base=base_for(big + 1), x_tilde=1).is_feasible()
 
     def test_largest_x_tilde_is_the_32_bit_safe_limit(self):
-        # the paper's 32-bit diameter limit acts only here: up to the n
-        # bound, float32 is admitted exactly up to the safe limit
-        for n in range(1, 2881):
+        # float32 is admitted exactly up to the 32-bit safe limit
+        for n in [*range(1, 3001), 8508, 10**4, 10**5, 10**6, 2**23 - 1]:
             top = largest_float32_x_tilde(n)
             assert top == math.floor(precision_limits(n, 32).safe_limit), n
-        assert largest_float32_x_tilde(2881) is None
+        assert largest_float32_x_tilde(2**23) is None
 
-    # each n at the width a dense epoch picks there; x_tilde 4 at n = 6000
-    # is sf6000's dense epoch
+    # x_tilde 2 at n = 1600 is route1600's dense epoch, x_tilde 4 at
+    # n = 6000 sf6000's; each n runs in both widths, from x_tilde 1 to the
+    # width's limit
     @pytest.mark.parametrize(
-        "n, width",
-        [(1600, 32), (2880, 32), (3000, 64), (6000, 64), (10_000, 64)],
-        ids=["1600", "2880", "3000", "6000", "10000"],
+        "n", [1600, 2880, 3000, 6000, 10_000, 10**6], ids=lambda n: str(n)
     )
-    def test_tied_witnesses_decode_exactly(self, n, width):
-        assert EncodeParams(base=n + 1, x_tilde=1, width=32).is_feasible() == (width == 32)
-        for x in (1, largest_float32_x_tilde(n)) if width == 32 else (1, 4):
-            p = EncodeParams(base=n + 1, x_tilde=x, width=width)
-            d = _tied_witness_cases(n, x)
-            prod = _product(d, p)
-            assert prod.dtype == p.dtype
-            assert np.array_equal(decode_values(prod, p), _minplus(d)), (n, x)
+    def test_tied_witnesses_decode_exactly(self, n):
+        for width in (32, 64):
+            top = math.floor(precision_limits(n, width).safe_limit)
+            for x in (1, top):
+                p = EncodeParams(base=base_for(n), x_tilde=x, width=width)
+                d = _tied_witness_cases(n, x)
+                prod = _product(d, p)
+                assert prod.dtype == p.dtype
+                assert np.array_equal(decode_values(prod, p), _minplus(d)), (n, width, x)
 
     def test_product_of_another_dtype_refused(self):
-        # a product decodes only under the width it was multiplied in: a
-        # float32 product's rounding is far outside the float64 proof
+        # a product decodes only under the width it was multiplied in: the
+        # float32 offset c is not float64's
         n, x = 1600, 2
-        p32 = EncodeParams(base=n + 1, x_tilde=x, width=32)
-        p64 = EncodeParams(base=n + 1, x_tilde=x)
+        p32 = EncodeParams(base=base_for(n), x_tilde=x, width=32)
+        p64 = EncodeParams(base=base_for(n), x_tilde=x)
         d = _tied_witness_cases(n, x)
         prod = _product(d, p32)
         assert np.array_equal(decode_values(prod, p32), _minplus(d))
@@ -376,7 +429,7 @@ class TestFloat32Exact:
         # the bytes of the float64 array the distances are decoded into
         n, x = 400, 3
         assert n * n > 2 * codec._DECODE_CHUNK
-        p = EncodeParams(base=n + 1, x_tilde=x, width=32)
+        p = EncodeParams(base=base_for(n), x_tilde=x, width=32)
         rng = np.random.default_rng(5)
         d = rng.integers(0, x + 1, (n, n)).astype(float)
         d[rng.random((n, n)) < 0.5] = INF
@@ -387,14 +440,24 @@ class TestFloat32Exact:
         assert np.array_equal(buf, [np.min(d[i] + d, axis=1) for i in range(n)])
 
     def test_float32_product_outside_the_bound_refused(self):
-        p = EncodeParams(base=1601, x_tilde=6, width=32)
+        p = EncodeParams(base=base_for(1600), x_tilde=11, width=32)
         with pytest.raises(DecodeError, match="float32"):
             decode_values(np.ones((2, 2), np.float32), p)
+        p = EncodeParams(base=base_for(2**23), x_tilde=1, width=32)
         with pytest.raises(DecodeError, match="float32"):
-            decode_values(np.ones(2, np.float32), EncodeParams(base=3000, x_tilde=1, width=32))
+            decode_values(np.ones(2, np.float32), p)
         # and float64 one node above its rounding bound
         with pytest.raises(DecodeError, match="float64"):
-            decode_values(np.ones(2), EncodeParams(base=66_772_476, x_tilde=1))
+            decode_values(np.ones(2), EncodeParams(base=base_for(2**52), x_tilde=1))
+
+
+def _parent_x_tilde(n: int, width: int) -> int | None:
+    """Largest x_tilde that Alon's base n + 1 with a half-gap log decode
+    admitted: 2 * x * log2(n + 1) + log2(n) within EMAX, at n up to that
+    proof's rounding bound (2880 in float32, 66 772 474 in float64)."""
+    if n > (2880 if width == 32 else 66_772_474):
+        return None
+    return math.floor((EMAX[width] - math.log2(n)) / (2 * math.log2(n + 1)))
 
 
 class TestPrecisionLimits:
@@ -424,13 +487,22 @@ class TestPrecisionLimits:
     def test_safe_limit_is_the_encode_guard(self, width):
         # check's verdict (D <= safe_limit) and encode's refusal of x_tilde
         # agree at every integer diameter: floor(safe_limit) is the largest
-        # x_tilde that encode admits, at every n the width's rounding bound
-        # admits (2880 in float32, 66 772 474 in float64)
-        ns = range(1, 2881) if width == 32 else [*range(1, 3001), 8508, 10**4, 10**5, 10**6]
-        for n in ns:
+        # x_tilde that encode admits
+        for n in [*range(1, 3001), 8508, 10**4, 10**5, 10**6]:
             top = math.floor(precision_limits(n, width).safe_limit)
-            assert EncodeParams(base=n + 1, x_tilde=top, width=width).is_feasible(), n
-            assert not EncodeParams(base=n + 1, x_tilde=top + 1, width=width).is_feasible(), n
+            assert EncodeParams(base=base_for(n), x_tilde=top, width=width).is_feasible(), n
+            refused = EncodeParams(base=base_for(n), x_tilde=top + 1, width=width)
+            assert not refused.is_feasible(), n
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_parent_ceilings_still_admitted(self, width):
+        # every x_tilde the base-(n + 1) encoding admitted at n >= 2 is
+        # admitted by the power-of-two base (n = 1 goes from 512 to 511 in
+        # float64, where x_tilde is always 0)
+        for n in [*range(2, 20_001), 10**5, 10**6, 10**7]:
+            old = _parent_x_tilde(n, width)
+            if old is not None:
+                assert EncodeParams(base=base_for(n), x_tilde=old, width=width).is_feasible(), n
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

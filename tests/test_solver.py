@@ -682,35 +682,61 @@ class TestEdgeStop:
         assert r.converged and r.epochs[-1].proof == "bound"
 
     @pytest.mark.parametrize(
-        "n, chords, diameter, solved",
+        "n, chords, diameter, relaxed",
         [(400, 9, 81, True), (400, 10, 82, False), (800, 20, 111, False)],
     )
-    def test_ring_past_the_diameter_ceiling(self, n, chords, diameter, solved):
-        # an undirected unit-weight ring with random chords: every epoch up
-        # to x_tilde = 32 is feasible and x_tilde = 64 is not (safe_limit
-        # 58.7 at n = 400, 52.6 at n = 800). Past epoch 6 only the
-        # relaxation can finish, within its work cap: from epoch 6's state
-        # the diameter-81 ring needs fewer than n * n // 64 edge relaxations,
-        # the diameter-82 ring 3782 of 2500, and the n = 800 ring more still
-        rng = np.random.default_rng(5)
-        a = np.full((n, n), INF)
-        np.fill_diagonal(a, 0.0)
-        a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-        src, dst = rng.integers(0, n, chords), rng.integers(0, n, chords)
-        keep = src != dst
-        a[src[keep], dst[keep]] = 1.0
-        m = DistMatrix(np.minimum(a, a.T))
+    def test_ring_past_the_diameter_ceiling(self, n, chords, diameter, relaxed):
+        # an undirected unit-weight ring with random chords, past the x_tilde
+        # that Alon's base n + 1 admitted (58 at n = 400, 52 at n = 800):
+        # every epoch up to x_tilde = 64 is feasible and x_tilde = 128 is
+        # not (safe_limit 101.8 at n = 400, 92.5 at n = 800). From epoch 6's
+        # state the diameter-81 ring needs fewer than n * n // 64 edge
+        # relaxations, so relaxation finishes it; the diameter-82 ring needs
+        # more, and epoch 7's product, at x_tilde 64, leaves it and the
+        # n = 800 ring to the bound
+        m = _ring(n, chords)
         want = shortest_path(m.data, method="D")
         assert want.max() == diameter
-        assert 32 <= precision_limits(n, 64).safe_limit < 64
-        if not solved:
-            with pytest.raises(FeasibilityError):
-                power_law_bound(m)
-            return
+        assert 64 <= precision_limits(n, 64).safe_limit < 128
         r = power_law_bound(m)
-        assert r.converged and r.epochs[-1].proof == "edges"
-        assert np.array_equal(r.distances.data, want)
-        assert r.epochs[-2].max_element == 64 < r.epochs[-1].max_element == diameter
+        assert r.converged and np.array_equal(r.distances.data, want)
+        assert r.epochs[-1].proof == ("edges" if relaxed else "bound")
+        if relaxed:
+            assert r.epochs[-2].max_element == 64 < r.epochs[-1].max_element == diameter
+        else:
+            assert r.epochs[-2].max_element == diameter
+
+    def test_ring_past_the_new_ceiling_refused_before_allocating(self):
+        # the plain ring of 400 nodes (diameter 200) needs the product at
+        # x_tilde = 128; it is refused, and so is a solve from the 128-hop
+        # state, the distances up to 128, before any n x n float64 array
+        n = 400
+        m = _ring(n, 0)
+        with pytest.raises(FeasibilityError, match="x_tilde=128"):
+            power_law_bound(m)
+        dist = shortest_path(m.data, method="D")
+        assert dist.max() == 200
+        hops = DistMatrix(np.where(dist <= 128, dist, INF))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError, match="x_tilde=128"):
+                power_law_bound(hops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < hops.data.nbytes
+
+
+def _ring(n: int, chords: int) -> DistMatrix:
+    """Undirected unit-weight ring of n nodes with random chords."""
+    rng = np.random.default_rng(5)
+    a = np.full((n, n), INF)
+    np.fill_diagonal(a, 0.0)
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    src, dst = rng.integers(0, n, chords), rng.integers(0, n, chords)
+    keep = src != dst
+    a[src[keep], dst[keep]] = 1.0
+    return DistMatrix(np.minimum(a, a.T))
 
 
 class TestSparsePhase:
