@@ -5,16 +5,19 @@ One epoch = select kernel by density -> encode -> multiply -> decode. The
 squared matrix doubles the path-edge budget, so convergence needs at most
 ceil(log2(n - 1)) improving epochs plus one confirming epoch. The solve
 stops without the confirming product when a proof that needs none fires
-first: a bound on path weights, or, after a dense epoch, relaxation of the
-distances over the input edges to the Bellman-Ford fixed point
-(_relax_edges), which can stand in for the last improving products too.
+first: a bound on path weights, or relaxation of the distances over the
+input edges to the Bellman-Ford fixed point (_relax_edges), which can stand
+in for the last improving products too. The relaxation is tried after every
+dense epoch, and after a sparse epoch of a weighted graph whose bound
+cannot fire after the next product either (_relax_cap).
 
 While epochs run sparse, the state is the CSR parts of the finite entries:
 one finite scan of the input builds them, each sparse epoch encodes only the
 stored values, and the decoded product feeds the next epoch unchanged. The
 first dense epoch scatters the encoded values into a zero-filled matrix; an
 n x n distance matrix is built from CSR parts only when the solve ends
-sparse. Convergence compares two summaries, the finite count and the sum of
+sparse, or when a relaxation from them changes them and reaches the fixed
+point. Convergence compares two summaries, the finite count and the sum of
 the finite entries, in place of the two matrices (see _unchanged). The
 same scan keeps the input's edges for the relaxation when there are few
 enough of them (_EDGE_DIVISOR).
@@ -35,16 +38,28 @@ from .kernels import DENSE, SPARSE
 _BLOCK_ROWS = 64
 
 # Keep the input's edges, and so relax over them, only when there are at
-# most n * n // _EDGE_DIVISOR of them; one relaxation gathers at most
-# n**3 // _EDGE_DIVISOR int16 entries, n per edge it relaxes. A pass costs
-# about 0.9-1.1 ns per gathered entry on a 2-vCPU Xeon, so at n = 1600 the
-# cap is about 0.06-0.07 s: no more than one float32 dense epoch
-# (0.04-0.08 s) and about half a float64 one (0.12-0.13 s), the kind a
-# successful relaxation saves on weighted graphs. A relaxation gives up as
-# soon as its next pass is sure to pass the cap, and the solve squares on;
-# a give-up at n = 1600 measured 0.01-0.07 s: at most the first pass and
-# part of the second.
+# most n * n // _EDGE_DIVISOR of them. A relaxation gathers n int16 entries
+# per edge it relaxes, and its cap, counted in edge relaxations, depends on
+# the state it starts from. A pass costs about 0.9-1.1 ns per gathered
+# entry on a 2-vCPU Xeon.
+# - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
+#   entries: about 0.06-0.07 s at n = 1600, no more than one float32 dense
+#   epoch (0.04-0.08 s) and about half a float64 one (0.12-0.13 s), the
+#   kind a successful relaxation saves on weighted graphs.
+# - After a sparse epoch it is n * n // _SPARSE_CAP_DIVISOR edges, n**3 / 16
+#   entries. Such an attempt is made only where the next product cannot be
+#   the last one, so a success saves that product and at least one more
+#   product or relaxation (_relax_cap). It is made only with at most
+#   n * n // _SPARSE_GATE_DIVISOR edges, so that at least 8 full passes fit
+#   in the cap. At n = 1600, a random digraph of 25 out-edges solved 61 %
+#   slower without that gate, and one of 12 out-edges 3.9x slower with a
+#   cap of n**3 / 32, both from give-ups.
+# A relaxation gives up as soon as its next pass is sure to pass its cap,
+# and the solve squares on; a give-up after a dense epoch at n = 1600
+# measured 0.01-0.07 s: at most the first pass and part of the second.
 _EDGE_DIVISOR = 64
+_SPARSE_CAP_DIVISOR = 16
+_SPARSE_GATE_DIVISOR = 128
 # edges per gather of the relaxation
 _EDGE_CHUNK = 64
 # stands for inf in the relaxation's int16 copy of the distances: with any
@@ -411,11 +426,30 @@ def _chunks(src: np.ndarray):
     return zip(starts.tolist(), [*starts[1:].tolist(), m])
 
 
-def _relax_edges(st: _State) -> bool:
-    """Relax st's dense distances over the input edges to the Bellman-Ford
-    fixed point; True, with st's distances and summary replaced by the
-    shortest distances, when it is reached within the work cap, False with
-    st left as it was otherwise.
+def _relax_cap(kind: str, n: int, edges: int, m: int, w_min: float, top: int) -> int:
+    """Edge relaxations a relaxation may spend after an epoch of kind that
+    covers every path of at most m edges and whose largest finite entry is
+    top, for an input with `edges` kept edges; 0 where none is tried.
+
+    After a dense epoch the cap is n * n // _EDGE_DIVISOR. After a sparse
+    epoch it is n * n // _SPARSE_CAP_DIVISOR, and a relaxation is tried only
+    when the path-weight bound cannot fire after the next product, whose
+    largest entry can reach 2 * top (2 * top >= (2m + 1) * w_min), and when
+    there are at most n * n // _SPARSE_GATE_DIVISOR edges. A unit-weight
+    graph has top <= m after such an epoch, so it never tries.
+    """
+    if kind == DENSE:
+        return n * n // _EDGE_DIVISOR
+    if 2 * top < (2 * m + 1) * w_min or edges > n * n // _SPARSE_GATE_DIVISOR:
+        return 0
+    return n * n // _SPARSE_CAP_DIVISOR
+
+
+def _relax_edges(st: _State, cap: int) -> bool:
+    """Relax st's distances, dense or CSR, over the input edges to the
+    Bellman-Ford fixed point; True, with st's distances and summary replaced
+    by the shortest distances, when it is reached within cap edge
+    relaxations, False with st left as it was otherwise.
 
     Each pass sets D[u, :] = min(D[u, :], w(u, v) + D[v, :]) for its edges
     u -> v, Gauss-Seidel style: a chunk of edges reads the rows that earlier
@@ -430,33 +464,36 @@ def _relax_edges(st: _State) -> bool:
     so is every entry a relaxation writes, so D >= dist, and D = dist.
     Unreachable pairs need no path: dist = inf there, and D >= dist.
 
-    Runs on an int16 copy of D with inf mapped to _UNREACHABLE16. Entries
-    only fall, and the sentinel plus any weight (at most 511: the first
-    epoch's x_tilde bounds them) stays below 2**15, so nothing overflows.
-    A finite entry whose sum with a weight reached the sentinel would be
-    taken for unreachable; at the fixed point that cannot have happened
-    when the largest finite entry plus the largest weight is below the
-    sentinel, which is checked before the result is written back. The
-    edges are relaxed in the order (rank among their source's out-edges,
-    source), so a chunk of them has distinct sources and writes back with
-    one fancy assignment.
+    Runs on an int16 copy of D with inf mapped to _UNREACHABLE16, filled
+    from the dense matrix or scattered from the CSR parts. Entries only
+    fall, and the sentinel plus any weight (at most 511: the first epoch's
+    x_tilde bounds them) stays below 2**15, so nothing overflows. A finite
+    entry whose sum with a weight reached the sentinel would be taken for
+    unreachable; at the fixed point that cannot have happened when the
+    largest finite entry plus the largest weight is below the sentinel,
+    which is checked before the result is written back. The edges are
+    relaxed in the order (rank among their source's out-edges, source), so
+    a chunk of them has distinct sources and writes back with one fancy
+    assignment. A dense state gets the rows that changed written back; a
+    CSR state that changed becomes a dense one, built in row blocks, and
+    one that did not stays as it was.
 
-    Work is capped at n**3 // _EDGE_DIVISOR gathered entries, n per edge
-    relaxed (see _EDGE_DIVISOR). A change to row v puts every edge into v
-    into the next pass, so the relaxation counts those edges as rows
-    change, and gives up as soon as the next pass is sure to pass the cap:
-    a matrix far from the fixed point is dropped early in the first pass or
-    two, not at the cap.
+    A change to row v puts every edge into v into the next pass, so the
+    relaxation counts those edges as rows change, and gives up as soon as
+    the next pass is sure to pass the cap: a matrix far from the fixed
+    point is dropped early in the first pass or two, not at the cap.
     """
     n = st.n
-    a = st.dense.data
     order = _rank_order(st.edges.src)
     src, dst, weight = (x[order] for x in st.edges)
     # edges the cap leaves for passes after the current one
-    left = n * n // _EDGE_DIVISOR - len(src)
+    left = cap - len(src)
     into = np.bincount(dst, minlength=n)
-    d = np.empty(a.shape, np.int16)
-    np.minimum(a, _UNREACHABLE16, out=d, casting="unsafe")
+    if st.dense is not None:
+        d = np.empty((n, n), np.int16)
+        np.minimum(st.dense.data, _UNREACHABLE16, out=d, casting="unsafe")
+    else:
+        d = _scatter_rows(np.full((n, n), _UNREACHABLE16, np.int16), *st.csr)
     weight16 = weight.astype(np.int16)[:, None]
     touched = np.zeros(n, bool)
     active = np.ones(len(src), bool)
@@ -482,16 +519,27 @@ def _relax_edges(st: _State) -> bool:
         left -= following
         touched |= changed
         active = changed[dst]
-    summary = _dense_summary(d, _UNREACHABLE16)
+    # a matrix no pass changed keeps its summary
+    summary = _dense_summary(d, _UNREACHABLE16) if touched.any() else st.summary
     if summary.top + weight.max(initial=0) >= _UNREACHABLE16:
         return False
-    rows = np.flatnonzero(touched)
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        r = rows[i : i + _BLOCK_ROWS]
-        b = d[r]
-        block = b.astype(np.float64)
-        block[b == _UNREACHABLE16] = INF
-        a[r] = block
+    if st.dense is not None:
+        a = st.dense.data
+        rows = np.flatnonzero(touched)
+        for i in range(0, len(rows), _BLOCK_ROWS):
+            r = rows[i : i + _BLOCK_ROWS]
+            b = d[r]
+            block = b.astype(np.float64)
+            block[b == _UNREACHABLE16] = INF
+            a[r] = block
+    elif touched.any():
+        a = np.empty((n, n))
+        for i in range(0, n, _BLOCK_ROWS):
+            b, block = d[i : i + _BLOCK_ROWS], a[i : i + _BLOCK_ROWS]
+            block[...] = b
+            block[b == _UNREACHABLE16] = INF
+        st.csr = None
+        st.dense = DistMatrix._trusted(a)
     st.summary = summary
     return True
 
@@ -503,10 +551,13 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
     that the matrix holds the shortest distances, or when the epoch budget
     runs out (converged=False on the partial result in that case). The
     proofs are the path-weight bound (_bound_proves_converged), tried after
-    every epoch that changed the matrix, and, when it fails after a dense
-    epoch of an input with kept edges, relaxation over those edges to the
-    Bellman-Ford fixed point (_relax_edges), which may lower entries and
-    make pairs finite. A relaxation that gives up at its work cap leaves the
+    every epoch that changed the matrix, and, when it fails on an input
+    with kept edges, relaxation over those edges to the Bellman-Ford fixed
+    point (_relax_edges), which may lower entries and make pairs finite.
+    The relaxation is tried after every dense epoch, and after a sparse
+    epoch, from the CSR parts, when the bound cannot fire after the next
+    product either and the edges are few enough (_relax_cap); only weighted
+    graphs meet that. A relaxation that gives up at its work cap leaves the
     product's matrix as it was, and squaring goes on. A stop by a proof
     records one more epoch, with kernel=arithmetic=None, proof naming the
     proof ("bound" or "edges") and the final matrix's summary, but runs no
@@ -542,10 +593,13 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
         m *= 2
         if _bound_proves_converged(n, m, w_min, after.finite, before.finite, after.top):
             proof = "bound"
-        elif kind == DENSE and st.edges is not None and _relax_edges(st):
-            proof = "edges"
-        else:
+        elif st.edges is None:
             continue
+        else:
+            cap = _relax_cap(kind, n, len(st.edges.src), m, w_min, after.top)
+            if not (cap and _relax_edges(st, cap)):
+                continue
+            proof = "edges"
         stats.append(
             EpochStats(
                 epoch=epoch + 1,

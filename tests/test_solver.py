@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,6 +403,11 @@ def edge_state(m: DistMatrix, d: np.ndarray) -> solver._State:
     return st
 
 
+def relax_dense(st: solver._State) -> bool:
+    """_relax_edges with the cap the solve gives it after a dense epoch."""
+    return solver._relax_edges(st, st.n * st.n // solver._EDGE_DIVISOR)
+
+
 def first_dense_state(m: DistMatrix) -> solver._State:
     """m's solve state after its first dense product."""
     st = _scan(m)
@@ -423,7 +427,7 @@ class TestEdgeStop:
             m = sparse_weighted_digraph(rng, int(rng.integers(192, 256)))
             dist = floyd_warshall(m).data
             st = edge_state(m, dist)
-            assert solver._relax_edges(st)
+            assert relax_dense(st)
             assert np.array_equal(st.dense.data, dist)
             assert st.summary == solver._dense_summary(dist)
 
@@ -440,7 +444,7 @@ class TestEdgeStop:
                 d = dist.copy()
                 d[i, j] = wrong
                 st = edge_state(m, d)
-                assert solver._relax_edges(st), (i, j, wrong)
+                assert relax_dense(st), (i, j, wrong)
                 assert np.array_equal(st.dense.data, dist), (i, j, wrong)
                 assert st.summary == solver._dense_summary(dist)
 
@@ -458,7 +462,7 @@ class TestEdgeStop:
             d = dist.copy()
             d[pair] = wrong
             st = edge_state(m, d)
-            assert solver._relax_edges(st), pair
+            assert relax_dense(st), pair
             assert np.array_equal(st.dense.data, dist), pair
 
     def test_largest_entries_stay_exact(self):
@@ -476,7 +480,7 @@ class TestEdgeStop:
             d = dist.copy()
             d[71, 73] = wrong
             st = edge_state(m, d)
-            assert solver._relax_edges(st)
+            assert relax_dense(st)
             assert np.array_equal(st.dense.data, dist)
 
     def test_gives_up_where_an_entry_could_reach_the_sentinel(self):
@@ -488,7 +492,7 @@ class TestEdgeStop:
         a[np.arange(1, 41), np.arange(40)] = 512.0
         m = DistMatrix(a)
         st = edge_state(m, a)
-        assert not solver._relax_edges(st)
+        assert not relax_dense(st)
         assert np.array_equal(st.dense.data, a)
 
     def test_reaches_floyd_warshall_from_product_states(self):
@@ -508,7 +512,7 @@ class TestEdgeStop:
                 if kind != "dense":
                     continue
                 copy = edge_state(m, st.dense.data)
-                if solver._relax_edges(copy):
+                if relax_dense(copy):
                     reached += 1
                     assert np.array_equal(copy.dense.data, dist), case
                     assert copy.summary == solver._dense_summary(dist)
@@ -528,7 +532,7 @@ class TestEdgeStop:
             st = first_dense_state(m)
             data, summary = st.dense.data, st.summary
             before = data.tobytes()
-            if solver._relax_edges(st):
+            if relax_dense(st):
                 continue
             gave_up += 1
             assert st.dense.data is data and data.tobytes() == before
@@ -557,12 +561,9 @@ class TestEdgeStop:
         relaxed = self.count_relaxed(monkeypatch)
 
         def relax(m, d, cap):
-            with monkeypatch.context() as mp:
-                # n * n // _EDGE_DIVISOR is then exactly cap
-                mp.setattr(solver, "_EDGE_DIVISOR", Fraction(m.n * m.n, cap))
-                st = edge_state(m, d)
-                relaxed.append(0)
-                return solver._relax_edges(st), relaxed[-1], st.dense.data
+            st = edge_state(m, d)
+            relaxed.append(0)
+            return solver._relax_edges(st, cap), relaxed[-1], st.dense.data
 
         rng = np.random.default_rng(38)
         gave_up = 0
@@ -579,7 +580,7 @@ class TestEdgeStop:
                 ok, count, got = relax(m, d, needed - 1)
                 assert not ok and count <= needed - 1 and np.array_equal(got, d)
             fits = needed <= m.n * m.n // solver._EDGE_DIVISOR
-            assert solver._relax_edges(edge_state(m, d)) == fits
+            assert relax_dense(edge_state(m, d)) == fits
             gave_up += not fits
         assert 4 <= gave_up <= 12
 
@@ -593,7 +594,7 @@ class TestEdgeStop:
         )
         st = edge_state(m, m.data)
         assert len(st.edges.src) <= 1024
-        assert not solver._relax_edges(st)
+        assert not relax_dense(st)
         assert 0 < relaxed[-1] < len(st.edges.src) // 4
         assert np.array_equal(st.dense.data, m.data)
 
@@ -615,7 +616,7 @@ class TestEdgeStop:
             assert last.finite_before == r.epochs[-2].finite_after
             assert r.epochs[-2].kernel == "dense"
             with monkeypatch.context() as mp:
-                mp.setattr(solver, "_relax_edges", lambda st: False)
+                mp.setattr(solver, "_relax_edges", lambda st, cap: False)
                 off = power_law_bound(m)
             assert np.array_equal(off.distances.data, want)
             assert off.epochs[-1].proof != "edges"
@@ -656,7 +657,7 @@ class TestEdgeStop:
             assert len(set(src[lo:hi].tolist())) == hi - lo
 
     def test_never_called_above_the_edge_limit(self, monkeypatch, force_kernel):
-        def refuse(st):
+        def refuse(st, cap):
             raise AssertionError("relaxation ran above the edge limit")
 
         monkeypatch.setattr(solver, "_relax_edges", refuse)
@@ -671,7 +672,7 @@ class TestEdgeStop:
                 assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
 
     def test_routing_graph_stops_by_the_bound(self, monkeypatch):
-        def refuse(st):
+        def refuse(st, cap):
             raise AssertionError("relaxation ran where the bound fires")
 
         monkeypatch.setattr(solver, "_relax_edges", refuse)
@@ -739,6 +740,228 @@ def _ring(n: int, chords: int) -> DistMatrix:
     return DistMatrix(np.minimum(a, a.T))
 
 
+def sparse_weighted_few_edges(rng, n):
+    """About 1.2-2 out-edges per node, weights 1..9: for n >= 256 mostly
+    within the n * n // _SPARSE_GATE_DIVISOR edges that relaxation from a
+    sparse state allows, with largest entries that keep the path-weight
+    bound from firing."""
+    return random_dist_matrix(
+        rng, n, max_weight=9, density=float(rng.uniform(1.2, 2.0)) / n, directed=True
+    )
+
+
+def csr_state(m: DistMatrix, d: np.ndarray) -> solver._State:
+    """A CSR solve state of input m holding the finite entries of d, with
+    m's edges kept as _scan keeps them."""
+    st = _scan(m)
+    assert st.edges is not None
+    rows, cols = np.nonzero(np.isfinite(d))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=m.n))].astype(np.int32)
+    st.set_sparse(indptr, cols.astype(np.int32), d[rows, cols])
+    return st
+
+
+class TestRelaxFromSparse:
+    """Relaxation over the input edges from the CSR state of a sparse
+    epoch, and the rule that decides when the solve tries it, against
+    Floyd-Warshall and csgraph."""
+
+    def test_reaches_floyd_warshall_after_one_and_two_sparse_epochs(self, force_kernel):
+        force_kernel("sparse")
+        rng = np.random.default_rng(41)
+        for case in range(12):
+            n = int(rng.integers(160, 256))
+            m = sparse_weighted_few_edges(rng, n)
+            dist = floyd_warshall(m).data
+            fin = dist[np.isfinite(dist)]
+            for epochs in (1, 2):
+                st = _scan(m)
+                for _ in range(epochs):
+                    assert _distance_product(st)[0] == "sparse"
+                assert st.csr is not None
+                # a cap no relaxation here reaches
+                assert solver._relax_edges(st, n * n), (case, epochs)
+                assert st.csr is None
+                assert np.array_equal(st.distances().data, dist), (case, epochs)
+                assert st.summary == (fin.size, fin.max(), fin.sum())
+
+    def test_state_at_the_fixed_point_keeps_its_form_and_summary(self):
+        # a first pass that changes nothing fits a cap of one pass over the
+        # edges, and leaves the state, CSR or dense, and its summary as they were
+        rng = np.random.default_rng(42)
+        for _ in range(6):
+            m = sparse_weighted_few_edges(rng, int(rng.integers(160, 256)))
+            dist = floyd_warshall(m).data
+            for st in (csr_state(m, dist), edge_state(m, dist)):
+                parts, dense, summary = st.csr, st.dense, st.summary
+                assert solver._relax_edges(st, len(st.edges.src))
+                assert (st.csr, st.dense, st.summary) == (parts, dense, summary)
+                assert st.summary is summary
+                assert np.array_equal(st.distances().data, dist)
+
+    def test_give_up_leaves_the_csr_parts_bit_identical(self):
+        # a cap of one pass over the edges: the relaxation gives up as soon
+        # as a row changes, where the state is not at the fixed point
+        rng = np.random.default_rng(43)
+        gave_up = 0
+        for _ in range(10):
+            m = sparse_weighted_few_edges(rng, int(rng.integers(160, 256)))
+            st = _scan(m)
+            assert _distance_product(st)[0] == "sparse"
+            parts, summary = st.csr, st.summary
+            before = [(x.dtype, x.tobytes()) for x in parts]
+            if solver._relax_edges(st, len(st.edges.src)):
+                continue
+            gave_up += 1
+            assert st.csr is parts and st.dense is None and st.summary is summary
+            assert [(x.dtype, x.tobytes()) for x in parts] == before
+        assert gave_up >= 8
+
+    def test_give_up_leaves_the_solve_on_the_product_path(self, monkeypatch):
+        relax = solver._relax_edges
+        tried = []
+
+        def spy(st, cap):
+            tried.append((st.csr is not None, relax(st, cap)))
+            return tried[-1][1]
+
+        rng = np.random.default_rng(44)
+        from_csr = 0
+        for _ in range(10):
+            m = sparse_weighted_few_edges(rng, int(rng.integers(256, 320)))
+            want = shortest_path(m.data, method="D")
+            with monkeypatch.context() as mp:
+                # a cap of one edge relaxation from a CSR state
+                mp.setattr(solver, "_SPARSE_CAP_DIVISOR", m.n * m.n)
+                mp.setattr(solver, "_relax_edges", spy)
+                tried.clear()
+                try:
+                    r = power_law_bound(m)
+                except FeasibilityError:
+                    r = None
+            if any(ok for csr, ok in tried if csr):
+                # a CSR state already at the fixed point: its first pass
+                # changed nothing and ended the solve
+                assert r.epochs[-1].proof == "edges"
+                assert np.array_equal(r.distances.data, want)
+                continue
+            from_csr += any(csr for csr, _ in tried)
+            with monkeypatch.context() as mp:
+                # no relaxation from a CSR state: the product path
+                mp.setattr(solver, "_relax_edges", lambda st, cap: st.csr is None and relax(st, cap))
+                if r is None:
+                    # refused at the same epoch
+                    with pytest.raises(FeasibilityError):
+                        power_law_bound(m)
+                    continue
+                products = power_law_bound(m)
+            assert r.epochs == products.epochs
+            assert r.converged and np.array_equal(r.distances.data, products.distances.data)
+            assert np.array_equal(r.distances.data, want)
+        assert from_csr >= 5
+
+    def test_solves_end_by_relaxation_from_sparse_epochs(self, force_kernel):
+        # n >= 256 keeps the edges under the gate; the kernel is forced
+        # sparse, so the relaxation starts from a CSR state
+        force_kernel("sparse")
+        rng = np.random.default_rng(45)
+        fired = 0
+        for _ in range(16):
+            m = sparse_weighted_few_edges(rng, int(rng.integers(256, 320)))
+            want = shortest_path(m.data, method="D")
+            try:
+                r = power_law_bound(m)
+            except FeasibilityError:
+                continue
+            assert r.converged and np.array_equal(r.distances.data, want)
+            if r.epochs[-1].proof != "edges":
+                continue
+            fired += 1
+            fin = want[np.isfinite(want)]
+            last = r.epochs[-1]
+            assert (last.max_element, last.finite_after) == (fin.max(), fin.size)
+            assert last.finite_before == r.epochs[-2].finite_after
+            assert all(st.kernel == "sparse" for st in r.epochs[:-1])
+        assert fired >= 12
+
+    def test_unit_weight_graphs_never_relax_from_csr(self, monkeypatch, force_kernel):
+        # after a sparse epoch that covers every path of at most m edges, a
+        # unit-weight graph's largest entry is at most m, so the bound can
+        # fire after the next product and no relaxation is tried: the
+        # doubling that acceptance criterion 3 checks rests on that
+        relax, relax_cap = solver._relax_edges, solver._relax_cap
+        sparse_caps = []
+
+        def dense_only(st, cap):
+            assert st.csr is None, "relaxation from a CSR state"
+            return relax(st, cap)
+
+        def spy_cap(kind, *args):
+            cap = relax_cap(kind, *args)
+            if kind == "sparse":
+                sparse_caps.append(cap)
+            return cap
+
+        monkeypatch.setattr(solver, "_relax_edges", dense_only)
+        monkeypatch.setattr(solver, "_relax_cap", spy_cap)
+        specs = [GenSpec(n=1600, m_attach=7, seed=11)]
+        specs += [GenSpec(n=1000, m_attach=k, seed=7) for k in (1, 2, 3, 5)]
+        graphs = [to_distance_matrix(generate_scale_free(spec)) for spec in specs]
+        rng = np.random.default_rng(46)
+        graphs += [
+            random_dist_matrix(
+                rng, int(rng.integers(40, 120)), max_weight=1,
+                density=float(rng.uniform(0.01, 0.05)), directed=bool(rng.integers(2)),
+            )
+            for _ in range(20)
+        ]
+        for i, w in enumerate(graphs):
+            force_kernel("auto" if i < len(specs) else "sparse")
+            r = power_law_bound(w)
+            assert r.converged, i
+            assert np.array_equal(r.distances.data, shortest_path(w.data, method="D")), i
+        assert sparse_caps and not any(sparse_caps)
+
+    def test_sparse_gate_boundary(self, monkeypatch):
+        n = 128
+        limit = n * n // solver._SPARSE_GATE_DIVISOR
+        assert limit == 128
+        # the edge gate, with a largest entry the bound cannot settle:
+        # 2 * 3 >= (2 * 2 + 1) * 1
+        assert solver._relax_cap("sparse", n, limit, 2, 1.0, 3) == n * n // 16
+        assert solver._relax_cap("sparse", n, limit + 1, 2, 1.0, 3) == 0
+        # the bound side: 2 * top against (2m + 1) * w_min = 10
+        assert solver._relax_cap("sparse", n, limit, 2, 2.0, 5) > 0
+        assert solver._relax_cap("sparse", n, limit, 2, 2.0, 4) == 0
+        # after a dense epoch only the cap applies
+        assert solver._relax_cap("dense", n, 2 * limit, 2, 2.0, 4) == n * n // 64
+
+        # and in a solve: random edges, weights 1..9, one edge either side
+        relax = solver._relax_edges
+        from_csr = []
+
+        def spy(st, cap):
+            from_csr.append(st.csr is not None)
+            return relax(st, cap)
+
+        monkeypatch.setattr(solver, "_relax_edges", spy)
+        rng = np.random.default_rng(47)
+        off = np.flatnonzero(~np.eye(n, dtype=bool))
+        picked = rng.choice(off, size=limit + 1, replace=False)
+        weights = rng.integers(1, 10, size=limit + 1).astype(np.float64)
+        for edges in (limit, limit + 1):
+            a = np.full(n * n, INF)
+            a[:: n + 1] = 0.0
+            a[picked[:edges]] = weights[:edges]
+            m = DistMatrix(a.reshape(n, n))
+            from_csr.clear()
+            r = power_law_bound(m)
+            assert r.converged
+            assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
+            assert r.epochs[0].kernel == "sparse"
+            assert any(from_csr) == (edges == limit), (edges, from_csr)
+
+
 class TestSparsePhase:
     """power_law_bound, which keeps CSR parts while epochs run sparse,
     compares summaries and relaxes over the input edges, against the
@@ -748,8 +971,8 @@ class TestSparsePhase:
         relax = solver._relax_edges
         outcomes = []
 
-        def spy(st):
-            outcomes.append(relax(st))
+        def spy(st, cap):
+            outcomes.append(relax(st, cap))
             return outcomes[-1]
 
         monkeypatch.setattr(solver, "_relax_edges", spy)
