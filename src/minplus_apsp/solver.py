@@ -24,6 +24,7 @@ enough of them (_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,10 +41,11 @@ _BLOCK_ROWS = 64
 # Keep the input's edges, and so relax over them, only when there are at
 # most n * n // _EDGE_DIVISOR of them. A relaxation gathers n int16 entries
 # per edge it relaxes, and its cap, counted in edge relaxations, depends on
-# the state it starts from. A pass costs about 0.9-1.1 ns per gathered
-# entry on a 2-vCPU Xeon.
+# the state it starts from. On a 2-vCPU Xeon a relaxation costs about
+# 1.1 ns per gathered entry, its int16 copy and write-back included
+# (wsf1600's: 53 728 edge relaxations at n = 1600 in 0.092-0.100 s).
 # - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
-#   entries: about 0.06-0.07 s at n = 1600, no more than one float32 dense
+#   entries: about 0.07 s at n = 1600, no more than one float32 dense
 #   epoch (0.04-0.08 s) and about half a float64 one (0.12-0.13 s), the
 #   kind a successful relaxation saves on weighted graphs.
 # - After a sparse epoch it is n * n // _SPARSE_CAP_DIVISOR edges, n**3 / 16
@@ -56,12 +58,19 @@ _BLOCK_ROWS = 64
 #   cap of n**3 / 32, both from give-ups.
 # A relaxation gives up as soon as its next pass is sure to pass its cap,
 # and the solve squares on; a give-up after a dense epoch at n = 1600
-# measured 0.01-0.07 s: at most the first pass and part of the second.
+# measured 0.006-0.05 s: at most the first pass and part of the second.
 _EDGE_DIVISOR = 64
 _SPARSE_CAP_DIVISOR = 16
 _SPARSE_GATE_DIVISOR = 128
-# edges per gather of the relaxation
-_EDGE_CHUNK = 64
+# sources, and edges, in one block of a relaxation pass (_pass_plan): 512
+# int16 rows are 1.6 MB at n = 1600
+_PULL_SOURCES = 32
+_PULL_ROWS = 512
+# sweeps of one out-edge per source that open a relaxation's first pass:
+# at n = 1600, a weighted BA digraph with m_attach 7 gave up after 3285
+# edge relaxations with one sweep (0.014 s) and after 1728 with two
+# (0.010 s), where edge-by-edge order gave up after 1728 (0.011 s)
+_SWEEP_RANKS = 2
 # stands for inf in the relaxation's int16 copy of the distances: with any
 # weight (at most 511) added it stays below 2**15; a finite entry that
 # could reach it makes the relaxation give up
@@ -404,26 +413,69 @@ def _bound_proves_converged(
     return all_reachable_found and top < (m + 1) * w_min
 
 
-def _rank_order(src: np.ndarray) -> np.ndarray:
-    """Order that sorts edges sorted by source by (rank among their
-    source's out-edges, source): each rank then lists distinct sources in
-    increasing order."""
-    counts = np.bincount(src)
-    rank = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.argsort(rank, kind="stable")
+def _pass_plan(src: np.ndarray, n: int, sweep: bool):
+    """Blocks of one relaxation pass over edges sorted by source, as pairs
+    (ks, e) that together list every edge once.
 
-
-def _chunks(src: np.ndarray):
-    """(lo, hi) bounds of consecutive slices of at most _EDGE_CHUNK edges
-    whose sources strictly increase, so that no slice names a row twice."""
-    m = len(src)
-    pos = np.arange(m)
-    new = np.ones(m, bool)
-    new[1:] = src[1:] <= src[:-1]
-    # each edge's offset in its run of increasing sources
-    pos -= np.maximum.accumulate(np.where(new, pos, 0))
-    starts = np.flatnonzero(pos % _EDGE_CHUNK == 0)
-    return zip(starts.tolist(), [*starts[1:].tolist(), m])
+    e holds the positions in src of a block's edges, rank-major: its first
+    ks[0] edges are one out-edge of each of the block's ks[0] distinct
+    sources, and each later rank r follows with the next out-edge of the
+    first ks[r] of them, so ks does not increase and rank r's heads line
+    up with the block's first ks[r] sources. Sources are taken in
+    decreasing out-degree, at most _PULL_SOURCES and _PULL_ROWS edges to a
+    block; a source with more than _PULL_ROWS edges is cut into slices of
+    at most _PULL_ROWS, planned as sources of their own, so that each full
+    slice fills a block alone. With sweep, the plan opens with
+    _SWEEP_RANKS sweeps, each over one out-edge of every source, in blocks
+    of a single rank.
+    """
+    counts = np.bincount(src, minlength=n)
+    first = np.cumsum(counts) - counts
+    step = min(_PULL_SOURCES, _PULL_ROWS)
+    for _ in range(_SWEEP_RANKS if sweep else 0):
+        has = np.flatnonzero(counts)
+        for i in range(0, len(has), step):
+            e = first[has[i : i + step]]
+            yield [len(e)], e
+        first[has] += 1
+        counts[has] -= 1
+    pieces = -(-counts // _PULL_ROWS)
+    owner = np.repeat(np.arange(n), pieces)
+    cut = _PULL_ROWS * (np.arange(len(owner)) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    deg = np.minimum(counts[owner] - cut, _PULL_ROWS)
+    if not len(deg):
+        return
+    order = np.argsort(-deg, kind="stable")
+    deg, first = deg[order], (first[owner] + cut)[order]
+    # the layout is computed for the whole pass at once: planning block by
+    # block cost about 2 ms of each wsf1600 pass. Greedy blocks in that
+    # order: block b holds slices starts[b] to starts[b + 1] - 1
+    ends = np.cumsum(deg)
+    starts, limits = [0], ends.tolist()
+    while starts[-1] < len(deg):
+        i = starts[-1]
+        j = bisect.bisect_right(limits, limits[i] - int(deg[i]) + _PULL_ROWS)
+        starts.append(min(i + _PULL_SOURCES, j))
+    block = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    place = np.arange(len(deg)) - np.asarray(starts)[block]
+    # the ks of all blocks in a row, block b's from rank0[b]: a slice of d
+    # edges counts in its block's first d ranks
+    ranks = deg[starts[:-1]]
+    rank0 = np.cumsum(ranks) - ranks
+    r0 = rank0[block]
+    total = int(ranks.sum()) + 1
+    ks = np.cumsum(np.bincount(r0, minlength=total) - np.bincount(r0 + deg, minlength=total))
+    ks = ks[:-1]
+    # where each (block, rank) starts in the pass's layout
+    at = np.cumsum(ks) - ks
+    slice_of = np.repeat(np.arange(len(deg)), deg)
+    rank = np.arange(len(slice_of)) - np.repeat(ends - deg, deg)
+    e = np.empty(len(slice_of), np.int64)
+    e[at[r0[slice_of] + rank] + place[slice_of]] = first[slice_of] + rank
+    bounds = [*at[rank0].tolist(), len(e)]
+    ks, rank0 = ks.tolist(), [*rank0.tolist(), len(ks)]
+    for b in range(len(starts) - 1):
+        yield ks[rank0[b] : rank0[b + 1]], e[bounds[b] : bounds[b + 1]]
 
 
 def _relax_cap(kind: str, n: int, edges: int, m: int, w_min: float, top: int) -> int:
@@ -452,8 +504,8 @@ def _relax_edges(st: _State, cap: int) -> bool:
     relaxations, False with st left as it was otherwise.
 
     Each pass sets D[u, :] = min(D[u, :], w(u, v) + D[v, :]) for its edges
-    u -> v, Gauss-Seidel style: a chunk of edges reads the rows that earlier
-    chunks wrote. The first pass takes every edge; each later one only the
+    u -> v, Gauss-Seidel style: a block of edges reads the rows that earlier
+    blocks wrote. The first pass takes every edge; each later one only the
     edges whose head row v changed in the pass before, since only those can
     have lost the condition D[u, :] <= w(u, v) + D[v, :]. So a pass that
     changes nothing leaves the condition holding for every edge, and then
@@ -471,12 +523,18 @@ def _relax_edges(st: _State, cap: int) -> bool:
     entry whose sum with a weight reached the sentinel would be taken for
     unreachable; at the fixed point that cannot have happened when the
     largest finite entry plus the largest weight is below the sentinel,
-    which is checked before the result is written back. The edges are
-    relaxed in the order (rank among their source's out-edges, source), so
-    a chunk of them has distinct sources and writes back with one fancy
-    assignment. A dense state gets the rows that changed written back; a
-    CSR state that changed becomes a dense one, built in row blocks, and
-    one that did not stays as it was.
+    which is checked before the result is written back.
+
+    A pass pulls (_pass_plan): a block's edges are gathered and weighted at
+    once, min-reduced rank by rank into one candidate row per source, and
+    each source's row is compared with its candidate and written back once;
+    the sources of a block are distinct, so one fancy assignment writes
+    them all. A pull finds a row changed only after reducing all of that
+    row's edges in its block, so the first pass opens with sweeps of one
+    out-edge per source, which find the rows that change at once as early
+    as an edge-by-edge order does. A dense state gets the rows that changed
+    written back; a CSR state that changed becomes a dense one, built in
+    row blocks, and one that did not stays as it was.
 
     A change to row v puts every edge into v into the next pass, so the
     relaxation counts those edges as rows change, and gives up as soon as
@@ -484,8 +542,7 @@ def _relax_edges(st: _State, cap: int) -> bool:
     point is dropped early in the first pass or two, not at the cap.
     """
     n = st.n
-    order = _rank_order(st.edges.src)
-    src, dst, weight = (x[order] for x in st.edges)
+    src, dst, weight = st.edges
     # edges the cap leaves for passes after the current one
     left = cap - len(src)
     into = np.bincount(dst, minlength=n)
@@ -495,30 +552,54 @@ def _relax_edges(st: _State, cap: int) -> bool:
     else:
         d = _scatter_rows(np.full((n, n), _UNREACHABLE16, np.int16), *st.csr)
     weight16 = weight.astype(np.int16)[:, None]
+    # buffers for a block's weighted head rows, its sources' rows and
+    # their comparison
+    through_buf = np.empty((_PULL_ROWS, n), np.int16)
+    own_buf = np.empty((_PULL_SOURCES, n), np.int16)
+    less_buf = np.empty((_PULL_SOURCES, n), bool)
     touched = np.zeros(n, bool)
     active = np.ones(len(src), bool)
+    sweep = True
     while True:
         s, t, wt = src[active], dst[active], weight16[active]
         changed = np.zeros(n, bool)
         # edges of the next pass so far
         following = 0
-        for lo, hi in _chunks(s):
-            through = d[t[lo:hi]]
-            through += wt[lo:hi]
-            rows = d[s[lo:hi]]
-            better = (through < rows).any(axis=1)
-            if better.any():
-                u = s[lo:hi][better]
-                following += int(into[u[~changed[u]]].sum())
-                if following > left:
-                    return False
-                d[u] = np.minimum(rows[better], through[better])
-                changed[u] = True
+        for ks, e in _pass_plan(s, n, sweep):
+            k, m = ks[0], len(e)
+            # mode "clip" (the indices are in range) lets take gather straight
+            # into out, where "raise" would buffer
+            cand = np.take(d, t[e], axis=0, out=through_buf[:m], mode="clip")
+            cand += wt[e]
+            # fold each rank into the rank-0 slice, then what one source
+            # has left in one reduction
+            lo = k
+            for kr in ks[1:]:
+                if kr == 1:
+                    break
+                np.minimum(cand[:kr], cand[lo : lo + kr], out=cand[:kr])
+                lo += kr
+            if lo < m:
+                np.minimum(cand[0], cand[lo:].min(axis=0), out=cand[0])
+            u = s[e[:k]]
+            own = np.take(d, u, axis=0, out=own_buf[:k], mode="clip")
+            cand = cand[:k]
+            better = np.less(cand, own, out=less_buf[:k]).any(axis=1)
+            if not better.any():
+                continue
+            if not better.all():
+                u, own, cand = u[better], own[better], cand[better]
+            following += int(into[u[~changed[u]]].sum())
+            if following > left:
+                return False
+            d[u] = np.minimum(own, cand, out=cand)
+            changed[u] = True
         if not changed.any():
             break
         left -= following
         touched |= changed
         active = changed[dst]
+        sweep = False
     # a matrix no pass changed keeps its summary
     summary = _dense_summary(d, _UNREACHABLE16) if touched.any() else st.summary
     if summary.top + weight.max(initial=0) >= _UNREACHABLE16:

@@ -541,17 +541,17 @@ class TestEdgeStop:
 
     @staticmethod
     def count_relaxed(monkeypatch) -> list[int]:
-        """Patch _chunks to add the edges of each slice the relaxation
+        """Patch _pass_plan to add the edges of each block the relaxation
         takes to the last entry of the returned list."""
         relaxed = [0]
-        chunks = solver._chunks
+        plan = solver._pass_plan
 
-        def counting(src):
-            for lo, hi in chunks(src):
-                relaxed[-1] += hi - lo
-                yield lo, hi
+        def counting(src, n, sweep):
+            for ks, e in plan(src, n, sweep):
+                relaxed[-1] += len(e)
+                yield ks, e
 
-        monkeypatch.setattr(solver, "_chunks", counting)
+        monkeypatch.setattr(solver, "_pass_plan", counting)
         return relaxed
 
     def test_gives_up_only_where_the_passes_pass_the_cap(self, monkeypatch):
@@ -642,19 +642,30 @@ class TestEdgeStop:
                     got = sorted(zip(*(x.tolist() for x in st.edges)))
                     assert got == sorted(zip(*(x.tolist() for x in input_edges(m))))
 
-    def test_edges_relaxed_by_rank_then_source(self):
+    def test_pass_plan_blocks(self):
+        # the input's edges and random subsets of them, as later passes take
+        # them, on a sparse digraph and on one with a hub of more edges than
+        # a block gathers
         rng = np.random.default_rng(37)
-        m = sparse_weighted_digraph(rng, 200)
-        u, v, _ = _scan(m).edges
-        order = solver._rank_order(u)
-        rank = np.arange(len(u)) - np.searchsorted(u, u)
-        want = sorted(zip(rank.tolist(), u.tolist(), v.tolist()))
-        assert list(zip(u[order].tolist(), v[order].tolist())) == [(s, t) for _, s, t in want]
-        # so every chunk the relaxation gathers has distinct sources
-        src = u[order]
-        for lo, hi in solver._chunks(src):
-            assert hi - lo <= solver._EDGE_CHUNK
-            assert len(set(src[lo:hi].tolist())) == hi - lo
+        star = star_digraph(600, 6)
+        assert np.bincount(_scan(star).edges.src).max() > solver._PULL_ROWS
+        for m in (sparse_weighted_digraph(rng, 200), star):
+            u = _scan(m).edges.src
+            for keep in (1.0, 0.5, 0.1):
+                src = u[rng.random(len(u)) < keep]
+                for sweep in (True, False):
+                    seen = []
+                    for ks, e in solver._pass_plan(src, m.n, sweep):
+                        assert len(e) == sum(ks) <= solver._PULL_ROWS
+                        assert all(a >= b for a, b in zip(ks, ks[1:]))
+                        sources = src[e[: ks[0]]]
+                        assert len(set(sources.tolist())) == ks[0] <= solver._PULL_SOURCES
+                        lo = 0
+                        for k in ks:
+                            assert np.array_equal(src[e[lo : lo + k]], sources[:k])
+                            lo += k
+                        seen += e.tolist()
+                    assert sorted(seen) == list(range(len(src)))
 
     def test_never_called_above_the_edge_limit(self, monkeypatch, force_kernel):
         def refuse(st, cap):
@@ -750,15 +761,26 @@ def sparse_weighted_few_edges(rng, n):
     )
 
 
+def state_of(m: DistMatrix, d: np.ndarray, form: str) -> solver._State:
+    """A solve state holding a copy of the distances d, dense or as CSR
+    parts of its finite entries, with all of m's edges, however many there
+    are."""
+    st = solver._State(m.n)
+    st.edges = input_edges(m)
+    if form == "dense":
+        st.set_dense(DistMatrix._trusted(d.copy()))
+    else:
+        rows, cols = np.nonzero(np.isfinite(d))
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=m.n))].astype(np.int32)
+        st.set_sparse(indptr, cols.astype(np.int32), d[rows, cols])
+    return st
+
+
 def csr_state(m: DistMatrix, d: np.ndarray) -> solver._State:
     """A CSR solve state of input m holding the finite entries of d, with
-    m's edges kept as _scan keeps them."""
-    st = _scan(m)
-    assert st.edges is not None
-    rows, cols = np.nonzero(np.isfinite(d))
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=m.n))].astype(np.int32)
-    st.set_sparse(indptr, cols.astype(np.int32), d[rows, cols])
-    return st
+    m's edges, which _scan keeps."""
+    assert _scan(m).edges is not None
+    return state_of(m, d, "csr")
 
 
 class TestRelaxFromSparse:
@@ -960,6 +982,80 @@ class TestRelaxFromSparse:
             assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
             assert r.epochs[0].kernel == "sparse"
             assert any(from_csr) == (edges == limit), (edges, from_csr)
+
+
+def weighted_ba_digraph(n: int, m_attach: int, seed: int) -> DistMatrix:
+    """A Barabasi-Albert graph whose edges each become two directed edges
+    with independent weights 1..9."""
+    g = generate_scale_free(GenSpec(n=n, m_attach=m_attach, seed=seed))
+    w = np.random.default_rng(seed).integers(1, 10, size=(2, len(g.src)))
+    a = np.full((n, n), INF)
+    np.fill_diagonal(a, 0.0)
+    a[g.src, g.dst] = w[0]
+    a[g.dst, g.src] = w[1]
+    return DistMatrix(a)
+
+
+def star_digraph(n: int, seed: int) -> DistMatrix:
+    """Node 0 with an edge to and from every other node, weights 1..9, and
+    a few random edges among the others."""
+    rng = np.random.default_rng(seed)
+    a = random_dist_matrix(rng, n, max_weight=9, density=1.0 / n, directed=True).data
+    a[0, 1:] = rng.integers(1, 10, n - 1)
+    a[1:, 0] = rng.integers(1, 10, n - 1)
+    return DistMatrix(a)
+
+
+class TestPullRelaxation:
+    """Relaxation passes on hub-heavy graphs, whose sources differ most in
+    out-degree, against Floyd-Warshall: from the input, its square and its
+    fourth power, held dense and as CSR parts."""
+
+    GRAPHS = {
+        "star": lambda: star_digraph(300, 1),
+        "star past the row bound": lambda: star_digraph(600, 2),
+        "ba m_attach 1": lambda: weighted_ba_digraph(400, 1, 3),
+        "ba m_attach 6": lambda: weighted_ba_digraph(300, 6, 4),
+        "ba m_attach 7": lambda: weighted_ba_digraph(240, 7, 5),
+    }
+
+    @pytest.mark.parametrize("rows", [None, 24])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_reaches_floyd_warshall_or_gives_up_untouched(self, monkeypatch, name, rows):
+        if rows is not None:
+            # a row bound that every graph's largest hub passes
+            monkeypatch.setattr(solver, "_PULL_ROWS", rows)
+        m = self.GRAPHS[name]()
+        src = input_edges(m).src
+        out = np.bincount(src, minlength=m.n)
+        assert (out.max() > solver._PULL_ROWS) == (rows is not None or name.endswith("bound"))
+        if name.startswith("star") or name == "ba m_attach 1":
+            assert (out == 1).any()
+        # a block whose last ranks hold one source
+        plan = solver._pass_plan(src, m.n, True)
+        assert rows or any(len(ks) > 1 < ks[0] and ks[-1] == 1 for ks, _ in plan)
+        dist = floyd_warshall(m).data
+        fin = dist[np.isfinite(dist)]
+        d = m.data
+        gave_up = 0
+        for _ in range(3):
+            for form in ("dense", "csr"):
+                st = state_of(m, d, form)
+                assert solver._relax_edges(st, m.n * m.n), (form, st.summary)
+                assert np.array_equal(st.distances().data, dist), form
+                assert st.summary == (fin.size, fin.max(), fin.sum())
+                # room for the first pass only
+                st = state_of(m, d, form)
+                parts, dense, summary = st.csr, st.dense, st.summary
+                before = [x.tobytes() for x in parts or (dense.data,)]
+                if solver._relax_edges(st, len(src)):
+                    assert np.array_equal(st.distances().data, dist)
+                    continue
+                gave_up += 1
+                assert (st.csr, st.dense, st.summary) == (parts, dense, summary)
+                assert [x.tobytes() for x in parts or (dense.data,)] == before
+            d = minplus_square(DistMatrix(d)).data
+        assert gave_up >= 4
 
 
 class TestSparsePhase:
