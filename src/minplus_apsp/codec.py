@@ -34,6 +34,10 @@ _OFFSET = {32: 63, 64: 511}
 # about the entries encode indexes per row block
 _DECODE_CHUNK = 1 << 16
 
+# unreachable in int16 distances, the solver's one format: a feasible solve
+# holds no distance above 2 * 511, and the sentinel plus any stays below 2**15
+UNREACHABLE16 = 2**14
+
 
 class FeasibilityError(RuntimeError):
     """Encoding outside the proof: its product could overflow or misdecode."""
@@ -169,20 +173,15 @@ def encode_table(p: EncodeParams) -> np.ndarray:
     return table
 
 
-def encode(m: DistMatrix, p: EncodeParams, *, out: np.ndarray | None = None) -> EncodedMatrix:
+def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
     """Map finite entry a to 2**(k*(x_tilde - a) - c), unreachable to 0, as
-    p.dtype.
-
-    Refuses, before any n x n allocation, a p that is_feasible does not
-    prove. out, when given, is a contiguous array of m's shape and of
-    p.dtype that receives the codes; otherwise a new array is returned.
-    """
+    p.dtype; refuses, before any n x n allocation, a p that is_feasible does
+    not prove."""
     if p.base != base_for(m.n):
         raise ValueError(f"base {p.base} does not match base_for({m.n}) = {base_for(m.n)}")
     table = encode_table(p)
     a = m.data
-    if out is None:
-        out = np.empty(a.shape, p.dtype)
+    out = np.empty(a.shape, p.dtype)
     # per row block, one pass writes each entry's table index (inf clips to
     # the zero slot at x_tilde + 1) and one gather reads the table; a
     # feasible x_tilde at base_for(n) is at most 511 (base 4, n = 1), so
@@ -207,14 +206,11 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     """Distances of bare product entries encoded with p, as float64.
 
     Each entry's biased exponent, one right shift of its bits, indexes a
-    table of 2*x_tilde - (e + 2c) // k over every exponent e; 0 becomes inf.
-    arr must be of p.dtype, and p proven by is_feasible. out, when given, is
-    a contiguous float64 array of arr's shape; otherwise a new array is
-    returned. out may share memory with arr in two ways: a float64 arr
-    decodes in place as out=arr, and a float32 arr may fill the second half
-    of out's bytes. Both are safe because entries are decoded in forward
-    chunks and the bytes of out up to entry i never reach the bytes of arr's
-    entries beyond i.
+    table of 2*x_tilde - (e + 2c) // k over every exponent e; 0 becomes inf,
+    or UNREACHABLE16 in an int16 out. arr must be of p.dtype, and p proven
+    by is_feasible. out, when given, is a contiguous float64 or int16 array
+    of arr's shape that shares no memory with arr; otherwise a new float64
+    array is returned.
     """
     if arr.dtype != p.dtype:
         raise DecodeError(f"{arr.dtype} product decoded with {p.dtype} parameters")
@@ -236,12 +232,13 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     # b = 0 holds 0.0, the code of unreachable
     e = np.arange(2**info.nexp) - (info.maxexp - 1)
     k = p.base.bit_length() - 1
-    table = (2 * p.x_tilde - (e + 2 * _OFFSET[p.width]) // k).astype(np.float64)
-    table[0] = INF
     if out is None:
         out = np.empty(arr.shape)
+    # exponents no feasible product reaches may wrap in int16; none is read
+    table = (2 * p.x_tilde - (e + 2 * _OFFSET[p.width]) // k).astype(out.dtype)
+    table[0] = INF if out.dtype == np.float64 else UNREACHABLE16
     # the bits as signed integers: the sign bit of -0.0 makes a negative
-    # index, which clips to the inf slot like 0.0
+    # index, which clips to the unreachable slot like 0.0
     bits = arr.reshape(-1).view(f"int{p.width}")
     dst = out.reshape(-1)
     idx = np.empty(min(bits.size, _DECODE_CHUNK), bits.dtype)

@@ -31,17 +31,11 @@ def choose_kernel(d: DensityReport) -> str:
     return SPARSE if d.density < SPARSE_THRESHOLD else DENSE
 
 
-def multiply_dense(
-    a: EncodedMatrix, b: EncodedMatrix, out: np.ndarray | None = None
-) -> EncodedMatrix:
-    """Dense product as one BLAS call, which blocks for the cache itself.
-
-    out, when given, is a contiguous array of the operands' shape and dtype
-    that receives the product.
-    """
+def multiply_dense(a: EncodedMatrix, b: EncodedMatrix) -> EncodedMatrix:
+    """Dense product as one BLAS call, which blocks for the cache itself."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"dimension mismatch: {a.data.shape} vs {b.data.shape}")
-    return EncodedMatrix(np.matmul(a.data, b.data, out=out))
+    return EncodedMatrix(np.matmul(a.data, b.data))
 
 
 def multiply_sparse(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:

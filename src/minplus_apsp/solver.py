@@ -11,16 +11,18 @@ in for the last improving products too. The relaxation is tried after every
 dense epoch, and after a sparse epoch of a weighted graph whose bound
 cannot fire after the next product either (_relax_cap).
 
-While epochs run sparse, the state is the CSR parts of the finite entries:
-one finite scan of the input builds them, each sparse epoch encodes only the
-stored values, and the decoded product feeds the next epoch unchanged. The
-first dense epoch scatters the encoded values into a zero-filled matrix; an
-n x n distance matrix is built from CSR parts only when the solve ends
-sparse, or when a relaxation from them changes them and reaches the fixed
-point. Convergence compares two summaries, the finite count and the sum of
-the finite entries, in place of the two matrices (see _unchanged). The
-same scan keeps the input's edges for the relaxation when there are few
-enough of them (_EDGE_DIVISOR).
+The solve holds every distance as an int16, UNREACHABLE16 for unreachable;
+one finite scan converts the caller's float64 matrix, and the float64
+result is built once, at the end. While epochs run sparse, the state is
+the CSR parts of the finite entries: each sparse epoch encodes only the
+stored values, and the decoded product feeds the next epoch unchanged.
+The first dense epoch scatters the encoded values into a zero-filled
+matrix; an n x n matrix is built from CSR parts only when the solve ends
+sparse, or when a relaxation changes them and succeeds. Convergence
+compares two summaries, the finite count and the sum of the finite
+entries, in place of the two matrices (see _unchanged). The same scan
+keeps the input's edges for the relaxation when there are few enough of
+them (_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .codec import EncodedMatrix, EncodeParams, base_for, decode_values, encode, encode_table
+from .codec import UNREACHABLE16, EncodedMatrix, EncodeParams, FeasibilityError, base_for
+from .codec import decode_values, encode_table
 from .graph import INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
 
@@ -42,12 +45,12 @@ _BLOCK_ROWS = 64
 # most n * n // _EDGE_DIVISOR of them. A relaxation gathers n int16 entries
 # per edge it relaxes, and its cap, counted in edge relaxations, depends on
 # the state it starts from. On a 2-vCPU Xeon a relaxation costs about
-# 1.1 ns per gathered entry, its int16 copy and write-back included
-# (wsf1600's: 53 728 edge relaxations at n = 1600 in 0.092-0.100 s).
+# 0.7 ns per gathered entry, its int16 copy included (wsf1600's: 53 728
+# edge relaxations at n = 1600 in 0.053-0.062 s).
 # - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
-#   entries: about 0.07 s at n = 1600, no more than one float32 dense
-#   epoch (0.04-0.08 s) and about half a float64 one (0.12-0.13 s), the
-#   kind a successful relaxation saves on weighted graphs.
+#   entries: about 0.045 s at n = 1600, no more than one float32 dense
+#   epoch (0.04-0.08 s) and about a third of a float64 one (0.12-0.13 s),
+#   the kind a successful relaxation saves on weighted graphs.
 # - After a sparse epoch it is n * n // _SPARSE_CAP_DIVISOR edges, n**3 / 16
 #   entries. Such an attempt is made only where the next product cannot be
 #   the last one, so a success saves that product and at least one more
@@ -71,10 +74,6 @@ _PULL_ROWS = 512
 # edge relaxations with one sweep (0.014 s) and after 1728 with two
 # (0.010 s), where edge-by-edge order gave up after 1728 (0.011 s)
 _SWEEP_RANKS = 2
-# stands for inf in the relaxation's int16 copy of the distances: with any
-# weight (at most 511) added it stays below 2**15; a finite entry that
-# could reach it makes the relaxation give up
-_UNREACHABLE16 = 2**14
 
 
 @dataclass
@@ -163,10 +162,8 @@ def _unchanged(before: _Summary, after: _Summary) -> bool:
     Exact for a min-plus square D (x) D of a matrix D with a zero diagonal:
     it is <= D entrywise, so its finite set contains D's and an equal finite
     count means an equal finite set, on which an equal sum then leaves no
-    entry smaller. Every finite entry is an integer of at most 2 * 511
-    (twice the largest x_tilde is_feasible admits at base_for(n), at
-    n = 1), so for every n below 2.9e6 each sum stays below 2**53 and is
-    exact in float64.
+    entry smaller. The sums of int16 entries are taken in int64, so they
+    are exact.
     """
     return before.finite == after.finite and before.total == after.total
 
@@ -177,17 +174,16 @@ def _summary(values: np.ndarray) -> _Summary:
     return _Summary(len(values), int(values.max()), int(values.sum()))
 
 
-def _dense_summary(a: np.ndarray, unreachable: float = INF) -> _Summary:
-    """Summary of a dense matrix whose unreachable pairs hold unreachable,
-    the largest value it can hold."""
+def _dense_summary(a: np.ndarray) -> _Summary:
+    """Summary of a dense int16 matrix."""
     top = a.max()
-    # a maximum below unreachable means every pair is reachable
-    if top < unreachable:
+    # a maximum below the sentinel means every pair is reachable
+    if top < UNREACHABLE16:
         return _Summary(a.size, int(top), int(a.sum()))
     # compressed copies of row blocks: no n x n temporary, and faster than
     # masked reductions over the whole matrix
     blocks = (a[i : i + _BLOCK_ROWS] for i in range(0, len(a), _BLOCK_ROWS))
-    parts = [_summary(b[b < unreachable]) for b in blocks]
+    parts = [_summary(b[b < UNREACHABLE16]) for b in blocks]
     return _Summary(
         sum(q.finite for q in parts), max(q.top for q in parts), sum(q.total for q in parts)
     )
@@ -205,14 +201,15 @@ class _State:
     """Distances between epochs, their summary, and the input's edges.
 
     While epochs run sparse the state is the CSR parts (indptr, indices,
-    decoded values) of the finite entries, and no n x n array exists; once
-    they run dense it is a dense matrix. edges is None when the input has
-    more than n * n // _EDGE_DIVISOR of them.
+    int16 values) of the finite entries, and no n x n array exists; once
+    they run dense it is an n x n int16 matrix, UNREACHABLE16 where
+    unreachable. edges, int16 weights too, is None when the input has more
+    than n * n // _EDGE_DIVISOR of them.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.dense: DistMatrix | None = None
+        self.dense: np.ndarray | None = None
         self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.summary: _Summary | None = None
         self.edges: _Edges | None = None
@@ -222,16 +219,21 @@ class _State:
         self.csr = (indptr, indices, values)
         self.summary = _summary(values)
 
-    def set_dense(self, m: DistMatrix) -> None:
+    def set_dense(self, d: np.ndarray) -> None:
         self.csr = None
-        self.dense = m
-        self.summary = _dense_summary(m.data)
+        self.dense = d
+        self.summary = _dense_summary(d)
 
     def distances(self) -> DistMatrix:
-        if self.dense is not None:
-            return self.dense
-        out = np.full((self.n, self.n), INF)
-        return DistMatrix._trusted(_scatter_rows(out, *self.csr))
+        """The distances as a new float64 DistMatrix, inf for unreachable."""
+        if self.dense is None:
+            return DistMatrix._trusted(_scatter_rows(np.full((self.n, self.n), INF), *self.csr))
+        out = self.dense.astype(np.float64)
+        if self.summary.finite < out.size:
+            for i in range(0, self.n, _BLOCK_ROWS):
+                b = out[i : i + _BLOCK_ROWS]
+                b[b == UNREACHABLE16] = INF
+        return DistMatrix._trusted(out)
 
 
 def _kernel_for(finite: int, n: int) -> str:
@@ -241,7 +243,8 @@ def _kernel_for(finite: int, n: int) -> str:
 def _scan(w: DistMatrix) -> _State:
     """The first epoch's state and summary, and the input's edges, from one
     finite scan of w in row blocks: CSR parts of w's finite entries when
-    that epoch runs sparse, w otherwise."""
+    that epoch runs sparse, w in int16 otherwise (_to_int16 refuses an
+    entry int16 cannot hold, before any n x n float64 array exists)."""
     n = w.n
     a = w.data
     limit = n * n // _EDGE_DIVISOR
@@ -273,7 +276,7 @@ def _scan(w: DistMatrix) -> _State:
         dtype = np.int32 if max(finite, n) <= np.iinfo(np.int32).max else np.int64
         indptr = indptr.astype(dtype)
         indices = np.concatenate([c for c, _ in parts]).astype(dtype)
-        values = np.concatenate([v for _, v in parts])
+        values = _to_int16(np.concatenate([v for _, v in parts]), np.empty(finite, np.int16))
         del parts
         if finite - n <= limit:
             src = np.repeat(np.arange(n), np.diff(indptr))
@@ -282,8 +285,23 @@ def _scan(w: DistMatrix) -> _State:
     if _kernel_for(finite, n) == SPARSE:
         st.set_sparse(indptr, indices, values)
     else:
-        st.set_dense(w)
+        d = np.empty((n, n), np.int16)
+        for i in range(0, n, _BLOCK_ROWS):
+            _to_int16(a[i : i + _BLOCK_ROWS], d[i : i + _BLOCK_ROWS])
+        st.set_dense(d)
     return st
+
+
+def _to_int16(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the float64 distances a into the int16 array out, inf as
+    UNREACHABLE16; refuse a finite entry that would reach the sentinel."""
+    np.minimum(a, UNREACHABLE16, out=out, casting="unsafe")
+    # entries are nonnegative integers or inf, so only inf may reach the
+    # sentinel when every finite entry lies below it
+    if np.count_nonzero(out == UNREACHABLE16) != np.count_nonzero(a == INF):
+        top = int(a[a < INF].max())
+        raise FeasibilityError(f"x_tilde={top} is not below the int16 sentinel {UNREACHABLE16}")
+    return out
 
 
 def _distance_product(st: _State) -> tuple[str, str]:
@@ -293,11 +311,11 @@ def _distance_product(st: _State) -> tuple[str, str]:
     A sparse epoch encodes, multiplies and decodes only the stored values,
     in float64; the product feeds the next epoch as it is. A dense epoch
     runs in float32 when EncodeParams.is_feasible proves width 32 exact, in
-    float64 otherwise. Its E is encoded from a dense state, or, after sparse
-    epochs, scattered from the CSR parts into zeros. st's previous
-    distances are dropped once E is built and before the product's array
-    is touched: at scale every full matrix is a large fraction of RAM. A
-    float32 epoch allocates no full array beyond the distances it returns.
+    float64 otherwise. Its E is looked up from a dense state, or, after
+    sparse epochs, scattered from the CSR parts into zeros. st's previous
+    distances are dropped once E is built, and the product is decoded into
+    a new int16 matrix once E is gone: at scale every full matrix is a
+    large fraction of RAM.
     """
     n = st.n
     p = EncodeParams(base=base_for(n), x_tilde=st.summary.top)
@@ -306,7 +324,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
         # the state is CSR: _scan picks its form by the same kernel rule,
         # and the density that rule reads never falls
         indptr, indices, values = st.csr
-        codes = encode_table(p)[values.astype(np.int16)]
+        codes = encode_table(p)[values]
         st.csr = None
         del values
         # imported here: scipy.sparse costs a quarter of a second, and a
@@ -317,36 +335,28 @@ def _distance_product(st: _State) -> tuple[str, str]:
         del codes
         prod = kernels.multiply_sparse(s, s)
         del s, indptr, indices
-        # every stored product entry is positive, so each decodes, in place,
-        # to a finite distance
-        st.set_sparse(prod.indptr, prod.indices, decode_values(prod.data, p, out=prod.data))
+        # every stored product entry is positive, so each decodes to a
+        # finite distance
+        values = decode_values(prod.data, p, out=np.empty(prod.nnz, np.int16))
+        st.set_sparse(prod.indptr, prod.indices, values)
         return kind, p.dtype.name
     p32 = EncodeParams(base=p.base, x_tilde=p.x_tilde, width=32)
     p = p32 if p32.is_feasible() else p
-    # the table refuses an infeasible x_tilde, so it comes before any n x n
-    # allocation
+    # the table refuses an infeasible x_tilde before any n x n allocation
     table = encode_table(p)
-    if p.width == 32:
-        # E, the float32 product and the decoded distances share one float64
-        # array: E fills the first half of its bytes, the product the
-        # second, and decode_values writes the distances over both
-        dist = np.empty((n, n))
-        e, out = dist.reshape(-1).view(np.float32).reshape(2, n, n)
-        if st.dense is None:
-            e.fill(0)
-    else:
-        # the product gets its own array and is decoded in place
-        e = np.empty((n, n)) if st.dense is not None else np.zeros((n, n))
-        dist = out = None
     if st.dense is not None:
-        encode(st.dense, p, out=e)
+        e = np.empty((n, n), p.dtype)
+        for i in range(0, n, _BLOCK_ROWS):
+            # the sentinel clips to the table's last slot, the code 0 of
+            # unreachable; mode "clip" also spares take a buffered copy
+            np.take(table, st.dense[i : i + _BLOCK_ROWS], out=e[i : i + _BLOCK_ROWS], mode="clip")
     else:
-        _scatter_rows(e, *st.csr, table)
+        e = _scatter_rows(np.zeros((n, n), p.dtype), *st.csr, table)
     st.dense = st.csr = None
     enc = EncodedMatrix(e)
-    prod = kernels.multiply_dense(enc, enc, out=out).data
+    prod = kernels.multiply_dense(enc, enc).data
     del enc, e
-    st.set_dense(DistMatrix._trusted(decode_values(prod, p, out=prod if dist is None else dist)))
+    st.set_dense(decode_values(prod, p, out=np.empty((n, n), np.int16)))
     return kind, p.dtype.name
 
 
@@ -372,7 +382,7 @@ def _scatter_rows(
         pos = np.repeat(np.arange(i * n, j * n, n), np.diff(indptr[i : j + 1]))
         pos += indices[lo:hi]
         v = vals[lo:hi]
-        flat[pos] = v if table is None else table[v.astype(np.int16)]
+        flat[pos] = v if table is None else table[v]
     return out
 
 
@@ -516,14 +526,13 @@ def _relax_edges(st: _State, cap: int) -> bool:
     so is every entry a relaxation writes, so D >= dist, and D = dist.
     Unreachable pairs need no path: dist = inf there, and D >= dist.
 
-    Runs on an int16 copy of D with inf mapped to _UNREACHABLE16, filled
-    from the dense matrix or scattered from the CSR parts. Entries only
-    fall, and the sentinel plus any weight (at most 511: the first epoch's
-    x_tilde bounds them) stays below 2**15, so nothing overflows. A finite
-    entry whose sum with a weight reached the sentinel would be taken for
-    unreachable; at the fixed point that cannot have happened when the
-    largest finite entry plus the largest weight is below the sentinel,
-    which is checked before the result is written back.
+    Runs on a copy of D, dense or scattered from the CSR parts. Entries
+    only fall, and the sentinel plus any weight (at most 511: the first
+    epoch's x_tilde bounds them) stays below 2**15, so nothing overflows. A
+    finite entry whose sum with a weight reached the sentinel would be
+    taken for unreachable; at the fixed point that cannot have happened
+    when the largest finite entry plus the largest weight is below the
+    sentinel, which is checked before the copy replaces D.
 
     A pass pulls (_pass_plan): a block's edges are gathered and weighted at
     once, min-reduced rank by rank into one candidate row per source, and
@@ -532,9 +541,9 @@ def _relax_edges(st: _State, cap: int) -> bool:
     them all. A pull finds a row changed only after reducing all of that
     row's edges in its block, so the first pass opens with sweeps of one
     out-edge per source, which find the rows that change at once as early
-    as an edge-by-edge order does. A dense state gets the rows that changed
-    written back; a CSR state that changed becomes a dense one, built in
-    row blocks, and one that did not stays as it was.
+    as an edge-by-edge order does. When a pass changed a row, the copy
+    becomes the dense state; a state no pass changed stays as it was, CSR
+    or dense.
 
     A change to row v puts every edge into v into the next pass, so the
     relaxation counts those edges as rows change, and gives up as soon as
@@ -547,11 +556,9 @@ def _relax_edges(st: _State, cap: int) -> bool:
     left = cap - len(src)
     into = np.bincount(dst, minlength=n)
     if st.dense is not None:
-        d = np.empty((n, n), np.int16)
-        np.minimum(st.dense.data, _UNREACHABLE16, out=d, casting="unsafe")
+        d = st.dense.copy()
     else:
-        d = _scatter_rows(np.full((n, n), _UNREACHABLE16, np.int16), *st.csr)
-    weight16 = weight.astype(np.int16)[:, None]
+        d = _scatter_rows(np.full((n, n), UNREACHABLE16, np.int16), *st.csr)
     # buffers for a block's weighted head rows, its sources' rows and
     # their comparison
     through_buf = np.empty((_PULL_ROWS, n), np.int16)
@@ -561,7 +568,7 @@ def _relax_edges(st: _State, cap: int) -> bool:
     active = np.ones(len(src), bool)
     sweep = True
     while True:
-        s, t, wt = src[active], dst[active], weight16[active]
+        s, t, wt = src[active], dst[active], weight[active][:, None]
         changed = np.zeros(n, bool)
         # edges of the next pass so far
         following = 0
@@ -600,28 +607,12 @@ def _relax_edges(st: _State, cap: int) -> bool:
         touched |= changed
         active = changed[dst]
         sweep = False
-    # a matrix no pass changed keeps its summary
-    summary = _dense_summary(d, _UNREACHABLE16) if touched.any() else st.summary
-    if summary.top + weight.max(initial=0) >= _UNREACHABLE16:
+    # a matrix no pass changed keeps its form and summary
+    summary = _dense_summary(d) if touched.any() else st.summary
+    if summary.top + int(weight.max(initial=0)) >= UNREACHABLE16:
         return False
-    if st.dense is not None:
-        a = st.dense.data
-        rows = np.flatnonzero(touched)
-        for i in range(0, len(rows), _BLOCK_ROWS):
-            r = rows[i : i + _BLOCK_ROWS]
-            b = d[r]
-            block = b.astype(np.float64)
-            block[b == _UNREACHABLE16] = INF
-            a[r] = block
-    elif touched.any():
-        a = np.empty((n, n))
-        for i in range(0, n, _BLOCK_ROWS):
-            b, block = d[i : i + _BLOCK_ROWS], a[i : i + _BLOCK_ROWS]
-            block[...] = b
-            block[b == _UNREACHABLE16] = INF
-        st.csr = None
-        st.dense = DistMatrix._trusted(a)
-    st.summary = summary
+    if touched.any():
+        st.csr, st.dense, st.summary = None, d, summary
     return True
 
 
@@ -650,7 +641,7 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
     is_converged = False
     st = _scan(w)
     if st.edges is not None:
-        w_min = float(st.edges.weight.min(initial=INF))
+        w_min = int(st.edges.weight.min()) if len(st.edges.src) else INF
     else:
         w_min = _min_off_diagonal(w)
     m = 1

@@ -76,8 +76,8 @@ class TestEncode:
         p = params_for(p3, width=32)
         assert p.dtype == np.float32 and params_for(p3).dtype == np.float64
         assert encode_table(p).dtype == np.float32
-        out = np.empty((3, 3), np.float32)
-        assert encode(p3, p, out=out).data is out
+        out = encode(p3, p).data
+        assert out.dtype == np.float32
         assert out.tolist() == P3_CODES_32
 
     def test_float32_codes_report_width_32(self, p3):
@@ -271,13 +271,14 @@ class TestDecode:
         with pytest.raises(NonFiniteEntryError):
             decode(bad, p)
 
-    def test_decode_values_in_place(self):
-        # base 4: k = 2, so exponent e decodes to 2 - (e + 1022) // 2
+    def test_decode_values_into_out(self):
+        # base 4: k = 2, so exponent e decodes to 2 - (e + 1022) // 2; 0
+        # decodes to the unreachable value of out's dtype
         p = EncodeParams(base=4, x_tilde=1)
         vals = np.array([2.0**-1018, 2.0**-1022, 2.0**-1020 + 2.0**-1021, 0.0])
-        out = decode_values(vals, p, out=vals)
-        assert out is vals
-        assert vals.tolist() == [0.0, 2.0, 1.0, INF]
+        for out, unreachable in ((np.empty(4), INF), (np.empty(4, np.int16), codec.UNREACHABLE16)):
+            assert decode_values(vals, p, out=out) is out
+            assert out.tolist() == [0, 2, 1, unreachable]
 
 
 class TestDecodeExactAtLargeN:
@@ -424,20 +425,24 @@ class TestFloat32Exact:
         with pytest.raises(DecodeError, match="float64 product decoded with float32"):
             decode_values(_product(d, p64), p32)
 
-    def test_decodes_into_the_float64_array_behind_it(self):
-        # the solver's float32 epoch keeps its product in the second half of
-        # the bytes of the float64 array the distances are decoded into
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_decodes_into_int16(self, width):
+        # the solver decodes every product into int16 distances, with the
+        # sentinel for unreachable, over more than two decode chunks
         n, x = 400, 3
         assert n * n > 2 * codec._DECODE_CHUNK
-        p = EncodeParams(base=base_for(n), x_tilde=x, width=32)
+        p = EncodeParams(base=base_for(n), x_tilde=x, width=width)
         rng = np.random.default_rng(5)
         d = rng.integers(0, x + 1, (n, n)).astype(float)
         d[rng.random((n, n)) < 0.5] = INF
-        buf = np.empty((n, n))
-        halves = buf.reshape(-1).view(np.float32).reshape(2, n, n)
-        halves[1] = _product(d, p)
-        assert decode_values(halves[1], p, out=buf) is buf
-        assert np.array_equal(buf, [np.min(d[i] + d, axis=1) for i in range(n)])
+        # a few rows no column reaches: their product entries are 0
+        d[:3] = INF
+        prod = _product(d, p)
+        want = _minplus(d)
+        assert (prod == 0).any() and np.array_equal(prod == 0, want == INF)
+        out = np.empty((n, n), np.int16)
+        assert decode_values(prod, p, out=out) is out
+        assert np.array_equal(out, np.where(want == INF, codec.UNREACHABLE16, want))
 
     def test_float32_product_outside_the_bound_refused(self):
         p = EncodeParams(base=base_for(1600), x_tilde=11, width=32)

@@ -23,7 +23,7 @@ from minplus_apsp import (
 )
 import minplus_apsp
 from minplus_apsp import solver
-from minplus_apsp.codec import largest_float32_x_tilde
+from minplus_apsp.codec import UNREACHABLE16, largest_float32_x_tilde
 from minplus_apsp.solver import _distance_product, _scan
 from conftest import (
     P3_SOLVED,
@@ -33,6 +33,18 @@ from conftest import (
     minplus_square,
     random_dist_matrix,
 )
+
+
+def state16(d: np.ndarray) -> np.ndarray:
+    """A float64 distance matrix in the solve's state format: int16, with
+    UNREACHABLE16 for inf."""
+    assert d[np.isfinite(d)].max(initial=0) < UNREACHABLE16
+    return np.where(np.isfinite(d), d, UNREACHABLE16).astype(np.int16)
+
+
+def held16(st: solver._State) -> bool:
+    """Whether st holds its distances, dense or CSR, in int16."""
+    return (st.dense if st.dense is not None else st.csr[2]).dtype == np.int16
 
 
 def path_matrix(n):
@@ -76,7 +88,9 @@ class TestDistanceProduct:
                     directed=bool(rng.integers(2)),
                 )
                 st = _scan(m)
+                assert held16(st)
                 ran.add(_distance_product(st))
+                assert held16(st)
                 assert np.array_equal(st.distances().data, minplus_square(m).data), (kernel, n)
         assert ran == {("dense", "float32"), ("dense", "float64"), ("sparse", "float64")}
 
@@ -171,11 +185,12 @@ class TestArithmetic:
         ]
         assert np.array_equal(r.distances.data, shortest_path(w.data, method="D"))
 
-    def test_float32_epoch_allocates_one_float64_array(self):
-        # E, the float32 product and the decoded distances share one n x n
-        # float64 array; the rest is a fixed few hundred KiB of chunk and
-        # row-block temporaries. The route graph's second epoch encodes E
-        # from CSR parts, the m_attach=60 graph's from a dense matrix
+    def test_float32_epoch_peaks_at_e_and_its_product(self):
+        # E and the float32 product, 4 bytes an entry each, are the largest
+        # arrays alive at once; the int16 distances come after E is gone, and
+        # the rest is a fixed few hundred KiB of chunk and row-block
+        # temporaries. The route graph's second epoch encodes E from CSR
+        # parts, the m_attach=60 graph's from a dense matrix
         n = 800
         for m_attach, seed, first in ((7, 11, "sparse"), (60, 3, "dense")):
             g = generate_scale_free(GenSpec(n=n, m_attach=m_attach, seed=seed))
@@ -221,9 +236,9 @@ class TestArithmetic:
         previous = []
         ran = set()
 
-        def check(a, b, out=None):
+        def check(a, b):
             assert all(ref() is None for ref in previous)
-            return multiply(a, b, out=out)
+            return multiply(a, b)
 
         monkeypatch.setattr(solver.kernels, "multiply_dense", check)
         for g in graphs:
@@ -232,7 +247,7 @@ class TestArithmetic:
             _distance_product(st)
             for _ in range(2):
                 form = "csr" if st.csr is not None else "dense"
-                previous[:] = map(weakref.ref, st.csr or (st.dense.data,))
+                previous[:] = map(weakref.ref, st.csr or (st.dense,))
                 kind, arithmetic = _distance_product(st)
                 ran.add((form, kind, arithmetic))
         assert {(f, a) for f, k, a in ran if k == "dense"} == {
@@ -383,7 +398,7 @@ class TestPowerLawBound:
 def input_edges(m: DistMatrix) -> solver._Edges:
     """m's finite off-diagonal entries, read straight from the matrix."""
     u, v = np.nonzero(np.isfinite(m.data) & ~np.eye(m.n, dtype=bool))
-    return solver._Edges(u, v, m.data[u, v])
+    return solver._Edges(u, v, state16(m.data[u, v]))
 
 
 def sparse_weighted_digraph(rng, n):
@@ -399,7 +414,7 @@ def edge_state(m: DistMatrix, d: np.ndarray) -> solver._State:
     with m's edges kept as _scan keeps them."""
     st = _scan(m)
     assert st.edges is not None
-    st.set_dense(DistMatrix._trusted(d.copy()))
+    st.set_dense(state16(d))
     return st
 
 
@@ -428,8 +443,8 @@ class TestEdgeStop:
             dist = floyd_warshall(m).data
             st = edge_state(m, dist)
             assert relax_dense(st)
-            assert np.array_equal(st.dense.data, dist)
-            assert st.summary == solver._dense_summary(dist)
+            assert np.array_equal(st.distances().data, dist)
+            assert st.summary == solver._dense_summary(state16(dist))
 
     def test_repairs_one_entry_raised_or_lost(self):
         rng = np.random.default_rng(32)
@@ -445,8 +460,8 @@ class TestEdgeStop:
                 d[i, j] = wrong
                 st = edge_state(m, d)
                 assert relax_dense(st), (i, j, wrong)
-                assert np.array_equal(st.dense.data, dist), (i, j, wrong)
-                assert st.summary == solver._dense_summary(dist)
+                assert np.array_equal(st.distances().data, dist), (i, j, wrong)
+                assert st.summary == solver._dense_summary(state16(dist))
 
     def test_zero_weights_and_unreachable_pairs(self):
         # 0 -0-> 1 -3-> 2 -0-> 3, and nodes 4..63 on their own: n = 64
@@ -463,7 +478,7 @@ class TestEdgeStop:
             d[pair] = wrong
             st = edge_state(m, d)
             assert relax_dense(st), pair
-            assert np.array_equal(st.dense.data, dist), pair
+            assert np.array_equal(st.distances().data, dist), pair
 
     def test_largest_entries_stay_exact(self):
         # weights of 512 and a distance of 1024, the largest a feasible solve
@@ -481,7 +496,7 @@ class TestEdgeStop:
             d[71, 73] = wrong
             st = edge_state(m, d)
             assert relax_dense(st)
-            assert np.array_equal(st.dense.data, dist)
+            assert np.array_equal(st.distances().data, dist)
 
     def test_gives_up_where_an_entry_could_reach_the_sentinel(self):
         # a path of 40 edges of weight 512 into node 0, among 360 nodes on
@@ -493,7 +508,7 @@ class TestEdgeStop:
         m = DistMatrix(a)
         st = edge_state(m, a)
         assert not relax_dense(st)
-        assert np.array_equal(st.dense.data, a)
+        assert np.array_equal(st.distances().data, a)
 
     def test_reaches_floyd_warshall_from_product_states(self):
         # every dense state of each solve, relaxed on a copy: the relaxation
@@ -507,18 +522,18 @@ class TestEdgeStop:
                 m = DistMatrix(np.minimum(m.data, m.data.T))
             dist = floyd_warshall(m).data
             st = _scan(m)
-            while st.dense is None or not np.array_equal(st.dense.data, dist):
+            while st.dense is None or not np.array_equal(st.distances().data, dist):
                 kind, _ = _distance_product(st)
                 if kind != "dense":
                     continue
-                copy = edge_state(m, st.dense.data)
+                copy = edge_state(m, st.distances().data)
                 if relax_dense(copy):
                     reached += 1
-                    assert np.array_equal(copy.dense.data, dist), case
-                    assert copy.summary == solver._dense_summary(dist)
+                    assert np.array_equal(copy.distances().data, dist), case
+                    assert copy.summary == solver._dense_summary(state16(dist))
                 else:
                     gave_up += 1
-                    assert np.array_equal(copy.dense.data, st.dense.data), case
+                    assert np.array_equal(copy.dense, st.dense), case
                     assert copy.summary == st.summary
         assert reached >= 10 and gave_up >= 5, (reached, gave_up)
 
@@ -530,12 +545,12 @@ class TestEdgeStop:
         for _ in range(16):
             m = sparse_weighted_digraph(rng, int(rng.integers(192, 256)))
             st = first_dense_state(m)
-            data, summary = st.dense.data, st.summary
+            data, summary = st.dense, st.summary
             before = data.tobytes()
             if relax_dense(st):
                 continue
             gave_up += 1
-            assert st.dense.data is data and data.tobytes() == before
+            assert st.dense is data and data.tobytes() == before
             assert st.summary is summary
         assert gave_up >= 6
 
@@ -563,13 +578,13 @@ class TestEdgeStop:
         def relax(m, d, cap):
             st = edge_state(m, d)
             relaxed.append(0)
-            return solver._relax_edges(st, cap), relaxed[-1], st.dense.data
+            return solver._relax_edges(st, cap), relaxed[-1], st.distances().data
 
         rng = np.random.default_rng(38)
         gave_up = 0
         for _ in range(16):
             m = sparse_weighted_digraph(rng, int(rng.integers(192, 256)))
-            d = first_dense_state(m).dense.data
+            d = first_dense_state(m).distances().data
             dist = floyd_warshall(m).data
             ok, needed, got = relax(m, d, m.n * m.n)
             assert ok and np.array_equal(got, dist)
@@ -596,7 +611,7 @@ class TestEdgeStop:
         assert len(st.edges.src) <= 1024
         assert not relax_dense(st)
         assert 0 < relaxed[-1] < len(st.edges.src) // 4
-        assert np.array_equal(st.dense.data, m.data)
+        assert np.array_equal(st.distances().data, m.data)
 
     def test_edge_stop_saves_one_product(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -639,6 +654,7 @@ class TestEdgeStop:
                 st = _scan(m)
                 assert (st.edges is not None) == kept
                 if kept:
+                    assert st.edges.weight.dtype == np.int16
                     got = sorted(zip(*(x.tolist() for x in st.edges)))
                     assert got == sorted(zip(*(x.tolist() for x in input_edges(m))))
 
@@ -768,11 +784,11 @@ def state_of(m: DistMatrix, d: np.ndarray, form: str) -> solver._State:
     st = solver._State(m.n)
     st.edges = input_edges(m)
     if form == "dense":
-        st.set_dense(DistMatrix._trusted(d.copy()))
+        st.set_dense(state16(d))
     else:
         rows, cols = np.nonzero(np.isfinite(d))
         indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=m.n))].astype(np.int32)
-        st.set_sparse(indptr, cols.astype(np.int32), d[rows, cols])
+        st.set_sparse(indptr, cols.astype(np.int32), state16(d[rows, cols]))
     return st
 
 
@@ -803,7 +819,7 @@ class TestRelaxFromSparse:
                 assert st.csr is not None
                 # a cap no relaxation here reaches
                 assert solver._relax_edges(st, n * n), (case, epochs)
-                assert st.csr is None
+                assert st.csr is None and held16(st)
                 assert np.array_equal(st.distances().data, dist), (case, epochs)
                 assert st.summary == (fin.size, fin.max(), fin.sum())
 
@@ -1047,13 +1063,13 @@ class TestPullRelaxation:
                 # room for the first pass only
                 st = state_of(m, d, form)
                 parts, dense, summary = st.csr, st.dense, st.summary
-                before = [x.tobytes() for x in parts or (dense.data,)]
+                before = [x.tobytes() for x in parts or (dense,)]
                 if solver._relax_edges(st, len(src)):
                     assert np.array_equal(st.distances().data, dist)
                     continue
                 gave_up += 1
                 assert (st.csr, st.dense, st.summary) == (parts, dense, summary)
-                assert [x.tobytes() for x in parts or (dense.data,)] == before
+                assert [x.tobytes() for x in parts or (dense,)] == before
             d = minplus_square(DistMatrix(d)).data
         assert gave_up >= 4
 
@@ -1167,23 +1183,25 @@ class TestSparsePhase:
         complete = np.ones((n, n))
         np.fill_diagonal(complete, 0.0)
         for base, form in ((path_matrix(n).data, "sparse"), (complete, "dense")):
-            for x_tilde in (limit, limit + 1):
+            # past the largest feasible x_tilde, at the int16 sentinel, and
+            # where a cast to int16 would wrap to a negative entry
+            for x_tilde in (limit, limit + 1, UNREACHABLE16, 2**15 + 1):
                 a = base.copy()
                 a[0, 1] = a[1, 0] = x_tilde
                 m = DistMatrix(a)
-                assert (_scan(m).csr is not None) == (form == "sparse")
                 if x_tilde == limit:
+                    assert (_scan(m).csr is not None) == (form == "sparse")
                     distance_product(m)
                     continue
                 tracemalloc.start()
                 try:
-                    with pytest.raises(FeasibilityError):
+                    with pytest.raises(FeasibilityError, match=f"x_tilde={x_tilde} "):
                         power_law_bound(m)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
                 # refused before any n x n float64 array was allocated
-                assert peak < a.nbytes, (form, peak)
+                assert peak < a.nbytes, (form, x_tilde, peak)
 
 
 class TestSolveOptions:
