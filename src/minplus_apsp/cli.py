@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
         elif args.output:
             matio.write_distance_csv(result.distances, args.output)
         else:
-            sys.stdout.write(matio.distance_csv(result.distances))
+            sys.stdout.writelines(matio.distance_csv_blocks(result.distances))
         if args.stats:
             Path(args.stats).write_text(epoch_stats_csv(result.epochs))
     except OSError as exc:

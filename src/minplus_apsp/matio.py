@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -13,29 +14,41 @@ INF_SENTINEL = 2**64 - 1
 _HEADER = struct.Struct("<4sQI")  # magic, n, width
 
 
-def distance_csv(m: DistMatrix) -> str:
-    """Rows of comma-separated integers with the literal INF for unreachable.
+def distance_csv_blocks(m: DistMatrix) -> Iterator[str]:
+    """The text of distance_csv in blocks of 64 rows, so that writing it
+    holds one block's codes, tokens and text at a time.
 
     Each entry becomes an index into a table of its formatted token, so only
     the distinct values are formatted in Python.
     """
     a = m.data
-    finite = np.isfinite(a)
-    top = int(np.amax(a, initial=0.0, where=finite))
+    blocks = [a[i : i + 64] for i in range(0, m.n, 64)]
+    top = max((np.amax(b, initial=0.0, where=np.isfinite(b)) for b in blocks), default=0.0)
     if top < a.size:
         # entries are integers 0..top, so each is its own index; top + 1 is INF
-        codes = np.where(finite, a, top + 1).astype(np.intp)
-        tokens = [str(v) for v in range(top + 1)] + ["INF"]
+        values = None
+        tokens = [str(v) for v in range(int(top) + 1)] + ["INF"]
     else:
         # a table of every integer up to top would outgrow the matrix
-        values, codes = np.unique(a, return_inverse=True)
+        values = np.unique(a)
         tokens = ["INF" if v == INF else str(int(v)) for v in values]
-    table = np.array(tokens, dtype=object)[codes.reshape(a.shape)]
-    return "\n".join(",".join(row) for row in table.tolist()) + "\n"
+    table = np.array(tokens, dtype=object)
+    for b in blocks:
+        if values is None:
+            codes = np.where(np.isfinite(b), b, top + 1).astype(np.intp)
+        else:
+            codes = np.searchsorted(values, b)
+        yield "".join(",".join(row) + "\n" for row in table[codes].tolist())
+
+
+def distance_csv(m: DistMatrix) -> str:
+    """Rows of comma-separated integers with the literal INF for unreachable."""
+    return "".join(distance_csv_blocks(m))
 
 
 def write_distance_csv(m: DistMatrix, path: str | Path) -> None:
-    Path(path).write_text(distance_csv(m))
+    with open(path, "w") as fh:
+        fh.writelines(distance_csv_blocks(m))
 
 
 def write_distance_binary(m: DistMatrix, path: str | Path) -> None:

@@ -44,9 +44,9 @@ _BLOCK_ROWS = 64
 # Keep the input's edges, and so relax over them, only when there are at
 # most n * n // _EDGE_DIVISOR of them. A relaxation gathers n int16 entries
 # per edge it relaxes, and its cap, counted in edge relaxations, depends on
-# the state it starts from. On a 2-vCPU Xeon a relaxation costs about
-# 0.7 ns per gathered entry, its int16 copy included (wsf1600's: 53 728
-# edge relaxations at n = 1600 in 0.053-0.062 s).
+# the state it starts from. On a 2-vCPU Xeon a relaxation costs 0.6-1.0 ns
+# per gathered entry, its int16 copy included (wsf1600's: 53 143 edge
+# relaxations at n = 1600 in 0.052-0.086 s).
 # - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
 #   entries: about 0.045 s at n = 1600, no more than one float32 dense
 #   epoch (0.04-0.08 s) and about a third of a float64 one (0.12-0.13 s),
@@ -54,26 +54,17 @@ _BLOCK_ROWS = 64
 # - After a sparse epoch it is n * n // _SPARSE_CAP_DIVISOR edges, n**3 / 16
 #   entries. Such an attempt is made only where the next product cannot be
 #   the last one, so a success saves that product and at least one more
-#   product or relaxation (_relax_cap). It is made only with at most
-#   n * n // _SPARSE_GATE_DIVISOR edges, so that at least 8 full passes fit
-#   in the cap. At n = 1600, a random digraph of 25 out-edges solved 61 %
-#   slower without that gate, and one of 12 out-edges 3.9x slower with a
-#   cap of n**3 / 32, both from give-ups.
+#   product or relaxation (_relax_cap). At n = 1600, a random digraph of
+#   12 out-edges solved 3.9x slower with a cap of n**3 / 32, from give-ups.
 # A relaxation gives up as soon as its next pass is sure to pass its cap,
-# and the solve squares on; a give-up after a dense epoch at n = 1600
-# measured 0.006-0.05 s: at most the first pass and part of the second.
+# and the solve squares on: the give-ups after the dense epochs of unit-weight
+# rings of 400 and 800 nodes took 0.005 and 0.013 s in all.
 _EDGE_DIVISOR = 64
 _SPARSE_CAP_DIVISOR = 16
-_SPARSE_GATE_DIVISOR = 128
 # sources, and edges, in one block of a relaxation pass (_pass_plan): 512
 # int16 rows are 1.6 MB at n = 1600
 _PULL_SOURCES = 32
 _PULL_ROWS = 512
-# sweeps of one out-edge per source that open a relaxation's first pass:
-# at n = 1600, a weighted BA digraph with m_attach 7 gave up after 3285
-# edge relaxations with one sweep (0.014 s) and after 1728 with two
-# (0.010 s), where edge-by-edge order gave up after 1728 (0.011 s)
-_SWEEP_RANKS = 2
 
 
 @dataclass
@@ -423,7 +414,7 @@ def _bound_proves_converged(
     return all_reachable_found and top < (m + 1) * w_min
 
 
-def _pass_plan(src: np.ndarray, n: int, sweep: bool):
+def _pass_plan(src: np.ndarray, n: int):
     """Blocks of one relaxation pass over edges sorted by source, as pairs
     (ks, e) that together list every edge once.
 
@@ -435,20 +426,10 @@ def _pass_plan(src: np.ndarray, n: int, sweep: bool):
     decreasing out-degree, at most _PULL_SOURCES and _PULL_ROWS edges to a
     block; a source with more than _PULL_ROWS edges is cut into slices of
     at most _PULL_ROWS, planned as sources of their own, so that each full
-    slice fills a block alone. With sweep, the plan opens with
-    _SWEEP_RANKS sweeps, each over one out-edge of every source, in blocks
-    of a single rank.
+    slice fills a block alone.
     """
     counts = np.bincount(src, minlength=n)
     first = np.cumsum(counts) - counts
-    step = min(_PULL_SOURCES, _PULL_ROWS)
-    for _ in range(_SWEEP_RANKS if sweep else 0):
-        has = np.flatnonzero(counts)
-        for i in range(0, len(has), step):
-            e = first[has[i : i + step]]
-            yield [len(e)], e
-        first[has] += 1
-        counts[has] -= 1
     pieces = -(-counts // _PULL_ROWS)
     owner = np.repeat(np.arange(n), pieces)
     cut = _PULL_ROWS * (np.arange(len(owner)) - np.repeat(np.cumsum(pieces) - pieces, pieces))
@@ -488,21 +469,20 @@ def _pass_plan(src: np.ndarray, n: int, sweep: bool):
         yield ks[rank0[b] : rank0[b + 1]], e[bounds[b] : bounds[b + 1]]
 
 
-def _relax_cap(kind: str, n: int, edges: int, m: int, w_min: float, top: int) -> int:
+def _relax_cap(kind: str, n: int, m: int, w_min: float, top: int) -> int:
     """Edge relaxations a relaxation may spend after an epoch of kind that
     covers every path of at most m edges and whose largest finite entry is
-    top, for an input with `edges` kept edges; 0 where none is tried.
+    top; 0 where none is tried.
 
     After a dense epoch the cap is n * n // _EDGE_DIVISOR. After a sparse
     epoch it is n * n // _SPARSE_CAP_DIVISOR, and a relaxation is tried only
     when the path-weight bound cannot fire after the next product, whose
-    largest entry can reach 2 * top (2 * top >= (2m + 1) * w_min), and when
-    there are at most n * n // _SPARSE_GATE_DIVISOR edges. A unit-weight
-    graph has top <= m after such an epoch, so it never tries.
+    largest entry can reach 2 * top (2 * top >= (2m + 1) * w_min). A
+    unit-weight graph has top <= m after such an epoch, so it never tries.
     """
     if kind == DENSE:
         return n * n // _EDGE_DIVISOR
-    if 2 * top < (2 * m + 1) * w_min or edges > n * n // _SPARSE_GATE_DIVISOR:
+    if 2 * top < (2 * m + 1) * w_min:
         return 0
     return n * n // _SPARSE_CAP_DIVISOR
 
@@ -538,12 +518,8 @@ def _relax_edges(st: _State, cap: int) -> bool:
     once, min-reduced rank by rank into one candidate row per source, and
     each source's row is compared with its candidate and written back once;
     the sources of a block are distinct, so one fancy assignment writes
-    them all. A pull finds a row changed only after reducing all of that
-    row's edges in its block, so the first pass opens with sweeps of one
-    out-edge per source, which find the rows that change at once as early
-    as an edge-by-edge order does. When a pass changed a row, the copy
-    becomes the dense state; a state no pass changed stays as it was, CSR
-    or dense.
+    them all. When a pass changed a row, the copy becomes the dense state;
+    a state no pass changed stays as it was, CSR or dense.
 
     A change to row v puts every edge into v into the next pass, so the
     relaxation counts those edges as rows change, and gives up as soon as
@@ -566,13 +542,12 @@ def _relax_edges(st: _State, cap: int) -> bool:
     less_buf = np.empty((_PULL_SOURCES, n), bool)
     touched = np.zeros(n, bool)
     active = np.ones(len(src), bool)
-    sweep = True
     while True:
         s, t, wt = src[active], dst[active], weight[active][:, None]
         changed = np.zeros(n, bool)
         # edges of the next pass so far
         following = 0
-        for ks, e in _pass_plan(s, n, sweep):
+        for ks, e in _pass_plan(s, n):
             k, m = ks[0], len(e)
             # mode "clip" (the indices are in range) lets take gather straight
             # into out, where "raise" would buffer
@@ -606,7 +581,6 @@ def _relax_edges(st: _State, cap: int) -> bool:
         left -= following
         touched |= changed
         active = changed[dst]
-        sweep = False
     # a matrix no pass changed keeps its form and summary
     summary = _dense_summary(d) if touched.any() else st.summary
     if summary.top + int(weight.max(initial=0)) >= UNREACHABLE16:
@@ -628,9 +602,9 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
     point (_relax_edges), which may lower entries and make pairs finite.
     The relaxation is tried after every dense epoch, and after a sparse
     epoch, from the CSR parts, when the bound cannot fire after the next
-    product either and the edges are few enough (_relax_cap); only weighted
-    graphs meet that. A relaxation that gives up at its work cap leaves the
-    product's matrix as it was, and squaring goes on. A stop by a proof
+    product either (_relax_cap); only weighted graphs meet that. A
+    relaxation that gives up at its work cap leaves the product's matrix as
+    it was, and squaring goes on. A stop by a proof
     records one more epoch, with kernel=arithmetic=None, proof naming the
     proof ("bound" or "edges") and the final matrix's summary, but runs no
     product for it.
@@ -668,7 +642,7 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
         elif st.edges is None:
             continue
         else:
-            cap = _relax_cap(kind, n, len(st.edges.src), m, w_min, after.top)
+            cap = _relax_cap(kind, n, m, w_min, after.top)
             if not (cap and _relax_edges(st, cap)):
                 continue
             proof = "edges"

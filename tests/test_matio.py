@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 
 from minplus_apsp import INF, DistMatrix
-from minplus_apsp.matio import distance_csv, read_distance_binary, write_distance_binary
+from minplus_apsp.matio import (
+    distance_csv,
+    distance_csv_blocks,
+    read_distance_binary,
+    write_distance_binary,
+    write_distance_csv,
+)
 
 
 def per_entry_csv(m: DistMatrix) -> str:
@@ -33,6 +39,18 @@ class TestDistanceCsv:
         for n, top in ((1, 0), (2, 1), (12, 100), (40, 9), (6, 10**12)):
             m = random_rows(rng, n, top)
             assert distance_csv(m) == per_entry_csv(m)
+
+    def test_written_in_blocks_of_rows(self, tmp_path):
+        # more rows than one block holds, and a last block that is not full,
+        # for both token tables
+        rng = np.random.default_rng(18)
+        path = tmp_path / "d.csv"
+        for n, top in ((150, 30), (70, 10**12)):
+            m = random_rows(rng, n, top)
+            blocks = list(distance_csv_blocks(m))
+            assert [b.count("\n") for b in blocks] == [64] * (n // 64) + [n % 64]
+            write_distance_csv(m, path)
+            assert path.read_bytes() == per_entry_csv(m).encode()
 
 
 class TestDistanceBinary:
