@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
             f"width={width} paper_limit={lim.paper_limit:.1f} "
             f"safe_limit={lim.safe_limit:.1f} {verdict}"
         )
-    # dense epochs up to this x_tilde run exact float32 products
+    # products up to this x_tilde run exact in float32, on either kernel
     top = largest_float32_x_tilde(args.n)
     print(f"float32_products={'none' if top is None else f'x_tilde<={top}'}")
     return 0

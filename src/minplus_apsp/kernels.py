@@ -1,12 +1,10 @@
 """The two kernels for the numeric matrix product, and the rule between them.
 
-The dense kernel is one BLAS product in the dtype of its operands: sgemm on
-float32 codes, which the solver builds only where EncodeParams.is_feasible
-proves width 32 exact (sgemm runs about twice as fast as dgemm), and dgemm
-on float64 codes otherwise. The sparse kernel is scipy's CSR product, always in
-float64: SpGEMM is bound by its index work, not its arithmetic. scipy.sparse
-is not imported here: it costs a quarter of a second, and only a solve whose
-epochs run sparse needs it (the solver imports it for those).
+Each kernel multiplies in the dtype of its operands, which the solver
+chooses by EncodeParams.is_feasible alone. The dense kernel is one BLAS
+product, the sparse kernel scipy's CSR product. scipy.sparse is not imported
+here: it costs a quarter of a second, and only a solve whose epochs run
+sparse needs it (the solver imports it for those).
 """
 from __future__ import annotations
 

@@ -53,12 +53,14 @@ def write_distance_csv(m: DistMatrix, path: str | Path) -> None:
 
 def write_distance_binary(m: DistMatrix, path: str | Path) -> None:
     """Little-endian header (magic, n, width) then row-major uint64 with the
-    max value as the unreachable sentinel."""
-    raw = np.where(np.isfinite(m.data), m.data, 0).astype("<u8")
-    raw[~np.isfinite(m.data)] = INF_SENTINEL
+    max value as the unreachable sentinel, converted 64 rows at a time."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, m.n, 64))
-        fh.write(raw.tobytes())
+        for i in range(0, m.n, 64):
+            b = m.data[i : i + 64]
+            raw = np.where(np.isfinite(b), b, 0).astype("<u8")
+            raw[~np.isfinite(b)] = INF_SENTINEL
+            fh.write(raw)
 
 
 def read_distance_binary(path: str | Path) -> DistMatrix:

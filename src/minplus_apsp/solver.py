@@ -299,23 +299,26 @@ def _distance_product(st: _State) -> tuple[str, str]:
     """Replace st by its min-plus square; returns the kernel that ran and
     the float type of its product.
 
-    A sparse epoch encodes, multiplies and decodes only the stored values,
-    in float64; the product feeds the next epoch as it is. A dense epoch
-    runs in float32 when EncodeParams.is_feasible proves width 32 exact, in
-    float64 otherwise. Its E is looked up from a dense state, or, after
-    sparse epochs, scattered from the CSR parts into zeros. st's previous
-    distances are dropped once E is built, and the product is decoded into
-    a new int16 matrix once E is gone: at scale every full matrix is a
-    large fraction of RAM.
+    The product runs in float32 when EncodeParams.is_feasible proves width
+    32 exact, in float64 otherwise, whichever kernel runs. A sparse epoch
+    encodes, multiplies and decodes only the stored values; the product
+    feeds the next epoch as it is. A dense epoch's E is looked up from a
+    dense state, or, after sparse epochs, scattered from the CSR parts into
+    zeros. st's previous distances are dropped once E is built, and the
+    product is decoded into a new int16 matrix once E is gone: at scale
+    every full matrix is a large fraction of RAM.
     """
     n = st.n
-    p = EncodeParams(base=base_for(n), x_tilde=st.summary.top)
+    p = EncodeParams(base=base_for(n), x_tilde=st.summary.top, width=32)
+    p = p if p.is_feasible() else EncodeParams(base=p.base, x_tilde=p.x_tilde, width=64)
+    # the table refuses an infeasible x_tilde before any n x n allocation
+    table = encode_table(p)
     kind = _kernel_for(st.summary.finite, n)
     if kind == SPARSE:
         # the state is CSR: _scan picks its form by the same kernel rule,
         # and the density that rule reads never falls
         indptr, indices, values = st.csr
-        codes = encode_table(p)[values]
+        codes = table[values]
         st.csr = None
         del values
         # imported here: scipy.sparse costs a quarter of a second, and a
@@ -331,10 +334,6 @@ def _distance_product(st: _State) -> tuple[str, str]:
         values = decode_values(prod.data, p, out=np.empty(prod.nnz, np.int16))
         st.set_sparse(prod.indptr, prod.indices, values)
         return kind, p.dtype.name
-    p32 = EncodeParams(base=p.base, x_tilde=p.x_tilde, width=32)
-    p = p32 if p32.is_feasible() else p
-    # the table refuses an infeasible x_tilde before any n x n allocation
-    table = encode_table(p)
     if st.dense is not None:
         e = np.empty((n, n), p.dtype)
         for i in range(0, n, _BLOCK_ROWS):

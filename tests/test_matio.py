@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 
 import pytest
@@ -60,6 +63,31 @@ class TestDistanceBinary:
         path = tmp_path / "d.bin"
         write_distance_binary(self.M, path)
         assert np.array_equal(read_distance_binary(path).data, self.M.data)
+
+    def test_matches_per_entry_packing(self, tmp_path):
+        # more rows than one block of 64, and a last block that is not full
+        path = tmp_path / "d.bin"
+        for n, top in ((3, 5), (70, 10**12)):
+            m = random_rows(np.random.default_rng(19), n, top)
+            want = struct.pack("<4sQI", b"APSP", n, 64) + b"".join(
+                struct.pack("<Q", int(x) if np.isfinite(x) else 2**64 - 1)
+                for x in m.data.reshape(-1)
+            )
+            write_distance_binary(m, path)
+            assert path.read_bytes() == want
+
+    def test_written_in_blocks_of_rows(self, tmp_path):
+        # the uint64 copy is built one block of rows at a time, so writing
+        # holds far less than the matrix itself
+        n = 512
+        m = random_rows(np.random.default_rng(20), n, 1000)
+        tracemalloc.start()
+        try:
+            write_distance_binary(m, tmp_path / "d.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     @pytest.mark.parametrize("size", [0, 5])
     def test_short_header_rejected(self, tmp_path, size):

@@ -76,7 +76,8 @@ class TestDistanceProduct:
             assert np.array_equal(got.data, minplus_square(m).data)
 
     def test_float32_and_float64_equal_direct_definition(self, force_kernel):
-        # weights up to 29 put x_tilde on both sides of largest_float32_x_tilde(n)
+        # weights up to 29 put x_tilde on both sides of largest_float32_x_tilde(n),
+        # and the product runs float32 exactly on the lower side, on either kernel
         rng = np.random.default_rng(12)
         ran = set()
         for kernel in ("dense", "sparse"):
@@ -89,10 +90,15 @@ class TestDistanceProduct:
                 )
                 st = _scan(m)
                 assert held16(st)
-                ran.add(_distance_product(st))
+                single = st.summary.top <= largest_float32_x_tilde(n)
+                arithmetic = "float32" if single else "float64"
+                assert _distance_product(st) == (kernel, arithmetic)
+                ran.add((kernel, arithmetic))
                 assert held16(st)
                 assert np.array_equal(st.distances().data, minplus_square(m).data), (kernel, n)
-        assert ran == {("dense", "float32"), ("dense", "float64"), ("sparse", "float64")}
+        assert ran == {
+            ("dense", "float32"), ("dense", "float64"), ("sparse", "float32"), ("sparse", "float64")
+        }
 
     def test_dense_and_sparse_branches_equal_definition(self, force_kernel):
         rng = np.random.default_rng(13)
@@ -129,7 +135,7 @@ class TestDistanceProduct:
                 # convergence compares these sums, so check each against
                 # a full rescan of the matrix it summarises
                 assert st.summary == rescan(m)
-                single = kernel == "dense" and st.summary.top <= largest_float32_x_tilde(m.n)
+                single = st.summary.top <= largest_float32_x_tilde(m.n)
                 arithmetic = "float32" if single else "float64"
                 assert _distance_product(st) == (kernel, arithmetic)
                 ran.add(arithmetic)
@@ -172,14 +178,15 @@ class TestResultsValidate:
 
 
 class TestArithmetic:
-    """A dense epoch runs float32 exactly where EncodeParams.is_feasible
-    proves width 32; every epoch's distances still equal the definition."""
+    """A product runs float32 exactly where EncodeParams.is_feasible proves
+    width 32, on either kernel; every epoch's distances still equal the
+    definition."""
 
     def test_route_graph_dense_epoch_runs_float32(self):
         w = to_distance_matrix(generate_scale_free(GenSpec(n=400, m_attach=7, seed=11)))
         r = power_law_bound(w)
         assert [(st.kernel, st.arithmetic) for st in r.epochs] == [
-            ("sparse", "float64"),
+            ("sparse", "float32"),
             ("dense", "float32"),
             (None, None),
         ]
@@ -209,15 +216,19 @@ class TestArithmetic:
             assert np.array_equal(st.distances().data, shortest_path(w.data, method="D"))
 
     def test_weighted_directed_graph_runs_float64_only(self):
-        # weights 1..9 on both directions of each edge: x_tilde starts at 9,
-        # above the float32 budget of n = 300 (x_tilde <= 7)
-        g = generate_scale_free(GenSpec(n=300, m_attach=3, seed=7))
+        # nine weights from just above the float32 budget of n = 300, on both
+        # directions of each edge: x_tilde starts past the budget and only grows
+        n = 300
+        top = largest_float32_x_tilde(n)
+        g = generate_scale_free(GenSpec(n=n, m_attach=3, seed=7))
         rng = np.random.default_rng(7)
         src, dst = np.r_[g.src, g.dst], np.r_[g.dst, g.src]
-        w = to_distance_matrix(Graph(300, src, dst, rng.integers(1, 10, len(src)), True))
+        weights = rng.integers(top + 1, top + 10, len(src))
+        w = to_distance_matrix(Graph(n, src, dst, weights, True))
         r = power_law_bound(w)
         assert "dense" in [st.kernel for st in r.epochs]
-        assert {st.arithmetic for st in r.epochs} == {"float64"}
+        # a record settled by a proof runs no product and has no arithmetic
+        assert {st.arithmetic for st in r.epochs if st.kernel} == {"float64"}
         assert np.array_equal(r.distances.data, shortest_path(w.data, method="D"))
 
     def test_previous_state_dropped_before_the_product(self, monkeypatch):
@@ -254,16 +265,18 @@ class TestArithmetic:
             ("csr", "float32"), ("csr", "float64"), ("dense", "float32"), ("dense", "float64")
         }
 
-    def test_largest_float32_x_tilde_and_one_more(self):
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    def test_largest_float32_x_tilde_and_one_more(self, force_kernel, kernel):
         n = 60
         top = largest_float32_x_tilde(n)
+        force_kernel(kernel)
         for x_tilde, arithmetic in ((top, "float32"), (top + 1, "float64")):
             a = np.ones((n, n))
             np.fill_diagonal(a, 0.0)
             a[0, 1] = a[1, 0] = x_tilde
             m = DistMatrix(a)
             st = _scan(m)
-            assert _distance_product(st) == ("dense", arithmetic)
+            assert _distance_product(st) == (kernel, arithmetic)
             assert np.array_equal(st.distances().data, minplus_square(m).data)
 
 
