@@ -64,20 +64,24 @@ def write_distance_binary(m: DistMatrix, path: str | Path) -> None:
 
 
 def read_distance_binary(path: str | Path) -> DistMatrix:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"expected a {_HEADER.size}-byte header, file has {len(blob)} bytes")
-    magic, n, width = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    if width != 64:
-        raise ValueError(f"unsupported stored width {width}")
-    want = _HEADER.size + 8 * n * n
-    if len(blob) != want:
-        raise ValueError(f"expected {want} bytes for n={n}, file has {len(blob)} bytes")
-    raw = np.frombuffer(blob, dtype="<u8", offset=_HEADER.size).reshape(n, n)
-    out = raw.astype(np.float64)
-    out[raw == INF_SENTINEL] = INF
+    """The matrix write_distance_binary wrote, read 64 rows at a time into
+    the result once the file's size matches its header."""
+    size = Path(path).stat().st_size
+    if size < _HEADER.size:
+        raise ValueError(f"expected a {_HEADER.size}-byte header, file has {size} bytes")
+    with open(path, "rb") as fh:
+        magic, n, width = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if width != 64:
+            raise ValueError(f"unsupported stored width {width}")
+        want = _HEADER.size + 8 * n * n
+        if size != want:
+            raise ValueError(f"expected {want} bytes for n={n}, file has {size} bytes")
+        out = np.empty((n, n))
+        for i in range(0, n, 64):
+            raw = np.fromfile(fh, "<u8", min(64, n - i) * n).reshape(-1, n)
+            out[i : i + 64] = np.where(raw == INF_SENTINEL, INF, raw)
     return DistMatrix(out)
 
 

@@ -16,13 +16,12 @@ one finite scan converts the caller's float64 matrix, and the float64
 result is built once, at the end. While epochs run sparse, the state is
 the CSR parts of the finite entries: each sparse epoch encodes only the
 stored values, and the decoded product feeds the next epoch unchanged.
-The first dense epoch scatters the encoded values into a zero-filled
-matrix; an n x n matrix is built from CSR parts only when the solve ends
-sparse, or when a relaxation changes them and succeeds. Convergence
-compares two summaries, the finite count and the sum of the finite
-entries, in place of the two matrices (see _unchanged). The same scan
-keeps the input's edges for the relaxation when there are few enough of
-them (_EDGE_DIVISOR).
+An n x n matrix is built from CSR parts in one way only, an int16 one
+(_densify): when the first dense epoch encodes E, when a relaxation starts
+from them, or when the solve ends sparse. Convergence compares two
+summaries, the finite count and the sum of the finite entries, in place of
+the two matrices (see _unchanged). The same scan keeps the input's edges
+for the relaxation when there are few enough of them (_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
@@ -215,11 +214,14 @@ class _State:
         self.dense = d
         self.summary = _dense_summary(d)
 
+    def densified(self) -> np.ndarray:
+        """The distances as an n x n int16 matrix: the dense state itself, or
+        a new one built from the CSR parts."""
+        return self.dense if self.dense is not None else _densify(self.n, *self.csr)
+
     def distances(self) -> DistMatrix:
         """The distances as a new float64 DistMatrix, inf for unreachable."""
-        if self.dense is None:
-            return DistMatrix._trusted(_scatter_rows(np.full((self.n, self.n), INF), *self.csr))
-        out = self.dense.astype(np.float64)
+        out = self.densified().astype(np.float64)
         if self.summary.finite < out.size:
             for i in range(0, self.n, _BLOCK_ROWS):
                 b = out[i : i + _BLOCK_ROWS]
@@ -302,9 +304,10 @@ def _distance_product(st: _State) -> tuple[str, str]:
     The product runs in float32 when EncodeParams.is_feasible proves width
     32 exact, in float64 otherwise, whichever kernel runs. A sparse epoch
     encodes, multiplies and decodes only the stored values; the product
-    feeds the next epoch as it is. A dense epoch's E is looked up from a
-    dense state, or, after sparse epochs, scattered from the CSR parts into
-    zeros. st's previous distances are dropped once E is built, and the
+    feeds the next epoch as it is. A dense epoch's E is looked up from the
+    int16 matrix of st's distances, its dense state or, after sparse
+    epochs, one built from the CSR parts (_State.densified); that matrix and
+    st's previous distances are dropped once E is built, and the
     product is decoded into a new int16 matrix once E is gone: at scale
     every full matrix is a large fraction of RAM.
     """
@@ -334,15 +337,14 @@ def _distance_product(st: _State) -> tuple[str, str]:
         values = decode_values(prod.data, p, out=np.empty(prod.nnz, np.int16))
         st.set_sparse(prod.indptr, prod.indices, values)
         return kind, p.dtype.name
-    if st.dense is not None:
-        e = np.empty((n, n), p.dtype)
-        for i in range(0, n, _BLOCK_ROWS):
-            # the sentinel clips to the table's last slot, the code 0 of
-            # unreachable; mode "clip" also spares take a buffered copy
-            np.take(table, st.dense[i : i + _BLOCK_ROWS], out=e[i : i + _BLOCK_ROWS], mode="clip")
-    else:
-        e = _scatter_rows(np.zeros((n, n), p.dtype), *st.csr, table)
+    d = st.densified()
     st.dense = st.csr = None
+    e = np.empty((n, n), p.dtype)
+    for i in range(0, n, _BLOCK_ROWS):
+        # the sentinel clips to the table's last slot, the code 0 of
+        # unreachable; mode "clip" also spares take a buffered copy
+        np.take(table, d[i : i + _BLOCK_ROWS], out=e[i : i + _BLOCK_ROWS], mode="clip")
+    del d
     enc = EncodedMatrix(e)
     prod = kernels.multiply_dense(enc, enc).data
     del enc, e
@@ -350,30 +352,18 @@ def _distance_product(st: _State) -> tuple[str, str]:
     return kind, p.dtype.name
 
 
-def _scatter_rows(
-    out: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    vals: np.ndarray,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
-    """Write CSR parts into the n x n array out; with table, each value a
-    is written as its code table[a].
-
-    Works over blocks of rows, so no row-index array and no encoded copy as
-    long as nnz is built.
-    """
-    n = out.shape[0]
-    flat = out.reshape(-1)
+def _densify(n: int, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A new n x n int16 matrix holding the CSR parts' values, UNREACHABLE16
+    elsewhere; built over blocks of rows, so no row-index array as long as
+    nnz is built."""
+    d = np.full((n, n), UNREACHABLE16, np.int16)
     for i in range(0, n, _BLOCK_ROWS):
         j = min(i + _BLOCK_ROWS, n)
-        lo, hi = indptr[i], indptr[j]
         # flat position of each stored value: its row's offset plus its column
         pos = np.repeat(np.arange(i * n, j * n, n), np.diff(indptr[i : j + 1]))
-        pos += indices[lo:hi]
-        v = vals[lo:hi]
-        flat[pos] = v if table is None else table[v]
-    return out
+        pos += indices[indptr[i] : indptr[j]]
+        d.reshape(-1)[pos] = values[indptr[i] : indptr[j]]
+    return d
 
 
 def distance_product(l: DistMatrix) -> DistMatrix:
@@ -505,7 +495,7 @@ def _relax_edges(st: _State, cap: int) -> bool:
     so is every entry a relaxation writes, so D >= dist, and D = dist.
     Unreachable pairs need no path: dist = inf there, and D >= dist.
 
-    Runs on a copy of D, dense or scattered from the CSR parts. Entries
+    Runs on a copy of D, dense or built from the CSR parts. Entries
     only fall, and the sentinel plus any weight (at most 511: the first
     epoch's x_tilde bounds them) stays below 2**15, so nothing overflows. A
     finite entry whose sum with a weight reached the sentinel would be
@@ -530,10 +520,7 @@ def _relax_edges(st: _State, cap: int) -> bool:
     # edges the cap leaves for passes after the current one
     left = cap - len(src)
     into = np.bincount(dst, minlength=n)
-    if st.dense is not None:
-        d = st.dense.copy()
-    else:
-        d = _scatter_rows(np.full((n, n), UNREACHABLE16, np.int16), *st.csr)
+    d = st.dense.copy() if st.dense is not None else _densify(n, *st.csr)
     # buffers for a block's weighted head rows, its sources' rows and
     # their comparison
     through_buf = np.empty((_PULL_ROWS, n), np.int16)

@@ -89,6 +89,22 @@ class TestDistanceBinary:
             tracemalloc.stop()
         assert peak < n * n * 8
 
+    def test_read_in_blocks_of_rows(self, tmp_path):
+        # the file is read 64 rows at a time into the result, so reading
+        # holds little more than the matrix it returns
+        n = 512
+        m = random_rows(np.random.default_rng(21), n, 1000)
+        path = tmp_path / "d.bin"
+        write_distance_binary(m, path)
+        tracemalloc.start()
+        try:
+            back = read_distance_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, m.data)
+        assert peak < 1.5 * n * n * 8
+
     @pytest.mark.parametrize("size", [0, 5])
     def test_short_header_rejected(self, tmp_path, size):
         path = tmp_path / "d.bin"

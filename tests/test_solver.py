@@ -112,6 +112,34 @@ class TestDistanceProduct:
                 force_kernel(kernel)
                 assert np.array_equal(distance_product(m).data, want)
 
+    def test_csr_state_with_diagonal_only_end_blocks(self, force_kernel):
+        # n = 130: row blocks of 64, 64 and 2, so the last one is partial;
+        # edges join rows 64..127 only, so the first and the last block of
+        # the CSR state hold their diagonal entries alone
+        n = 130
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        inner = random_dist_matrix(
+            np.random.default_rng(15), 64, max_weight=9, density=0.05, directed=True
+        )
+        a[64:128, 64:128] = inner.data
+        m = DistMatrix(a)
+        force_kernel("sparse")
+        st = _scan(m)
+        while True:
+            before = st.summary
+            _distance_product(st)
+            if st.summary == before:
+                break
+        indptr = st.csr[0]
+        assert indptr[64] == 64 and indptr[n] - indptr[128] == 2
+        assert np.array_equal(st.distances().data, floyd_warshall(m).data)
+        st = _scan(m)
+        assert st.csr is not None
+        force_kernel("dense")
+        assert _distance_product(st)[0] == "dense"
+        assert np.array_equal(st.distances().data, minplus_square(m).data)
+
     def test_summary_is_finite_summary_of_result(self, force_kernel):
         def rescan(d):
             fin = d.data[np.isfinite(d.data)]
