@@ -722,6 +722,46 @@ class TestEdgeStop:
                     seen += e.tolist()
                 assert sorted(seen) == list(range(len(src)))
 
+    @staticmethod
+    def reference_pass_plan(src: np.ndarray, n: int) -> list:
+        """The plan of one pass from its definition: each source's edges cut
+        into slices of at most _PULL_ROWS, the slices stable-sorted by
+        decreasing size, greedy blocks of at most _PULL_SOURCES slices and
+        _PULL_ROWS edges, and, for each rank r, every slice of the block
+        with more than r edges."""
+        rows, most = solver._PULL_ROWS, solver._PULL_SOURCES
+        slices = []
+        for u in range(n):
+            at = np.flatnonzero(src == u).tolist()
+            slices += [at[i : i + rows] for i in range(0, len(at), rows)]
+        slices.sort(key=len, reverse=True)
+        plan = []
+        i = 0
+        while i < len(slices):
+            j, size = i + 1, len(slices[i])
+            while j < len(slices) and j - i < most and size + len(slices[j]) <= rows:
+                size += len(slices[j])
+                j += 1
+            block = slices[i:j]
+            ranks = range(len(block[0]))
+            ks = [sum(len(s) > r for s in block) for r in ranks]
+            plan.append((ks, [s[r] for r in ranks for s in block if len(s) > r]))
+            i = j
+        return plan
+
+    @pytest.mark.parametrize("rows", [None, 24])
+    def test_pass_plan_matches_its_definition(self, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(solver, "_PULL_ROWS", rows)
+        rng = np.random.default_rng(41)
+        star = star_digraph(600, 6)
+        assert np.bincount(_scan(star).edges.src).max() > solver._PULL_ROWS
+        for m in (sparse_weighted_digraph(rng, 200), star):
+            u = _scan(m).edges.src
+            for src in (u, u[rng.random(len(u)) < 0.5], u[rng.random(len(u)) < 0.1], u[:0]):
+                got = [(ks, e.tolist()) for ks, e in solver._pass_plan(src, m.n)]
+                assert got == self.reference_pass_plan(src, m.n)
+
     def test_never_called_above_the_edge_limit(self, monkeypatch, force_kernel):
         def refuse(st, cap):
             raise AssertionError("relaxation ran above the edge limit")
