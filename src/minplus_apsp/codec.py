@@ -136,9 +136,10 @@ def params_for(m: DistMatrix, width: int = 64) -> EncodeParams:
 
 
 def max_finite(m: DistMatrix) -> int:
-    """Largest finite entry; 0 when all off-diagonal entries are unreachable."""
-    # the diagonal is always finite, so the reduction is never empty
-    return int(np.amax(m.data, initial=0.0, where=np.isfinite(m.data)))
+    """Largest finite entry; 0 when all off-diagonal entries are unreachable.
+    Reduced in blocks of 64 rows, so no n x n mask is built."""
+    blocks = (m.data[i : i + 64] for i in range(0, m.n, 64))
+    return int(max((np.amax(b, initial=0.0, where=np.isfinite(b)) for b in blocks), default=0))
 
 
 def largest_float32_x_tilde(n: int) -> int | None:

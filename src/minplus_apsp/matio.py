@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import max_finite
 from .graph import INF, DistMatrix, Graph
 
 MAGIC = b"APSP"
@@ -23,7 +24,7 @@ def distance_csv_blocks(m: DistMatrix) -> Iterator[str]:
     """
     a = m.data
     blocks = [a[i : i + 64] for i in range(0, m.n, 64)]
-    top = max((np.amax(b, initial=0.0, where=np.isfinite(b)) for b in blocks), default=0.0)
+    top = max_finite(m)
     if top < a.size:
         # entries are integers 0..top, so each is its own index; top + 1 is INF
         values = None

@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DistMatrix, Graph
+from .codec import max_finite
+from .graph import INF, DistMatrix, Graph
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,7 @@ class DiameterReport(NamedTuple):
 def diameter(d: DistMatrix) -> DiameterReport:
     """Max finite entry of a solved matrix; unreachable pairs are reported
     via the disconnected flag, not folded into the value."""
-    finite = np.isfinite(d.data)
-    return DiameterReport(
-        value=int(d.data[finite].max()), disconnected=bool((~finite).any())
-    )
+    return DiameterReport(value=max_finite(d), disconnected=bool(d.data.max() == INF))
 
 
 def estimate_diameter(n: int) -> float:

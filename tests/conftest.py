@@ -14,7 +14,6 @@ from minplus_apsp.solver import (
     _EDGE_DIVISOR,
     _bound_proves_converged,
     _epoch_budget,
-    _min_off_diagonal,
 )
 
 P3_ROWS = [[0, 1, INF], [1, 0, 1], [INF, 1, 0]]
@@ -94,8 +93,10 @@ def dense_state_solve(w: DistMatrix):
     n = w.n
     current = w
     finite = int(np.count_nonzero(np.isfinite(w.data)))
-    w_min = _min_off_diagonal(w)
-    u, v = np.nonzero(np.isfinite(w.data) & ~np.eye(n, dtype=bool))
+    off = ~np.eye(n, dtype=bool)
+    # the smallest off-diagonal entry, inf when there is none
+    w_min = float(w.data[off].min()) if n > 1 else INF
+    u, v = np.nonzero(np.isfinite(w.data) & off)
     keep_edges = len(u) <= n * n // _EDGE_DIVISOR
     records = []
     m = 1
