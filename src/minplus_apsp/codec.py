@@ -12,6 +12,11 @@ bits with one shift and one table lookup.
 EncodeParams.width is the float type in which codes are stored, multiplied
 and summed, and EncodeParams.is_feasible the one proof that such a product
 decodes exactly.
+
+Distances between products are int16, UNREACHABLE16 for unreachable, and
+one conversion leads each way: to_int16 from float64, gather_codes to
+codes, from_int16 to a float64 DistMatrix. The epochs, encode and decode
+share them.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INF, DistMatrix
+from .graph import BLOCK_ROWS, INF, DistMatrix
 
 # largest usable binary exponent per float width, matching published limits
 EMAX = {32: 127.9, 64: 1024.0}
@@ -30,8 +35,7 @@ EMAX = {32: 127.9, 64: 1024.0}
 # the exponent range too
 _OFFSET = {32: 63, 64: 511}
 
-# entries decode_values decodes per pass (512 KiB of float64 output), and
-# about the entries encode indexes per row block
+# entries decode_values decodes per pass (128 KiB of int16 output)
 _DECODE_CHUNK = 1 << 16
 
 # unreachable in int16 distances, the solver's one format: a feasible solve
@@ -137,8 +141,8 @@ def params_for(m: DistMatrix, width: int = 64) -> EncodeParams:
 
 def max_finite(m: DistMatrix) -> int:
     """Largest finite entry; 0 when all off-diagonal entries are unreachable.
-    Reduced in blocks of 64 rows, so no n x n mask is built."""
-    blocks = (m.data[i : i + 64] for i in range(0, m.n, 64))
+    Reduced in blocks of BLOCK_ROWS rows, so no n x n mask is built."""
+    blocks = (m.data[i : i + BLOCK_ROWS] for i in range(0, m.n, BLOCK_ROWS))
     return int(max((np.amax(b, initial=0.0, where=np.isfinite(b)) for b in blocks), default=0))
 
 
@@ -174,44 +178,60 @@ def encode_table(p: EncodeParams) -> np.ndarray:
     return table
 
 
+def to_int16(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the float64 distances a into the int16 array out, inf as
+    UNREACHABLE16; refuse a finite entry that would reach the sentinel."""
+    np.minimum(a, UNREACHABLE16, out=out, casting="unsafe")
+    # entries are nonnegative integers or inf, so only inf may reach the
+    # sentinel when every finite entry lies below it
+    if np.count_nonzero(out == UNREACHABLE16) != np.count_nonzero(a == INF):
+        top = int(a[a < INF].max())
+        raise FeasibilityError(f"x_tilde={top} is not below the int16 sentinel {UNREACHABLE16}")
+    return out
+
+
+def gather_codes(table: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Codes of int16 distances d, of any shape, from an encode_table table:
+    UNREACHABLE16 clips to its last slot, the code 0 of unreachable. Mode
+    "clip" also spares take the buffered copy of out that "raise" makes."""
+    return np.take(table, d, out=out, mode="clip")
+
+
+def from_int16(d: np.ndarray, reachable: bool = False) -> DistMatrix:
+    """The int16 distances d as a new float64 DistMatrix, UNREACHABLE16 as
+    inf: each block of rows is cast, and its sentinel masked while in cache,
+    unless reachable says that no entry is the sentinel."""
+    out = np.empty(d.shape)
+    for i in range(0, len(d), BLOCK_ROWS):
+        b = out[i : i + BLOCK_ROWS]
+        np.copyto(b, d[i : i + BLOCK_ROWS])
+        if not reachable:
+            b[b == UNREACHABLE16] = INF
+    return DistMatrix._trusted(out)
+
+
 def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
     """Map finite entry a to 2**(k*(x_tilde - a) - c), unreachable to 0, as
-    p.dtype; refuses, before any n x n allocation, a p that is_feasible does
-    not prove."""
+    p.dtype, by to_int16 and gather_codes. Refuses a base other than
+    base_for(m.n), then, before any n x n allocation, a p that is_feasible
+    does not prove, then an x_tilde below the largest finite entry."""
     if p.base != base_for(m.n):
         raise ValueError(f"base {p.base} does not match base_for({m.n}) = {base_for(m.n)}")
     table = encode_table(p)
-    a = m.data
-    out = np.empty(a.shape, p.dtype)
-    # per row block, one pass writes each entry's table index (inf clips to
-    # the zero slot at x_tilde + 1) and one gather reads the table; a
-    # feasible x_tilde at base_for(n) is at most 511 (base 4, n = 1), so
-    # every index fits in int16
-    unreachable = p.x_tilde + 1
-    rows = max(1, _DECODE_CHUNK // m.n)
-    idx = np.empty((rows, m.n), np.int16)
-    for i in range(0, m.n, rows):
-        b = a[i : i + rows]
-        ix = np.minimum(b, unreachable, out=idx[: len(b)], casting="unsafe")
-        # entries are nonnegative integers or inf, so only inf may clip to
-        # the zero slot when no finite entry exceeds x_tilde
-        if np.count_nonzero(ix == unreachable) != np.count_nonzero(b == INF):
-            raise ValueError("x_tilde is smaller than the largest finite entry")
-        # every index lies in 0..x_tilde + 1, so clip never acts; it spares
-        # take the buffered copy of out that its default mode makes
-        np.take(table, ix, out=out[i : i + rows], mode="clip")
-    return EncodedMatrix(out)
+    if max_finite(m) > p.x_tilde:
+        raise ValueError("x_tilde is smaller than the largest finite entry")
+    d = to_int16(m.data, np.empty(m.data.shape, np.int16))
+    return EncodedMatrix(gather_codes(table, d))
 
 
 def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Distances of bare product entries encoded with p, as float64.
+    """Distances of bare product entries encoded with p, as int16.
 
     Each entry's biased exponent, one right shift of its bits, indexes a
-    table of 2*x_tilde - (e + 2c) // k over every exponent e; 0 becomes inf,
-    or UNREACHABLE16 in an int16 out. arr must be of p.dtype, and p proven
-    by is_feasible. out, when given, is a contiguous float64 or int16 array
-    of arr's shape that shares no memory with arr; otherwise a new float64
-    array is returned.
+    table of 2*x_tilde - (e + 2c) // k over every exponent e; 0 becomes
+    UNREACHABLE16. arr must be of p.dtype, and p proven by is_feasible.
+    out, when given, is a contiguous int16 array of arr's shape that shares
+    no memory with arr; otherwise a new int16 array is returned.
     """
     if arr.dtype != p.dtype:
         raise DecodeError(f"{arr.dtype} product decoded with {p.dtype} parameters")
@@ -234,10 +254,10 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     e = np.arange(2**info.nexp) - (info.maxexp - 1)
     k = p.base.bit_length() - 1
     if out is None:
-        out = np.empty(arr.shape)
+        out = np.empty(arr.shape, np.int16)
     # exponents no feasible product reaches may wrap in int16; none is read
-    table = (2 * p.x_tilde - (e + 2 * _OFFSET[p.width]) // k).astype(out.dtype)
-    table[0] = INF if out.dtype == np.float64 else UNREACHABLE16
+    table = (2 * p.x_tilde - (e + 2 * _OFFSET[p.width]) // k).astype(np.int16)
+    table[0] = UNREACHABLE16
     # the bits as signed integers: the sign bit of -0.0 makes a negative
     # index, which clips to the unreachable slot like 0.0
     bits = arr.reshape(-1).view(f"int{p.width}")
@@ -253,12 +273,13 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
 
 
 def decode(c_prime: EncodedMatrix, p: EncodeParams) -> DistMatrix:
-    """Recover distances from a product of two encoded matrices.
+    """Recover distances from a product of two encoded matrices by
+    decode_values and from_int16.
 
     Entry v > 0 becomes 2*x_tilde - (e + 2c) // k, e the binary exponent of
     v; 0 becomes inf. The product is left unchanged.
     """
-    return DistMatrix._trusted(decode_values(c_prime.data, p))
+    return from_int16(decode_values(c_prime.data, p))
 
 
 def precision_limits(n: int, width: int) -> PrecisionLimits:

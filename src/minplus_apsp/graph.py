@@ -8,7 +8,8 @@ import numpy as np
 
 INF = float("inf")
 
-_VALIDATION_ROWS = 64
+# rows in one block of a pass over an n x n array: 800 KiB of float64 at n = 1600
+BLOCK_ROWS = 64
 
 _COUNT_RE = re.compile(r"-?\d+")
 
@@ -105,9 +106,9 @@ class DistMatrix:
             raise ValueError("entries must be nonnegative integers or inf (no NaN)")
         # row blocks through one small buffer: an n x n temporary would
         # cost more in fresh pages than the comparison itself
-        buf = np.empty((_VALIDATION_ROWS, self.n))
-        for i in range(0, self.n, _VALIDATION_ROWS):
-            rows = a[i : i + _VALIDATION_ROWS]
+        buf = np.empty((BLOCK_ROWS, self.n))
+        for i in range(0, self.n, BLOCK_ROWS):
+            rows = a[i : i + BLOCK_ROWS]
             if not np.array_equal(np.floor(rows, out=buf[: len(rows)]), rows):
                 raise ValueError("finite entries must be nonnegative integers")
 

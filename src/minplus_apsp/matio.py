@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import max_finite
-from .graph import INF, DistMatrix, Graph
+from .graph import BLOCK_ROWS, INF, DistMatrix, Graph
 
 MAGIC = b"APSP"
 INF_SENTINEL = 2**64 - 1
@@ -16,14 +16,14 @@ _HEADER = struct.Struct("<4sQI")  # magic, n, width
 
 
 def distance_csv_blocks(m: DistMatrix) -> Iterator[str]:
-    """The text of distance_csv in blocks of 64 rows, so that writing it
-    holds one block's codes, tokens and text at a time.
+    """CSV rows of integers, INF for unreachable, in blocks of BLOCK_ROWS
+    rows, so that writing them holds one block's codes, tokens and text.
 
     Each entry becomes an index into a table of its formatted token, so only
     the distinct values are formatted in Python.
     """
     a = m.data
-    blocks = [a[i : i + 64] for i in range(0, m.n, 64)]
+    blocks = [a[i : i + BLOCK_ROWS] for i in range(0, m.n, BLOCK_ROWS)]
     top = max_finite(m)
     if top < a.size:
         # entries are integers 0..top, so each is its own index; top + 1 is INF
@@ -42,11 +42,6 @@ def distance_csv_blocks(m: DistMatrix) -> Iterator[str]:
         yield "".join(",".join(row) + "\n" for row in table[codes].tolist())
 
 
-def distance_csv(m: DistMatrix) -> str:
-    """Rows of comma-separated integers with the literal INF for unreachable."""
-    return "".join(distance_csv_blocks(m))
-
-
 def write_distance_csv(m: DistMatrix, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.writelines(distance_csv_blocks(m))
@@ -54,19 +49,19 @@ def write_distance_csv(m: DistMatrix, path: str | Path) -> None:
 
 def write_distance_binary(m: DistMatrix, path: str | Path) -> None:
     """Little-endian header (magic, n, width) then row-major uint64 with the
-    max value as the unreachable sentinel, converted 64 rows at a time."""
+    max value as the unreachable sentinel, written one row block at a time."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, m.n, 64))
-        for i in range(0, m.n, 64):
-            b = m.data[i : i + 64]
+        for i in range(0, m.n, BLOCK_ROWS):
+            b = m.data[i : i + BLOCK_ROWS]
             raw = np.where(np.isfinite(b), b, 0).astype("<u8")
             raw[~np.isfinite(b)] = INF_SENTINEL
             fh.write(raw)
 
 
 def read_distance_binary(path: str | Path) -> DistMatrix:
-    """The matrix write_distance_binary wrote, read 64 rows at a time into
-    the result once the file's size matches its header."""
+    """The matrix write_distance_binary wrote, read BLOCK_ROWS rows at a
+    time into the result once the file's size matches its header."""
     size = Path(path).stat().st_size
     if size < _HEADER.size:
         raise ValueError(f"expected a {_HEADER.size}-byte header, file has {size} bytes")
@@ -80,9 +75,9 @@ def read_distance_binary(path: str | Path) -> DistMatrix:
         if size != want:
             raise ValueError(f"expected {want} bytes for n={n}, file has {size} bytes")
         out = np.empty((n, n))
-        for i in range(0, n, 64):
-            raw = np.fromfile(fh, "<u8", min(64, n - i) * n).reshape(-1, n)
-            out[i : i + 64] = np.where(raw == INF_SENTINEL, INF, raw)
+        for i in range(0, n, BLOCK_ROWS):
+            raw = np.fromfile(fh, "<u8", min(BLOCK_ROWS, n - i) * n).reshape(-1, n)
+            out[i : i + BLOCK_ROWS] = np.where(raw == INF_SENTINEL, INF, raw)
     return DistMatrix(out)
 
 

@@ -12,16 +12,18 @@ dense epoch, and after a sparse epoch of a weighted graph whose bound
 cannot fire after the next product either (_relax_cap).
 
 The solve holds every distance as an int16, UNREACHABLE16 for unreachable;
-one finite scan converts the caller's float64 matrix, and the float64
-result is built once, at the end. While epochs run sparse, the state is
-the CSR parts of the finite entries: each sparse epoch encodes only the
-stored values, and the decoded product feeds the next epoch unchanged.
-An n x n matrix is built from CSR parts in one way only, an int16 one
-(_densify): when the first dense epoch encodes E, when a relaxation starts
-from them, or when the solve ends sparse. Convergence compares two
-summaries, the finite count and the sum of the finite entries, in place of
-the two matrices (see _unchanged). The same scan keeps the input's edges
-for the relaxation when there are few enough of them (_EDGE_DIVISOR).
+one scan (_scan), the only reader of the caller's float64 matrix, converts
+it, and the float64 result is built once, at the end, by codec's
+conversions. While epochs run sparse, the state is the CSR parts of the
+finite entries: each sparse epoch encodes only the stored values, and the
+decoded product feeds the next epoch unchanged. An n x n matrix is built
+from CSR parts in one way only, an int16 one (_densify): when the first
+dense epoch encodes E, when a relaxation starts from them, or when the
+solve ends sparse. Convergence compares two summaries, the finite count
+and the sum of the finite entries, in place of the two matrices (see
+_unchanged). The same scan finds the input's smallest off-diagonal entry,
+and keeps its edges for the relaxation when there are few enough of them
+(_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
@@ -33,12 +35,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .codec import UNREACHABLE16, EncodedMatrix, EncodeParams, FeasibilityError, base_for
-from .codec import decode_values, encode_table
-from .graph import INF, DensityReport, DistMatrix
+from .codec import UNREACHABLE16, EncodedMatrix, EncodeParams, base_for, decode_values
+from .codec import encode_table, from_int16, gather_codes, to_int16
+from .graph import BLOCK_ROWS, INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
-
-_BLOCK_ROWS = 64
 
 # Keep the input's edges, and so relax over them, only when there are at
 # most n * n // _EDGE_DIVISOR of them. A relaxation gathers n int16 entries
@@ -172,7 +172,7 @@ def _dense_summary(a: np.ndarray) -> _Summary:
         return _Summary(a.size, int(top), int(a.sum()))
     # compressed copies of row blocks: no n x n temporary, and faster than
     # masked reductions over the whole matrix
-    blocks = (a[i : i + _BLOCK_ROWS] for i in range(0, len(a), _BLOCK_ROWS))
+    blocks = (a[i : i + BLOCK_ROWS] for i in range(0, len(a), BLOCK_ROWS))
     parts = [_summary(b[b < UNREACHABLE16]) for b in blocks]
     return _Summary(
         sum(q.finite for q in parts), max(q.top for q in parts), sum(q.total for q in parts)
@@ -188,7 +188,8 @@ class _Edges(NamedTuple):
 
 
 class _State:
-    """Distances between epochs, their summary, and the input's edges.
+    """Distances between epochs, their summary, and the input's edges and
+    smallest off-diagonal entry w_min (inf when it has none).
 
     While epochs run sparse the state is the CSR parts (indptr, indices,
     int16 values) of the finite entries, and no n x n array exists; once
@@ -203,6 +204,7 @@ class _State:
         self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.summary: _Summary | None = None
         self.edges: _Edges | None = None
+        self.w_min: float = INF
 
     def set_sparse(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
         self.dense = None
@@ -220,16 +222,8 @@ class _State:
         return self.dense if self.dense is not None else _densify(self.n, *self.csr)
 
     def distances(self) -> DistMatrix:
-        """The distances as a new float64 DistMatrix, inf for unreachable:
-        each row block is cast, and its sentinel masked while in cache."""
-        d = self.densified()
-        out = np.empty(d.shape)
-        for i in range(0, self.n, _BLOCK_ROWS):
-            b = out[i : i + _BLOCK_ROWS]
-            np.copyto(b, d[i : i + _BLOCK_ROWS])
-            if self.summary.finite < out.size:
-                b[b == UNREACHABLE16] = INF
-        return DistMatrix._trusted(out)
+        """The distances as a new float64 DistMatrix, inf for unreachable."""
+        return from_int16(self.densified(), reachable=self.summary.finite == self.n * self.n)
 
 
 def _kernel_for(finite: int, n: int) -> str:
@@ -237,10 +231,13 @@ def _kernel_for(finite: int, n: int) -> str:
 
 
 def _scan(w: DistMatrix) -> _State:
-    """The first epoch's state and summary, and the input's edges, from one
-    finite scan of w in row blocks: CSR parts of w's finite entries when
-    that epoch runs sparse, w in int16 otherwise (_to_int16 refuses an
-    entry int16 cannot hold, before any n x n float64 array exists)."""
+    """The first epoch's state, the input's edges and w_min, from w in row
+    blocks. The first pass collects the CSR parts of w's finite entries; it
+    stops where the finite count, which only grows, rules out the sparse
+    kernel and keeping the edges. When the first epoch runs sparse, the
+    parts are its state and give w_min; otherwise a second pass writes w in
+    int16 and takes w_min from each block, its diagonal set aside. to_int16
+    refuses an entry int16 cannot hold, before any n x n float64 array."""
     n = w.n
     a = w.data
     limit = n * n // _EDGE_DIVISOR
@@ -248,56 +245,48 @@ def _scan(w: DistMatrix) -> _State:
     # (column indices, values) of each row block, while they may be kept
     parts: list | None = []
     finite = 0
-    buf = np.empty((_BLOCK_ROWS, n), bool)
-    for i in range(0, n, _BLOCK_ROWS):
-        b = a[i : i + _BLOCK_ROWS]
+    buf = np.empty((BLOCK_ROWS, n), bool)
+    for i in range(0, n, BLOCK_ROWS):
+        b = a[i : i + BLOCK_ROWS]
         # entries are nonnegative integers or inf
-        mask = np.less(b, INF, out=buf[: len(b)])
-        if parts is None:
-            finite += int(np.count_nonzero(mask))
-            continue
-        flat = np.flatnonzero(mask)
+        flat = np.flatnonzero(np.less(b, INF, out=buf[: len(b)]))
         # flat positions are sorted, so a row starts at the first one >= its offset
         indptr[i : i + len(b)] = finite + np.searchsorted(flat, np.arange(0, len(b) * n, n))
         finite += len(flat)
         parts.append((flat % n, b.reshape(-1)[flat]))
-        # the finite count only grows: once it rules out both the sparse
-        # kernel and keeping the edges (every diagonal entry is finite), the
-        # parts are not needed
+        # with every diagonal entry finite, finite - (i + len(b)) counts the edges
         if finite - (i + len(b)) > limit and _kernel_for(finite, n) != SPARSE:
             parts = None
+            break
     st = _State(n)
     if parts is not None:
         indptr[n] = finite
         dtype = np.int32 if max(finite, n) <= np.iinfo(np.int32).max else np.int64
         indptr = indptr.astype(dtype)
         indices = np.concatenate([c for c, _ in parts]).astype(dtype)
-        values = _to_int16(np.concatenate([v for _, v in parts]), np.empty(finite, np.int16))
+        values = to_int16(np.concatenate([v for _, v in parts]), np.empty(finite, np.int16))
         del parts
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        off = src != indices
+        weights = values[off]
         if finite - n <= limit:
-            src = np.repeat(np.arange(n), np.diff(indptr))
-            off = src != indices
-            st.edges = _Edges(src[off], indices[off], values[off])
-    if _kernel_for(finite, n) == SPARSE:
-        st.set_sparse(indptr, indices, values)
-    else:
+            st.edges = _Edges(src[off], indices[off], weights)
+        if _kernel_for(finite, n) == SPARSE:
+            st.set_sparse(indptr, indices, values)
+            low = int(weights.min(initial=UNREACHABLE16))
+    if st.csr is None:
         d = np.empty((n, n), np.int16)
-        for i in range(0, n, _BLOCK_ROWS):
-            _to_int16(a[i : i + _BLOCK_ROWS], d[i : i + _BLOCK_ROWS])
+        low = UNREACHABLE16
+        for i in range(0, n, BLOCK_ROWS):
+            b = to_int16(a[i : i + BLOCK_ROWS], d[i : i + BLOCK_ROWS])
+            # the block's row r holds the diagonal at flat position i + r * (n + 1)
+            diag = b.reshape(-1)[i :: n + 1]
+            diag[:] = UNREACHABLE16
+            low = min(low, int(b.min()))
+            diag[:] = 0
         st.set_dense(d)
+    st.w_min = INF if low == UNREACHABLE16 else low
     return st
-
-
-def _to_int16(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the float64 distances a into the int16 array out, inf as
-    UNREACHABLE16; refuse a finite entry that would reach the sentinel."""
-    np.minimum(a, UNREACHABLE16, out=out, casting="unsafe")
-    # entries are nonnegative integers or inf, so only inf may reach the
-    # sentinel when every finite entry lies below it
-    if np.count_nonzero(out == UNREACHABLE16) != np.count_nonzero(a == INF):
-        top = int(a[a < INF].max())
-        raise FeasibilityError(f"x_tilde={top} is not below the int16 sentinel {UNREACHABLE16}")
-    return out
 
 
 def _distance_product(st: _State) -> tuple[str, str]:
@@ -324,7 +313,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
         # the state is CSR: _scan picks its form by the same kernel rule,
         # and the density that rule reads never falls
         indptr, indices, values = st.csr
-        codes = table[values]
+        codes = gather_codes(table, values)
         st.csr = None
         del values
         # imported here: scipy.sparse costs a quarter of a second, and a
@@ -337,21 +326,19 @@ def _distance_product(st: _State) -> tuple[str, str]:
         del s, indptr, indices
         # every stored product entry is positive, so each decodes to a
         # finite distance
-        values = decode_values(prod.data, p, out=np.empty(prod.nnz, np.int16))
+        values = decode_values(prod.data, p)
         st.set_sparse(prod.indptr, prod.indices, values)
         return kind, p.dtype.name
     d = st.densified()
     st.dense = st.csr = None
     e = np.empty((n, n), p.dtype)
-    for i in range(0, n, _BLOCK_ROWS):
-        # the sentinel clips to the table's last slot, the code 0 of
-        # unreachable; mode "clip" also spares take a buffered copy
-        np.take(table, d[i : i + _BLOCK_ROWS], out=e[i : i + _BLOCK_ROWS], mode="clip")
+    for i in range(0, n, BLOCK_ROWS):
+        gather_codes(table, d[i : i + BLOCK_ROWS], out=e[i : i + BLOCK_ROWS])
     del d
     enc = EncodedMatrix(e)
     prod = kernels.multiply_dense(enc, enc).data
     del enc, e
-    st.set_dense(decode_values(prod, p, out=np.empty((n, n), np.int16)))
+    st.set_dense(decode_values(prod, p))
     return kind, p.dtype.name
 
 
@@ -360,8 +347,8 @@ def _densify(n: int, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray
     elsewhere; built over blocks of rows, so no row-index array as long as
     nnz is built."""
     d = np.full((n, n), UNREACHABLE16, np.int16)
-    for i in range(0, n, _BLOCK_ROWS):
-        j = min(i + _BLOCK_ROWS, n)
+    for i in range(0, n, BLOCK_ROWS):
+        j = min(i + BLOCK_ROWS, n)
         # flat position of each stored value: its row's offset plus its column
         pos = np.repeat(np.arange(i * n, j * n, n), np.diff(indptr[i : j + 1]))
         pos += indices[indptr[i] : indptr[j]]
@@ -378,15 +365,6 @@ def distance_product(l: DistMatrix) -> DistMatrix:
 
 def _epoch_budget(n: int) -> int:
     return 0 if n < 3 else math.ceil(math.log2(n - 1))
-
-
-def _min_off_diagonal(w: DistMatrix) -> float:
-    """Smallest off-diagonal entry (inf when there is none or all are inf)."""
-    n = w.n
-    # in row-major order the diagonal sits every n + 1 entries, so the n - 1
-    # rows of this (n - 1, n + 1) view hold the diagonal in column 0 only
-    off = w.data.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:]
-    return float(off.min()) if off.size else INF
 
 
 def _bound_proves_converged(
@@ -585,10 +563,6 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
     stats: list[EpochStats] = []
     is_converged = False
     st = _scan(w)
-    if st.edges is not None:
-        w_min = int(st.edges.weight.min()) if len(st.edges.src) else INF
-    else:
-        w_min = _min_off_diagonal(w)
     m = 1
     for epoch in range(1, total + 1):
         before = st.summary
@@ -608,12 +582,12 @@ def power_law_bound(w: DistMatrix) -> SolveResult:
             is_converged = True
             break
         m *= 2
-        if _bound_proves_converged(n, m, w_min, after.finite, before.finite, after.top):
+        if _bound_proves_converged(n, m, st.w_min, after.finite, before.finite, after.top):
             proof = "bound"
         elif st.edges is None:
             continue
         else:
-            cap = _relax_cap(kind, n, m, w_min, after.top)
+            cap = _relax_cap(kind, n, m, st.w_min, after.top)
             if not (cap and _relax_edges(st, cap)):
                 continue
             proof = "edges"

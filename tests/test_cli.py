@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -190,6 +191,27 @@ class TestSolve:
         monkeypatch.setattr(solver, "_unchanged", lambda before, after: False)
         monkeypatch.setattr(solver, "_bound_proves_converged", lambda *args: False)
         assert stop_of(["solve", p3_file, "-o", out]) == (1, "budget")
+
+    def test_failed_write_reported(self, p3_file, tmp_path, monkeypatch, capsys):
+        def full_disk(m, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(matio, "write_distance_csv", full_disk)
+        assert main(["solve", p3_file, "-o", str(tmp_path / "d.csv")]) == 1
+        assert "error: cannot write output: [Errno 28] No space left on device" in (
+            capsys.readouterr().err
+        )
+
+    def test_oracle_mismatch_exits_nonzero(self, p3_file, monkeypatch, capsys):
+        def one_entry_raised(w):
+            result = solver.power_law_bound(w)
+            d = result.distances.data.copy()
+            d[0, 2] += 1
+            return dataclasses.replace(result, distances=minplus_apsp.DistMatrix(d))
+
+        monkeypatch.setattr(cli, "power_law_bound", one_entry_raised)
+        assert main(["solve", p3_file, "--oracle", "-o", os.devnull]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "MISMATCH"
 
     def test_out_of_memory_reported(self, p3_file, monkeypatch, capsys):
         def no_memory(graph):

@@ -55,6 +55,22 @@ P3_CODES = [
 P3_CODES_32 = [[2.0**-60, 2.0**-63, 0], [2.0**-63, 2.0**-60, 2.0**-63], [0, 2.0**-63, 2.0**-60]]
 
 
+class TestEncodeParams:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"base": 1, "x_tilde": 1}, "base must be >= 2, got 1"),
+            ({"base": 0, "x_tilde": 1}, "base must be >= 2, got 0"),
+            ({"base": 4, "x_tilde": -1}, "x_tilde must be >= 0, got -1"),
+            ({"base": 4, "x_tilde": 1, "width": 16}, "width must be 32 or 64, got 16"),
+            ({"base": 4, "x_tilde": 1, "width": 128}, "width must be 32 or 64, got 128"),
+        ],
+    )
+    def test_invalid_fields_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EncodeParams(**kwargs)
+
+
 class TestEncode:
     def test_p3_worked_example(self, p3):
         assert params_for(p3) == EncodeParams(base=8, x_tilde=1)
@@ -182,6 +198,26 @@ class TestEncode:
         with pytest.raises(ValueError, match="x_tilde"):
             encode(p3, EncodeParams(base=8, x_tilde=0))
 
+    @pytest.mark.parametrize("width, c", [(32, 63), (64, 511)])
+    def test_codes_by_definition(self, width, c):
+        # inf maps to 0 and finite a to 2**(k*(x_tilde - a) - c), base 2**k:
+        # at x_tilde 0, at the largest x_tilde the width admits at n = 3,
+        # and at x_tilde 511, which only base 4 (n = 1) in float64 admits
+        top = math.floor(precision_limits(3, width).safe_limit)
+        cases = [
+            (DistMatrix.from_rows([[0, INF], [INF, 0]]), 0),
+            (DistMatrix.from_rows([[0, top, INF], [1, 0, top - 1], [INF, 2, 0]]), top),
+        ]
+        if width == 64:
+            cases.append((DistMatrix.from_rows([[0]]), 511))
+        for m, x in cases:
+            p = EncodeParams(base=base_for(m.n), x_tilde=x, width=width)
+            k = int(math.log2(p.base))
+            enc = encode(m, p).data
+            want = [[0.0 if a == INF else 2.0 ** (k * (x - a) - c) for a in row] for row in m.data]
+            assert enc.dtype == f"float{width}"
+            assert enc.astype(np.float64).tolist() == want, (m.n, x)
+
     def test_antitone(self):
         m = DistMatrix.from_rows([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
         enc = encode(m, params_for(m))
@@ -212,8 +248,8 @@ class TestDecode:
         assert dec.data.tolist() == [[0, INF], [INF, 0]]
         # in float32 c = 63, so 2**-122 decodes to 2 - (-122 + 126) // 2 = 0
         prod32 = np.array([[2.0**-122, 0.0], [-0.0, 2.0**-122]], np.float32)
-        dec32 = decode_values(prod32, EncodeParams(base=4, x_tilde=1, width=32))
-        assert dec32.tolist() == [[0, INF], [INF, 0]]
+        dec32 = decode(EncodedMatrix(prod32), EncodeParams(base=4, x_tilde=1, width=32))
+        assert dec32.data.tolist() == [[0, INF], [INF, 0]]
 
     def test_negative_entry_raises(self):
         p = EncodeParams(base=4, x_tilde=1)
@@ -273,12 +309,15 @@ class TestDecode:
 
     def test_decode_values_into_out(self):
         # base 4: k = 2, so exponent e decodes to 2 - (e + 1022) // 2; 0
-        # decodes to the unreachable value of out's dtype
+        # decodes to UNREACHABLE16 in int16, which decode casts to inf
         p = EncodeParams(base=4, x_tilde=1)
         vals = np.array([2.0**-1018, 2.0**-1022, 2.0**-1020 + 2.0**-1021, 0.0])
-        for out, unreachable in ((np.empty(4), INF), (np.empty(4, np.int16), codec.UNREACHABLE16)):
-            assert decode_values(vals, p, out=out) is out
-            assert out.tolist() == [0, 2, 1, unreachable]
+        out = np.empty(4, np.int16)
+        assert decode_values(vals, p, out=out) is out
+        assert out.tolist() == [0, 2, 1, codec.UNREACHABLE16]
+        assert decode_values(vals, p).dtype == np.int16
+        dec = decode(EncodedMatrix(vals.reshape(2, 2)), p)
+        assert dec.data.reshape(-1).tolist() == [0, 2, 1, INF]
 
 
 class TestDecodeExactAtLargeN:

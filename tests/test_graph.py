@@ -302,6 +302,16 @@ class TestDistMatrixValidation:
         m = DistMatrix.from_rows([[0, INF, 3], [7, 0, INF], [INF, 12, 0]])
         assert m.n == 3
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)], ids=str)
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            DistMatrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int16], ids=str)
+    def test_non_float64_rejected(self, dtype):
+        with pytest.raises(ValueError, match="expected float64 entries"):
+            DistMatrix(np.zeros((2, 2), dtype))
+
 
 class TestDensity:
     def test_path_graph_by_hand(self, p3):
@@ -315,6 +325,12 @@ class TestDensity:
 
         rep = density(DistMatrix.from_rows([[0, 1], [1, 0]]))
         assert rep.density == 1.0
+
+    @pytest.mark.parametrize("finite", [0, -1, 10], ids=str)
+    def test_density_outside_unit_interval_rejected(self, finite):
+        # a density is a share of n * n = 9 entries, at least the diagonal's
+        with pytest.raises(ValueError, match=r"out of \(0, 1\]"):
+            DensityReport(finite_count=finite, n_squared=9)
 
     def test_actors_network_scale_arithmetic(self):
         # 617958 finite off-diagonal entries plus the 8508 diagonal zeros

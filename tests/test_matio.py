@@ -7,7 +7,6 @@ import pytest
 
 from minplus_apsp import INF, DistMatrix
 from minplus_apsp.matio import (
-    distance_csv,
     distance_csv_blocks,
     read_distance_binary,
     write_distance_binary,
@@ -33,7 +32,7 @@ def random_rows(rng, n, top):
 class TestDistanceCsv:
     def test_by_hand(self):
         m = DistMatrix.from_rows([[0, 12, INF], [3, 0, 105], [INF, INF, 0]])
-        assert distance_csv(m) == "0,12,INF\n3,0,105\nINF,INF,0\n"
+        assert "".join(distance_csv_blocks(m)) == "0,12,INF\n3,0,105\nINF,INF,0\n"
 
     def test_matches_per_entry_formatter(self):
         rng = np.random.default_rng(17)
@@ -41,7 +40,7 @@ class TestDistanceCsv:
         # 6x6 with entries up to 10**12: distinct values beyond the matrix size
         for n, top in ((1, 0), (2, 1), (12, 100), (40, 9), (6, 10**12)):
             m = random_rows(rng, n, top)
-            assert distance_csv(m) == per_entry_csv(m)
+            assert "".join(distance_csv_blocks(m)) == per_entry_csv(m)
 
     def test_written_in_blocks_of_rows(self, tmp_path):
         # more rows than one block holds, and a last block that is not full,
@@ -120,4 +119,21 @@ class TestDistanceBinary:
         blob = path.read_bytes()
         path.write_bytes(blob[:delta] if delta < 0 else blob + b"\0" * delta)
         with pytest.raises(ValueError, match=f"expected 88 bytes for n=3, file has {88 + delta}"):
+            read_distance_binary(path)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "d.bin"
+        write_distance_binary(self.M, path)
+        path.write_bytes(b"APSQ" + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match="bad magic b'APSQ'"):
+            read_distance_binary(path)
+
+    @pytest.mark.parametrize("width", [32, 0])
+    def test_stored_width_other_than_64_rejected(self, tmp_path, width):
+        # the width field follows the magic and n in the header
+        path = tmp_path / "d.bin"
+        write_distance_binary(self.M, path)
+        blob = path.read_bytes()
+        path.write_bytes(struct.pack("<4sQI", b"APSP", 3, width) + blob[16:])
+        with pytest.raises(ValueError, match=f"unsupported stored width {width}"):
             read_distance_binary(path)

@@ -184,6 +184,59 @@ class TestDistanceProduct:
                 distance_product(m)
 
 
+def smallest_off_diagonal(m: DistMatrix) -> float:
+    """The smallest finite off-diagonal entry of m, inf if there is none."""
+    a = m.data.copy()
+    np.fill_diagonal(a, INF)
+    return float(a.min())
+
+
+class TestScanWMin:
+    """_scan's w_min, from the CSR parts or from the int16 blocks of its
+    dense pass, against its definition."""
+
+    @staticmethod
+    def cases() -> list:
+        rng = np.random.default_rng(41)
+        out = []
+        # weights 4..9 everywhere but one 3 in a later row block, and 30 %
+        # finite: the first pass stops after its first block when the
+        # epoch runs dense
+        for n, row in ((200, 150), (130, 129)):
+            a = np.where(rng.random((n, n)) < 0.3, rng.integers(4, 10, (n, n)), INF)
+            np.fill_diagonal(a, 0.0)
+            a[row, 5] = 3.0
+            out.append(DistMatrix(a))
+        # weights >= 3 everywhere: a minimum that counts the diagonal reads 0
+        a = rng.integers(3, 10, (130, 130)).astype(float)
+        np.fill_diagonal(a, 0.0)
+        out.append(DistMatrix(a))
+        # an off-diagonal 0 in the last, partial block
+        b = a.copy()
+        b[128, 3] = 0.0
+        out.append(DistMatrix(b))
+        # n = 1, n = 2 with and without an edge, and no finite off-diagonal
+        # entry at n = 100
+        out += [
+            DistMatrix.from_rows([[0]]),
+            DistMatrix.from_rows([[0, 7], [INF, 0]]),
+            DistMatrix.from_rows([[0, INF], [INF, 0]]),
+            DistMatrix(np.where(np.eye(100, dtype=bool), 0.0, INF)),
+        ]
+        return out
+
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    def test_smallest_finite_off_diagonal_entry(self, force_kernel, kernel):
+        force_kernel(kernel)
+        for m in self.cases():
+            st = _scan(m)
+            assert (st.csr is not None) == (kernel == "sparse")
+            assert st.w_min == smallest_off_diagonal(m), (kernel, m.n)
+            # the diagonal set aside is restored
+            if st.dense is not None:
+                assert np.array_equal(st.dense, state16(m.data))
+
+
 class TestResultsValidate:
     """Internal matrices skip validation; every one a caller receives must
     still pass it."""
