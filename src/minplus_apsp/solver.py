@@ -11,19 +11,22 @@ in for the last improving products too. The relaxation is tried after every
 dense epoch, and after a sparse epoch of a weighted graph whose bound
 cannot fire after the next product either (_relax_cap).
 
-The solve holds every distance as an int16, UNREACHABLE16 for unreachable;
-one scan (_scan), the only reader of the caller's float64 matrix, converts
-it, and the float64 result is built once, at the end, by codec's
-conversions. While epochs run sparse, the state is the CSR parts of the
-finite entries: each sparse epoch encodes only the stored values, and the
-decoded product feeds the next epoch unchanged. An n x n matrix is built
-from CSR parts in one way only, an int16 one (_densify): when the first
-dense epoch encodes E, when a relaxation starts from them, or when the
-solve ends sparse. Convergence compares two summaries, the finite count
-and the sum of the finite entries, in place of the two matrices (see
-_unchanged). The same scan finds the input's smallest off-diagonal entry,
-and keeps its edges for the relaxation when there are few enough of them
-(_EDGE_DIVISOR).
+The solve holds every distance as an int16, UNREACHABLE16 for unreachable,
+between epochs; one scan (_scan), the only reader of the caller's float64
+matrix, converts it, and the float64 result is built once, at the end, by
+codec's conversions. While epochs run sparse, the state is the CSR parts of
+the finite entries: each sparse epoch encodes only the stored values, and
+the decoded product feeds the next epoch unchanged. An n x n matrix is
+built from CSR parts in one way only, by one scatter into a matrix filled
+with a sentinel (_densify): an int16 one when the first dense epoch encodes
+E or the solve ends sparse, and the relaxation's working copy when it
+starts from them. That copy is uint8 where the relaxation's start proves it
+safe, in the first bytes of an int16 matrix that it is widened into at the
+end, and int16 otherwise (_relax_edges). Convergence compares two
+summaries, the finite count and the sum of the finite entries, in place of
+the two matrices (see _unchanged). The same scan finds the input's smallest
+off-diagonal entry, and keeps its edges for the relaxation when there are
+few enough of them (_EDGE_DIVISOR).
 """
 from __future__ import annotations
 
@@ -36,20 +39,22 @@ import numpy as np
 
 from . import kernels
 from .codec import UNREACHABLE16, EncodedMatrix, EncodeParams, base_for, decode_values
-from .codec import encode_table, from_int16, gather_codes, to_int16
+from .codec import encode_table, from_int16, gather_code_rows, gather_codes, to_int16
 from .graph import BLOCK_ROWS, INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
 
 # Keep the input's edges, and so relax over them, only when there are at
-# most n * n // _EDGE_DIVISOR of them. A relaxation gathers n int16 entries
-# per edge it relaxes, and its cap, counted in edge relaxations, depends on
-# the state it starts from. On a 2-vCPU Xeon a relaxation costs 0.6-1.0 ns
-# per gathered entry, its int16 copy included (wsf1600's: 53 143 edge
-# relaxations at n = 1600 in 0.052-0.086 s).
+# most n * n // _EDGE_DIVISOR of them. A relaxation gathers n entries per
+# edge it relaxes, uint8 where its start allows (_relax_edges), and its cap,
+# counted in edge relaxations, depends on the state it starts from. On a
+# 2-vCPU Xeon a uint8 relaxation costs 0.31-0.33 ns per gathered entry, its
+# copy and widening included (wsf1600's: 53 143 edge relaxations at
+# n = 1600 in 0.027-0.028 s); in int16 it cost 0.6-1.0 ns. The caps were
+# set for int16 and are kept.
 # - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
-#   entries: about 0.045 s at n = 1600, no more than one float32 dense
-#   epoch (0.04-0.08 s) and about a third of a float64 one (0.12-0.13 s),
-#   the kind a successful relaxation saves on weighted graphs.
+#   entries: about 0.045 s in int16 at n = 1600, no more than one float32
+#   dense epoch (0.04-0.08 s) and about a third of a float64 one
+#   (0.12-0.13 s), the kind a successful relaxation saves on weighted graphs.
 # - After a sparse epoch it is n * n // _SPARSE_CAP_DIVISOR edges, n**3 / 16
 #   entries. Such an attempt is made only where the next product cannot be
 #   the last one, so a success saves that product and at least one more
@@ -61,7 +66,7 @@ from .kernels import DENSE, SPARSE
 _EDGE_DIVISOR = 64
 _SPARSE_CAP_DIVISOR = 16
 # sources, and edges, in one block of a relaxation pass (_pass_plan): 512
-# int16 rows are 1.6 MB at n = 1600
+# int16 rows are 1.6 MB at n = 1600, 512 uint8 rows 0.8 MB
 _PULL_SOURCES = 32
 _PULL_ROWS = 512
 
@@ -164,16 +169,17 @@ def _summary(values: np.ndarray) -> _Summary:
     return _Summary(len(values), int(values.max()), int(values.sum()))
 
 
-def _dense_summary(a: np.ndarray) -> _Summary:
-    """Summary of a dense int16 matrix."""
+def _dense_summary(a: np.ndarray, sentinel: int = UNREACHABLE16) -> _Summary:
+    """Summary of a dense matrix, int16 or the relaxation's uint8, whose
+    entries at sentinel are unreachable."""
     top = a.max()
     # a maximum below the sentinel means every pair is reachable
-    if top < UNREACHABLE16:
+    if top < sentinel:
         return _Summary(a.size, int(top), int(a.sum()))
     # compressed copies of row blocks: no n x n temporary, and faster than
     # masked reductions over the whole matrix
     blocks = (a[i : i + BLOCK_ROWS] for i in range(0, len(a), BLOCK_ROWS))
-    parts = [_summary(b[b < UNREACHABLE16]) for b in blocks]
+    parts = [_summary(b[b < sentinel]) for b in blocks]
     return _Summary(
         sum(q.finite for q in parts), max(q.top for q in parts), sum(q.total for q in parts)
     )
@@ -219,11 +225,13 @@ class _State:
     def densified(self) -> np.ndarray:
         """The distances as an n x n int16 matrix: the dense state itself, or
         a new one built from the CSR parts."""
-        return self.dense if self.dense is not None else _densify(self.n, *self.csr)
+        if self.dense is not None:
+            return self.dense
+        return _densify(*self.csr, np.full((self.n, self.n), UNREACHABLE16, np.int16))
 
     def distances(self) -> DistMatrix:
         """The distances as a new float64 DistMatrix, inf for unreachable."""
-        return from_int16(self.densified(), reachable=self.summary.finite == self.n * self.n)
+        return from_int16(self.densified())
 
 
 def _kernel_for(finite: int, n: int) -> str:
@@ -331,9 +339,7 @@ def _distance_product(st: _State) -> tuple[str, str]:
         return kind, p.dtype.name
     d = st.densified()
     st.dense = st.csr = None
-    e = np.empty((n, n), p.dtype)
-    for i in range(0, n, BLOCK_ROWS):
-        gather_codes(table, d[i : i + BLOCK_ROWS], out=e[i : i + BLOCK_ROWS])
+    e = gather_code_rows(table, d)
     del d
     enc = EncodedMatrix(e)
     prod = kernels.multiply_dense(enc, enc).data
@@ -342,11 +348,13 @@ def _distance_product(st: _State) -> tuple[str, str]:
     return kind, p.dtype.name
 
 
-def _densify(n: int, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A new n x n int16 matrix holding the CSR parts' values, UNREACHABLE16
-    elsewhere; built over blocks of rows, so no row-index array as long as
-    nnz is built."""
-    d = np.full((n, n), UNREACHABLE16, np.int16)
+def _densify(
+    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """d, an n x n matrix filled with a sentinel, with the CSR parts' values
+    scattered in, in d's type; over blocks of rows, so no row-index array
+    as long as nnz is built."""
+    n = len(d)
     for i in range(0, n, BLOCK_ROWS):
         j = min(i + BLOCK_ROWS, n)
         # flat position of each stored value: its row's offset plus its column
@@ -384,9 +392,9 @@ def _bound_proves_converged(
     return all_reachable_found and top < (m + 1) * w_min
 
 
-def _pass_plan(src: np.ndarray, n: int):
-    """Blocks of one relaxation pass over edges sorted by source, as pairs
-    (ks, e) that together list every edge once.
+def _pass_plan(src: np.ndarray, n: int) -> list[tuple[list[int], np.ndarray]]:
+    """Blocks of one relaxation pass over edges sorted by source, as a list
+    of pairs (ks, e) that together list every edge once.
 
     Sources are taken in decreasing out-degree, at most _PULL_SOURCES and
     _PULL_ROWS edges to a block; a source with more than _PULL_ROWS edges
@@ -412,13 +420,15 @@ def _pass_plan(src: np.ndarray, n: int):
     # layout computed for each whole pass
     ends = np.cumsum(deg).tolist()
     ranks = np.arange(_PULL_ROWS)[:, None]
+    plan = []
     i = 0
     while i < len(deg):
         j = bisect.bisect_right(ends, ends[i] - int(deg[i]) + _PULL_ROWS)
         j = min(i + _PULL_SOURCES, j)
         mask = ranks[: deg[i]] < deg[i:j]
-        yield mask.sum(axis=1).tolist(), (first[i:j] + ranks[: deg[i]])[mask]
+        plan.append((mask.sum(axis=1).tolist(), (first[i:j] + ranks[: deg[i]])[mask]))
         i = j
+    return plan
 
 
 def _relax_cap(kind: str, n: int, m: int, w_min: float, top: int) -> int:
@@ -458,20 +468,28 @@ def _relax_edges(st: _State, cap: int) -> bool:
     so is every entry a relaxation writes, so D >= dist, and D = dist.
     Unreachable pairs need no path: dist = inf there, and D >= dist.
 
-    Runs on a copy of D, dense or built from the CSR parts. Entries
-    only fall, and the sentinel plus any weight (at most 511: the first
-    epoch's x_tilde bounds them) stays below 2**15, so nothing overflows. A
-    finite entry whose sum with a weight reached the sentinel would be
-    taken for unreachable; at the fixed point that cannot have happened
-    when the largest finite entry plus the largest weight is below the
-    sentinel, which is checked before the copy replaces D.
+    Runs on a copy of D in the narrowest type its start proves safe: uint8,
+    with sentinel s8 = 255 - w_max for unreachable (w_max the largest
+    weight), when every finite entry is below s8, and int16 with
+    UNREACHABLE16 otherwise. Entries only fall, and the sentinel plus any
+    weight stays within the type (255 in uint8; at most 2**14 + 511 in
+    int16, since the first epoch's x_tilde bounds the weights), so nothing
+    overflows. A finite entry whose sum with a weight reached the sentinel
+    would be taken for unreachable; at the fixed point that cannot have
+    happened when the largest finite entry plus w_max is below the
+    sentinel, which is checked before the copy replaces D. A uint8 fixed
+    point that fails the check runs once more in int16 from st, with the
+    same cap; a uint8 give-up stands. The copy takes one n x n int16
+    array, a uint8 one its first n * n bytes, widened in place at the end
+    (_widen), so the state between epochs is always int16.
 
     A pass pulls (_pass_plan): a block's edges are gathered and weighted at
     once, min-reduced rank by rank into one candidate row per source, and
     each source's row is compared with its candidate and written back once;
     the sources of a block are distinct, so one fancy assignment writes
-    them all. When a pass changed a row, the copy becomes the dense state;
-    a state no pass changed stays as it was, CSR or dense.
+    them all. A pass that takes every edge reuses the plan of the first
+    one. When a pass changed a row, the copy becomes the dense state; a
+    state no pass changed stays as it was, CSR or dense.
 
     A change to row v puts every edge into v into the next pass, so the
     relaxation counts those edges as rows change, and gives up as soon as
@@ -479,24 +497,73 @@ def _relax_edges(st: _State, cap: int) -> bool:
     point is dropped early in the first pass or two, not at the cap.
     """
     n = st.n
-    src, dst, weight = st.edges
+    w_max = int(st.edges.weight.max(initial=0))
+    s8 = 255 - w_max
+    buf = np.empty((n, n), np.int16)
+    # uint8 where the start fits below s8; int16 from the start otherwise,
+    # or again after a uint8 fixed point that fails the check
+    narrow = [(np.uint8, s8)] if st.summary.top < s8 else []
+    for dtype, sentinel in [*narrow, (np.int16, UNREACHABLE16)]:
+        d = _fill(st, buf.reshape(-1).view(dtype)[: n * n].reshape(n, n), sentinel)
+        touched = _relax_passes(st.edges, d, cap)
+        if touched is None:
+            return False
+        # a matrix no pass changed keeps its form and summary
+        summary = _dense_summary(d, sentinel) if touched else st.summary
+        if summary.top + w_max < sentinel:
+            break
+    else:
+        return False
+    if touched:
+        if d.dtype == np.uint8:
+            _widen(buf, sentinel)
+        st.csr, st.dense, st.summary = None, buf, summary
+    return True
+
+
+def _fill(st: _State, d: np.ndarray, sentinel: int) -> np.ndarray:
+    """d, an n x n matrix of the relaxation's type, holding st's distances,
+    dense or CSR, with sentinel for unreachable; every finite entry of st
+    is below sentinel."""
+    if st.dense is not None:
+        # UNREACHABLE16 is the state's largest entry, so it alone is clipped
+        np.minimum(st.dense, sentinel, out=d, casting="unsafe")
+    else:
+        d.fill(sentinel)
+        _densify(*st.csr, d)
+    return d
+
+
+def _relax_passes(edges: _Edges, d: np.ndarray, cap: int) -> bool | None:
+    """The passes of _relax_edges, run on d in place: None when they give up
+    at cap edge relaxations, otherwise whether a pass changed d."""
+    n = len(d)
+    src, dst, weight = edges
+    weight = weight.astype(d.dtype)[:, None]
     # edges the cap leaves for passes after the current one
     left = cap - len(src)
     into = np.bincount(dst, minlength=n)
-    d = st.dense.copy() if st.dense is not None else _densify(n, *st.csr)
     # buffers for a block's weighted head rows, its sources' rows and
     # their comparison
-    through_buf = np.empty((_PULL_ROWS, n), np.int16)
-    own_buf = np.empty((_PULL_SOURCES, n), np.int16)
+    through_buf = np.empty((_PULL_ROWS, n), d.dtype)
+    own_buf = np.empty((_PULL_SOURCES, n), d.dtype)
     less_buf = np.empty((_PULL_SOURCES, n), bool)
-    touched = np.zeros(n, bool)
+    touched = False
+    # the plan of a pass that takes every edge
+    whole = None
     active = np.ones(len(src), bool)
     while True:
-        s, t, wt = src[active], dst[active], weight[active][:, None]
+        if active.all():
+            s, t, wt = src, dst, weight
+            whole = _pass_plan(s, n) if whole is None else whole
+            plan = whole
+        else:
+            s, t, wt = src[active], dst[active], weight[active]
+            plan = _pass_plan(s, n)
         changed = np.zeros(n, bool)
         # edges of the next pass so far
         following = 0
-        for ks, e in _pass_plan(s, n):
+        for ks, e in plan:
             k, m = ks[0], len(e)
             # mode "clip" (the indices are in range) lets take gather straight
             # into out, where "raise" would buffer
@@ -522,21 +589,39 @@ def _relax_edges(st: _State, cap: int) -> bool:
                 u, own, cand = u[better], own[better], cand[better]
             following += int(into[u[~changed[u]]].sum())
             if following > left:
-                return False
+                return None
             d[u] = np.minimum(own, cand, out=cand)
             changed[u] = True
         if not changed.any():
-            break
+            return touched
         left -= following
-        touched |= changed
+        touched = True
         active = changed[dst]
-    # a matrix no pass changed keeps its form and summary
-    summary = _dense_summary(d) if touched.any() else st.summary
-    if summary.top + int(weight.max(initial=0)) >= UNREACHABLE16:
-        return False
-    if touched.any():
-        st.csr, st.dense, st.summary = None, d, summary
-    return True
+
+
+def _widen(buf: np.ndarray, sentinel: int) -> None:
+    """Widen the uint8 matrix in the first n * n bytes of the n x n int16
+    array buf into buf, in place, sentinel becoming UNREACHABLE16.
+
+    Row blocks run from the last one back: block [i, j) writes bytes
+    [2in, 2jn), and the uint8 rows still to be read lie in [0, in), so no
+    block writes over them. Only the first block's output overlaps its own
+    input, which is copied first. Each block is cast, and its sentinel
+    masked only where the block holds it, as in from_int16: at n = 1600
+    with no sentinel this took 0.36 ms, and a gather through a 256-entry
+    table 2.7 ms (2-vCPU Xeon).
+    """
+    n = len(buf)
+    narrow = buf.reshape(-1).view(np.uint8)
+    for i in reversed(range(0, n, BLOCK_ROWS)):
+        j = min(i + BLOCK_ROWS, n)
+        rows = narrow[i * n : j * n]
+        rows = rows.copy() if 2 * i < j else rows
+        b = buf[i:j]
+        np.copyto(b.reshape(-1), rows)
+        # entries only fall, so none is above sentinel
+        if b.max() >= sentinel:
+            b[b == sentinel] = UNREACHABLE16
 
 
 def power_law_bound(w: DistMatrix) -> SolveResult:

@@ -218,6 +218,21 @@ class TestEncode:
             assert enc.dtype == f"float{width}"
             assert enc.astype(np.float64).tolist() == want, (m.n, x)
 
+    def test_codes_by_definition_over_row_blocks(self):
+        # n = 130: two full 64-row blocks and a partial one, in float32 at
+        # the largest x_tilde the width admits and in float64
+        rng = np.random.default_rng(47)
+        n = 130
+        for width, top in ((32, largest_float32_x_tilde(n)), (64, 40)):
+            m = random_dist_matrix(rng, n, max_weight=top, density=0.3, directed=True)
+            p = EncodeParams(base=base_for(n), x_tilde=max_finite(m), width=width)
+            k, c = int(math.log2(p.base)), {32: 63, 64: 511}[width]
+            a = m.data
+            want = np.where(a == INF, 0.0, np.exp2(k * (p.x_tilde - np.minimum(a, p.x_tilde)) - c))
+            enc = encode(m, p).data
+            assert enc.dtype == f"float{width}" and enc.shape == (n, n)
+            assert np.array_equal(enc.astype(np.float64), want), width
+
     def test_antitone(self):
         m = DistMatrix.from_rows([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
         enc = encode(m, params_for(m))
@@ -318,6 +333,21 @@ class TestDecode:
         assert decode_values(vals, p).dtype == np.int16
         dec = decode(EncodedMatrix(vals.reshape(2, 2)), p)
         assert dec.data.reshape(-1).tolist() == [0, 2, 1, INF]
+
+    @pytest.mark.parametrize("reachable", [False, True])
+    def test_from_int16_by_definition_over_row_blocks(self, reachable):
+        # n = 200: blocks of rows 0-63, 64-127, 128-191 and 192-199; the
+        # sentinel, when there is one, in the third block and the last
+        u = codec.UNREACHABLE16
+        rng = np.random.default_rng(48)
+        n = 200
+        d = rng.integers(0, 50, (n, n)).astype(np.int16)
+        if not reachable:
+            d[130, 7] = d[199, 198] = d[150:160, 20:30] = u
+        got = codec.from_int16(d).data
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.where(d == u, INF, d.astype(np.float64)))
+        assert np.isinf(got).sum() == (0 if reachable else 102)
 
 
 class TestDecodeExactAtLargeN:

@@ -651,16 +651,23 @@ class TestEdgeStop:
     @staticmethod
     def count_relaxed(monkeypatch) -> list[int]:
         """Patch _pass_plan to add the edges of each block the relaxation
-        takes to the last entry of the returned list."""
+        takes to the last entry of the returned list. The patched plan can
+        be iterated again, as a reused plan is, and counts its blocks on
+        each iteration, as they are taken: a pass that gives up counts only
+        the blocks it reached."""
         relaxed = [0]
         plan = solver._pass_plan
 
-        def counting(src, n):
-            for ks, e in plan(src, n):
-                relaxed[-1] += len(e)
-                yield ks, e
+        class Counted:
+            def __init__(self, blocks):
+                self.blocks = blocks
 
-        monkeypatch.setattr(solver, "_pass_plan", counting)
+            def __iter__(self):
+                for ks, e in self.blocks:
+                    relaxed[-1] += len(e)
+                    yield ks, e
+
+        monkeypatch.setattr(solver, "_pass_plan", lambda src, n: Counted(plan(src, n)))
         return relaxed
 
     def test_gives_up_only_where_the_passes_pass_the_cap(self, monkeypatch):
@@ -1199,6 +1206,142 @@ class TestPullRelaxation:
                 assert [x.tobytes() for x in parts or (dense,)] == before
             d = minplus_square(DistMatrix(d)).data
         assert gave_up >= 4
+
+
+def weighted_chain(weight: int) -> DistMatrix:
+    """0 -> 1 -> 2 -> 3 -> 4, each edge of the given weight, among 64 nodes."""
+    n = 64
+    a = np.full((n, n), INF)
+    np.fill_diagonal(a, 0.0)
+    a[np.arange(4), np.arange(1, 5)] = weight
+    return DistMatrix(a)
+
+
+class TestRelaxationType:
+    """The type a relaxation works in, uint8 with sentinel 255 - w_max where
+    every finite entry of its start lies below that, int16 otherwise, seen
+    through the copies it fills and widens; the results against
+    Floyd-Warshall."""
+
+    @staticmethod
+    def spy(monkeypatch) -> tuple[list, list]:
+        """Patch _fill and _widen to record the (type, sentinel) of each copy
+        a relaxation fills, and the sentinel of each uint8 copy it widens."""
+        fills, widened = [], []
+        fill, widen = solver._fill, solver._widen
+
+        def spy_fill(st, d, sentinel):
+            fills.append((d.dtype, sentinel))
+            return fill(st, d, sentinel)
+
+        def spy_widen(buf, sentinel):
+            widened.append(sentinel)
+            widen(buf, sentinel)
+
+        monkeypatch.setattr(solver, "_fill", spy_fill)
+        monkeypatch.setattr(solver, "_widen", spy_widen)
+        return fills, widened
+
+    def test_uint8_from_csr_and_dense_states(self, monkeypatch):
+        fills, widened = self.spy(monkeypatch)
+        rng = np.random.default_rng(45)
+        unreachable = 0
+        for case in range(6):
+            m = sparse_weighted_few_edges(rng, int(rng.integers(160, 256)))
+            dist = floyd_warshall(m).data
+            fin = dist[np.isfinite(dist)]
+            unreachable += fin.size < dist.size
+            s8 = 255 - int(input_edges(m).weight.max())
+            for form in ("csr", "dense"):
+                fills.clear()
+                widened.clear()
+                st = state_of(m, m.data, form)
+                assert solver._relax_edges(st, m.n * m.n), (case, form)
+                assert fills == [(np.uint8, s8)] and widened == [s8], (case, form)
+                assert st.csr is None and st.dense.shape == (m.n, m.n) and held16(st)
+                assert np.array_equal(st.distances().data, dist), (case, form)
+                assert st.summary == (fin.size, fin.max(), fin.sum())
+        assert unreachable >= 3
+
+    @pytest.mark.parametrize(
+        "weight, types",
+        [(20, ["uint8"]), (60, ["uint8", "int16"]), (84, ["uint8", "int16"]),
+         (85, ["int16"]), (100, ["int16"])],
+    )
+    def test_chain_against_floyd_warshall(self, monkeypatch, weight, types):
+        # from the chain's 2-hop distances, top 2 * weight, against
+        # s8 = 255 - weight: below it up to weight 84, so the relaxation
+        # starts in uint8. Its fixed point, top 4 * weight, passes the check
+        # top + weight < s8 at weight 20 only; at 60 (start 120 < 195, end
+        # 240) and 84 it reruns in int16
+        fills, widened = self.spy(monkeypatch)
+        m = weighted_chain(weight)
+        dist = floyd_warshall(m).data
+        fin = dist[np.isfinite(dist)]
+        assert fin.max() == 4 * weight
+        s8 = 255 - weight
+        sentinels = {"uint8": s8, "int16": UNREACHABLE16}
+        for form in ("csr", "dense"):
+            fills.clear()
+            widened.clear()
+            st = state_of(m, minplus_square(m).data, form)
+            assert st.summary.top == 2 * weight
+            assert solver._relax_edges(st, m.n * m.n), form
+            assert fills == [(np.dtype(t), sentinels[t]) for t in types], form
+            assert widened == ([s8] if types == ["uint8"] else [])
+            assert st.csr is None and held16(st)
+            assert np.array_equal(st.distances().data, dist), form
+            assert st.summary == (fin.size, fin.max(), fin.sum())
+
+    def test_uint8_give_up_leaves_the_state_bit_identical(self, monkeypatch):
+        fills, widened = self.spy(monkeypatch)
+        rng = np.random.default_rng(46)
+        gave_up = 0
+        for case in range(8):
+            m = sparse_weighted_few_edges(rng, int(rng.integers(160, 256)))
+            for form in ("csr", "dense"):
+                fills.clear()
+                st = state_of(m, m.data, form)
+                parts, dense, summary = st.csr, st.dense, st.summary
+                before = [(x.dtype, x.tobytes()) for x in parts or (dense,)]
+                # room for the first pass only
+                if solver._relax_edges(st, len(st.edges.src)):
+                    continue
+                gave_up += 1
+                assert fills == [(np.uint8, 255 - int(st.edges.weight.max()))], (case, form)
+                assert st.csr is parts and st.dense is dense and st.summary is summary
+                assert [(x.dtype, x.tobytes()) for x in parts or (dense,)] == before
+        assert gave_up >= 8 and not widened
+
+    def test_a_pass_over_every_edge_is_planned_once(self, monkeypatch):
+        # from the input of a hub-heavy digraph, whose first passes change
+        # every head row, so each takes every edge
+        plan = solver._pass_plan
+        planned, passes = [], []
+
+        class Recorded:
+            def __init__(self, blocks, edges):
+                self.blocks, self.edges = blocks, edges
+
+            def __iter__(self):
+                passes.append(self.edges)
+                return iter(self.blocks)
+
+        def recording(src, n):
+            planned.append(len(src))
+            return Recorded(plan(src, n), len(src))
+
+        monkeypatch.setattr(solver, "_pass_plan", recording)
+        m = weighted_ba_digraph(300, 6, 4)
+        edges = len(input_edges(m).src)
+        for form in ("csr", "dense"):
+            planned.clear()
+            passes.clear()
+            st = state_of(m, m.data, form)
+            assert solver._relax_edges(st, m.n * m.n)
+            assert np.array_equal(st.distances().data, floyd_warshall(m).data)
+            assert passes.count(edges) >= 2 and planned.count(edges) == 1, passes
+            assert planned == [p for i, p in enumerate(passes) if p != edges or i == 0]
 
 
 class TestSparsePhase:
