@@ -276,7 +276,10 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
     # index, which clips to the unreachable slot like 0.0
     bits = arr.reshape(-1).view(f"int{p.width}")
     dst = out.reshape(-1)
-    idx = np.empty(min(bits.size, _DECODE_CHUNK), bits.dtype)
+    # intp indices, which take uses as they are; float32 bits are widened
+    # by the shift instead (route1600's dense decode: 3.8-4.0 ms either
+    # way, n = 1600, 2-vCPU Xeon)
+    idx = np.empty(min(bits.size, _DECODE_CHUNK), np.intp)
     # chunks that fit the cache: the shift and the lookup read and write
     # each chunk once from memory
     for i in range(0, bits.size, _DECODE_CHUNK):

@@ -18,15 +18,21 @@ codec's conversions. While epochs run sparse, the state is the CSR parts of
 the finite entries: each sparse epoch encodes only the stored values, and
 the decoded product feeds the next epoch unchanged. An n x n matrix is
 built from CSR parts in one way only, by one scatter into a matrix filled
-with a sentinel (_densify): an int16 one when the first dense epoch encodes
-E or the solve ends sparse, and the relaxation's working copy when it
-starts from them. That copy is uint8 where the relaxation's start proves it
-safe, in the first bytes of an int16 matrix that it is widened into at the
-end, and int16 otherwise (_relax_edges). Convergence compares two
-summaries, the finite count and the sum of the finite entries, in place of
-the two matrices (see _unchanged). The same scan finds the input's smallest
-off-diagonal entry, and keeps its edges for the relaxation when there are
-few enough of them (_EDGE_DIVISOR).
+with the value of unreachable (_densify): zeros, the code of unreachable,
+when the first dense epoch builds E from the codes of the stored values,
+UNREACHABLE16 when the solve ends sparse, and the relaxation's sentinel in
+its working copy when it starts from them. That copy is uint8 where the
+relaxation's start proves it safe, in the first bytes of an int16 matrix
+that it is widened into at the end, and int16 otherwise (_relax_edges).
+Convergence compares two summaries, the finite count and the sum of the
+finite entries, in place of the two matrices (see _unchanged). The same
+scan finds the input's smallest off-diagonal entry, and keeps its edges for
+the relaxation when there are few enough of them (_EDGE_DIVISOR).
+
+A dense epoch of an input whose kept edges equal their transpose, weights
+included, multiplies E @ E.T, which numpy runs as BLAS syrk with half the
+multiplies (_symmetric); every other input, and every input whose edges are
+not kept, multiplies E @ E.
 """
 from __future__ import annotations
 
@@ -201,7 +207,9 @@ class _State:
     int16 values) of the finite entries, and no n x n array exists; once
     they run dense it is an n x n int16 matrix, UNREACHABLE16 where
     unreachable. edges, int16 weights too, is None when the input has more
-    than n * n // _EDGE_DIVISOR of them.
+    than n * n // _EDGE_DIVISOR of them. symmetric tells whether every state
+    of the solve is symmetric; the first dense epoch decides it (_symmetric),
+    and it is None before.
     """
 
     def __init__(self, n: int):
@@ -211,6 +219,7 @@ class _State:
         self.summary: _Summary | None = None
         self.edges: _Edges | None = None
         self.w_min: float = INF
+        self.symmetric: bool | None = None
 
     def set_sparse(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
         self.dense = None
@@ -222,16 +231,14 @@ class _State:
         self.dense = d
         self.summary = _dense_summary(d)
 
-    def densified(self) -> np.ndarray:
-        """The distances as an n x n int16 matrix: the dense state itself, or
-        a new one built from the CSR parts."""
-        if self.dense is not None:
-            return self.dense
-        return _densify(*self.csr, np.full((self.n, self.n), UNREACHABLE16, np.int16))
-
     def distances(self) -> DistMatrix:
-        """The distances as a new float64 DistMatrix, inf for unreachable."""
-        return from_int16(self.densified())
+        """The distances as a new float64 DistMatrix, inf for unreachable,
+        cast from the dense state or from an int16 matrix built from the CSR
+        parts."""
+        d = self.dense
+        if d is None:
+            d = _densify(*self.csr, np.full((self.n, self.n), UNREACHABLE16, np.int16))
+        return from_int16(d)
 
 
 def _kernel_for(finite: int, n: int) -> str:
@@ -304,12 +311,23 @@ def _distance_product(st: _State) -> tuple[str, str]:
     The product runs in float32 when EncodeParams.is_feasible proves width
     32 exact, in float64 otherwise, whichever kernel runs. A sparse epoch
     encodes, multiplies and decodes only the stored values; the product
-    feeds the next epoch as it is. A dense epoch's E is looked up from the
-    int16 matrix of st's distances, its dense state or, after sparse
-    epochs, one built from the CSR parts (_State.densified); that matrix and
-    st's previous distances are dropped once E is built, and the
-    product is decoded into a new int16 matrix once E is gone: at scale
-    every full matrix is a large fraction of RAM.
+    feeds the next epoch as it is. A dense epoch's E is gathered from a
+    dense state in blocks of rows, or, after sparse epochs, is the codes of
+    the CSR values scattered into a zero-filled matrix, with no int16
+    matrix between (route1600: 5.2-5.5 ms against 7.8-8.4 ms through int16,
+    2-vCPU Xeon). st's previous distances are dropped once E is built,
+    and the product is decoded into a new int16 matrix once E is gone: at
+    scale every full matrix is a large fraction of RAM.
+
+    The first dense epoch decides whether the input's kept edges are
+    symmetric (_symmetric). If they are, so is every state: each square of
+    a symmetric matrix is symmetric, a relaxation that reaches its fixed
+    point ends the solve, and one that gives up leaves the state as it was. A symmetric
+    state's product is E @ E.T, the second operand the transposed view of
+    E's buffer, which numpy's matmul runs as BLAS syrk: on route1600's E it
+    took 25 ms against 34 ms for E @ E in float32, and 47 ms against 68 ms
+    in float64 (2-vCPU Xeon, OpenBLAS). Its sums run in another order,
+    which is_feasible covers, so the distances are the same.
     """
     n = st.n
     p = EncodeParams(base=base_for(n), x_tilde=st.summary.top, width=32)
@@ -337,30 +355,58 @@ def _distance_product(st: _State) -> tuple[str, str]:
         values = decode_values(prod.data, p)
         st.set_sparse(prod.indptr, prod.indices, values)
         return kind, p.dtype.name
-    d = st.densified()
+    if st.symmetric is None:
+        st.symmetric = _symmetric(st.edges, n)
+    if st.dense is not None:
+        e = gather_code_rows(table, st.dense)
+    else:
+        # 0 is the code of unreachable, so the codes of the stored values
+        # are scattered into zeros
+        e = _densify(*st.csr, np.zeros((n, n), p.dtype), table)
     st.dense = st.csr = None
-    e = gather_code_rows(table, d)
-    del d
     enc = EncodedMatrix(e)
-    prod = kernels.multiply_dense(enc, enc).data
+    prod = kernels.multiply_dense(enc, EncodedMatrix(e.T) if st.symmetric else enc).data
     del enc, e
     st.set_dense(decode_values(prod, p))
     return kind, p.dtype.name
 
 
+def _symmetric(edges: _Edges | None, n: int) -> bool:
+    """True iff the input's kept edges equal their transpose, weights
+    included; False when its edges are not kept (more than
+    n * n // _EDGE_DIVISOR of them), so such an input multiplies E @ E even
+    when it is symmetric. The edges are in row-major order, so one sort of
+    the transposed positions lines the two lists up."""
+    if edges is None:
+        return False
+    src, dst, weight = edges
+    pos = src.astype(np.int64) * n + dst
+    back = dst.astype(np.int64) * n + src
+    order = np.argsort(back)
+    return np.array_equal(pos, back[order]) and np.array_equal(weight, weight[order])
+
+
 def _densify(
-    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, d: np.ndarray
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+    d: np.ndarray,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
-    """d, an n x n matrix filled with a sentinel, with the CSR parts' values
-    scattered in, in d's type; over blocks of rows, so no row-index array
-    as long as nnz is built."""
+    """d, an n x n matrix filled with the value of unreachable, with the CSR
+    parts' values, or their codes from the encode table table, scattered in,
+    in d's type; over blocks of rows, so no array as long as nnz is built.
+    Codes gathered for all values at once would need a code array and
+    take's intp copy of the values, 12 bytes per stored value: 84 MB on
+    sf3000's 82 % full state, whose E is 34 MB."""
     n = len(d)
     for i in range(0, n, BLOCK_ROWS):
         j = min(i + BLOCK_ROWS, n)
         # flat position of each stored value: its row's offset plus its column
         pos = np.repeat(np.arange(i * n, j * n, n), np.diff(indptr[i : j + 1]))
         pos += indices[indptr[i] : indptr[j]]
-        d.reshape(-1)[pos] = values[indptr[i] : indptr[j]]
+        v = values[indptr[i] : indptr[j]]
+        d.reshape(-1)[pos] = v if table is None else gather_codes(table, v)
     return d
 
 
@@ -526,8 +572,15 @@ def _fill(st: _State, d: np.ndarray, sentinel: int) -> np.ndarray:
     dense or CSR, with sentinel for unreachable; every finite entry of st
     is below sentinel."""
     if st.dense is not None:
-        # UNREACHABLE16 is the state's largest entry, so it alone is clipped
-        np.minimum(st.dense, sentinel, out=d, casting="unsafe")
+        # a cast of each block of rows, and a narrower sentinel set only in
+        # blocks that hold UNREACHABLE16, as _widen does: at n = 1600 into
+        # uint8 this took 0.41 ms, one clipping np.minimum 1.27 ms (2-vCPU
+        # Xeon)
+        for i in range(0, len(d), BLOCK_ROWS):
+            rows, b = st.dense[i : i + BLOCK_ROWS], d[i : i + BLOCK_ROWS]
+            np.copyto(b, rows, casting="unsafe")
+            if sentinel != UNREACHABLE16 and rows.max() >= UNREACHABLE16:
+                b[rows == UNREACHABLE16] = sentinel
     else:
         d.fill(sentinel)
         _densify(*st.csr, d)

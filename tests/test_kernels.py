@@ -12,6 +12,7 @@ from minplus_apsp import (
     multiply_sparse,
     params_for,
 )
+from minplus_apsp.codec import largest_float32_x_tilde
 from conftest import minplus_square, random_dist_matrix
 
 P3_ENCODED = [[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]
@@ -142,3 +143,24 @@ class TestKernelAgreementAfterDecode:
             assert np.array_equal(decode(multiply_dense(e, e), p).data, want)
             got = EncodedMatrix(sparse_square(e.data))
             assert np.array_equal(decode(got, p).data, want)
+
+
+class TestSymmetricProduct:
+    """E @ E.T with the transposed view of E's own buffer as the second
+    operand, numpy's syrk case, on the codes of undirected graphs: the
+    product is symmetric and decodes to the min-plus definition."""
+
+    @pytest.mark.parametrize("n", [130, 200])
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_decodes_to_the_definition(self, n, width):
+        # weights up to the float32 limit, or past it for float64
+        top = largest_float32_x_tilde(n)
+        rng = np.random.default_rng(n + width)
+        m = random_dist_matrix(rng, n, max_weight=top if width == 32 else 3 * top, density=0.05)
+        assert np.array_equal(m.data, m.data.T)
+        p = params_for(m, width)
+        assert p.is_feasible() and (width == 64) == (p.x_tilde > top)
+        e = encode(m, p)
+        prod = multiply_dense(e, EncodedMatrix(e.data.T)).data
+        assert prod.dtype == p.dtype and np.array_equal(prod, prod.T)
+        assert np.array_equal(decode(EncodedMatrix(prod), p).data, minplus_square(m).data)

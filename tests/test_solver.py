@@ -1293,6 +1293,40 @@ class TestRelaxationType:
             assert np.array_equal(st.distances().data, dist), form
             assert st.summary == (fin.size, fin.max(), fin.sum())
 
+    def test_dense_start_unreachable_only_in_the_partial_last_block(self, monkeypatch):
+        # n = 130: row blocks of 64, 64 and 2. Nodes 0..127 are strongly
+        # connected and 128 and 129 have in-edges only, so rows 128 and 129
+        # alone hold unreachable pairs. The start raises finite entries of
+        # rows 0..127 above their distances, so the passes change rows and
+        # the uint8 copy is widened
+        fills, widened = self.spy(monkeypatch)
+        n = 130
+        rng = np.random.default_rng(47)
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        core = np.arange(128)
+        a[core, (core + 1) % 128] = rng.integers(1, 4, 128)
+        u, v = rng.integers(0, 128, (2, 128))
+        a[u[u != v], v[u != v]] = rng.integers(1, 4, int(np.count_nonzero(u != v)))
+        a[[5, 77], [128, 129]] = 2
+        m = DistMatrix(a)
+        dist = floyd_warshall(m).data
+        assert np.isfinite(dist[:128]).all() and np.isinf(dist[128:]).any()
+        start = dist.copy()
+        lift = rng.integers(0, 3, (128, n))
+        lift[core, core] = 0
+        start[:128] += lift
+        st = state_of(m, start, "dense")
+        s8 = 255 - int(st.edges.weight.max())
+        assert st.summary.top < s8
+        want = np.where(np.isfinite(start), start, s8).astype(np.uint8)
+        assert np.array_equal(solver._fill(st, np.empty((n, n), np.uint8), s8), want)
+        fills.clear()
+        assert solver._relax_edges(st, n * n)
+        assert fills == [(np.uint8, s8)] and widened == [s8]
+        assert st.csr is None and held16(st)
+        assert np.array_equal(st.distances().data, dist)
+
     def test_uint8_give_up_leaves_the_state_bit_identical(self, monkeypatch):
         fills, widened = self.spy(monkeypatch)
         rng = np.random.default_rng(46)
@@ -1342,6 +1376,118 @@ class TestRelaxationType:
             assert np.array_equal(st.distances().data, floyd_warshall(m).data)
             assert passes.count(edges) >= 2 and planned.count(edges) == 1, passes
             assert planned == [p for i, p in enumerate(passes) if p != edges or i == 0]
+
+
+def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The min-plus product of a and b from its definition."""
+    return np.min(a[:, :, None] + b[None, :, :], axis=1)
+
+
+class TestSymmetricEpochs:
+    """A dense epoch multiplies E @ E.T, numpy's syrk case, exactly when
+    the input's kept edges equal their transpose, weights included, and
+    E @ E otherwise; against the definition, Floyd-Warshall and csgraph."""
+
+    @staticmethod
+    def variants(rng, n: int) -> list[tuple[str, DistMatrix]]:
+        """A symmetric weighted graph with few enough edges to keep, and
+        copies that differ from their transpose in one reverse weight, in
+        one missing reverse edge, or only in the last block of rows."""
+        m = random_dist_matrix(rng, n, max_weight=9, density=1.0 / n)
+        a = m.data
+        u, v = np.nonzero(np.isfinite(a) & ~np.eye(n, dtype=bool))
+        i = int(rng.integers(len(u)))
+        weight, missing, last = a.copy(), a.copy(), a.copy()
+        weight[u[i], v[i]] = a[u[i], v[i]] % 9 + 1
+        missing[u[i], v[i]] = INF
+        # n - 2 and n - 1 both lie in the last row block
+        last[n - 2, n - 1], last[n - 1, n - 2] = 4, 5
+        return [("symmetric", m)] + [
+            (name, DistMatrix(x))
+            for name, x in (("weight", weight), ("missing", missing), ("last", last))
+        ]
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """Patch kernels.multiply_dense to record, for each call, whether its
+        second operand is the transposed view of its first one."""
+        calls = []
+        multiply = solver.kernels.multiply_dense
+
+        def spy(a, b):
+            calls.append(b.data.base is a.data and b.data.strides == a.data.strides[::-1])
+            return multiply(a, b)
+
+        monkeypatch.setattr(solver.kernels, "multiply_dense", spy)
+        return calls
+
+    def test_decision_against_the_definition(self):
+        rng = np.random.default_rng(48)
+        for n in (150, 200):
+            for _ in range(3):
+                for name, m in self.variants(rng, n):
+                    symmetric = np.array_equal(m.data, m.data.T)
+                    assert symmetric == (name == "symmetric")
+                    st = _scan(m)
+                    assert st.edges is not None and st.symmetric is None
+                    assert solver._symmetric(st.edges, n) == symmetric, (n, name)
+        assert not solver._symmetric(None, 4)
+
+    @pytest.mark.parametrize("n", [130, 200])
+    def test_epochs_against_the_definition(self, monkeypatch, force_kernel, n):
+        # weights up to the float32 limit, and past it, so that the first
+        # epoch runs float32 and float64; from a CSR and a dense state, and
+        # a second epoch from the first one's dense state
+        calls = self.spy(monkeypatch)
+        top = largest_float32_x_tilde(n)
+        rng = np.random.default_rng(n)
+        for max_weight, arithmetic in ((top, "float32"), (3 * top, "float64")):
+            m = random_dist_matrix(rng, n, max_weight=max_weight, density=0.8 / n)
+            once = minplus_square(m)
+            for form in ("sparse", "dense"):
+                calls.clear()
+                force_kernel(form)
+                st = _scan(m)
+                assert (st.csr is not None) == (form == "sparse") and st.edges is not None
+                force_kernel("dense")
+                assert _distance_product(st) == ("dense", arithmetic)
+                assert st.symmetric and held16(st)
+                assert np.array_equal(st.distances().data, once.data), (arithmetic, form)
+                _distance_product(st)
+                assert np.array_equal(st.distances().data, minplus_square(once).data)
+                assert calls == [True, True]
+
+    def test_transposed_operand_exactly_for_symmetric_kept_edges(self, monkeypatch, force_kernel):
+        calls = self.spy(monkeypatch)
+        route = to_distance_matrix(generate_scale_free(GenSpec(n=1600, m_attach=7, seed=11)))
+        dense = to_distance_matrix(generate_scale_free(GenSpec(n=400, m_attach=60, seed=3)))
+        # the m_attach 60 graph is symmetric, but has too many edges to keep
+        assert _scan(dense).edges is None
+        cases = [("auto", route, True), ("auto", dense, False)]
+        cases.append(("dense", weighted_ba_digraph(300, 3, 7), False))
+        rng = np.random.default_rng(49)
+        cases += [("dense", m, name == "symmetric") for name, m in self.variants(rng, 200)]
+        for kernel, m, transposed in cases:
+            force_kernel(kernel)
+            calls.clear()
+            r = power_law_bound(m)
+            assert calls and calls == [transposed] * len(calls), (kernel, m.n)
+            assert np.array_equal(r.distances.data, shortest_path(m.data, method="D"))
+
+    def test_digraph_symmetric_but_for_one_weight(self, force_kernel):
+        # E @ E.T would square this graph wrongly: its min-plus product with
+        # its transpose differs from its square
+        rng = np.random.default_rng(50)
+        (_, m), (_, bent) = self.variants(rng, 130)[:2]
+        assert not np.array_equal(minplus(bent.data, bent.data.T), minplus_square(bent).data)
+        dist = floyd_warshall(bent).data
+        for kernel in ("auto", "dense"):
+            force_kernel(kernel)
+            r = power_law_bound(bent)
+            assert "dense" in [e.kernel for e in r.epochs], kernel
+            assert np.array_equal(r.distances.data, dist), kernel
+            st = _scan(bent)
+            assert not solver._symmetric(st.edges, bent.n)
 
 
 class TestSparsePhase:
