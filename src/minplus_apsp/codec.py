@@ -16,7 +16,9 @@ decodes exactly.
 Distances between products are int16, UNREACHABLE16 for unreachable, and
 one conversion leads each way: to_int16 from float64, gather_codes to
 codes (gather_code_rows for a whole matrix), from_int16 to a float64
-DistMatrix. The epochs, encode and decode share them.
+DistMatrix. The epochs, encode and decode share them. Every row-block
+change of type and sentinel, from_int16's and those of the solver and of
+the binary reader, is one recast.
 """
 from __future__ import annotations
 
@@ -207,20 +209,24 @@ def gather_code_rows(table: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def recast(a: np.ndarray, out: np.ndarray, sentinel: int, to: float) -> np.ndarray:
+    """Cast the matrix a into out, of a's shape, one block of BLOCK_ROWS
+    rows at a time, writing to where a holds sentinel, its largest value;
+    returns out. Only a block whose maximum reaches a sentinel that changes
+    is masked, while in cache: masking every block took an int16 to float64
+    cast at n = 1600 from 2.76 to 3.86 ms (2-vCPU Xeon)."""
+    for i in range(0, len(a), BLOCK_ROWS):
+        rows, b = a[i : i + BLOCK_ROWS], out[i : i + BLOCK_ROWS]
+        np.copyto(b, rows, casting="unsafe")
+        if to != sentinel and rows.max() >= sentinel:
+            b[rows == sentinel] = to
+    return out
+
+
 def from_int16(d: np.ndarray) -> DistMatrix:
     """The int16 distances d as a new float64 DistMatrix, UNREACHABLE16 as
-    inf: each block of rows is cast, and its sentinel masked while in cache.
-    A block whose int16 maximum is below the sentinel skips the float64
-    mask, which at n = 1600 took 3.86 ms with every block masked against
-    2.76 ms with none (2-vCPU Xeon)."""
-    out = np.empty(d.shape)
-    for i in range(0, len(d), BLOCK_ROWS):
-        rows = d[i : i + BLOCK_ROWS]
-        b = out[i : i + BLOCK_ROWS]
-        np.copyto(b, rows)
-        if rows.max() >= UNREACHABLE16:
-            b[b == UNREACHABLE16] = INF
-    return DistMatrix._trusted(out)
+    inf, by recast."""
+    return DistMatrix._trusted(recast(d, np.empty(d.shape), UNREACHABLE16, INF))
 
 
 def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import max_finite
+from .codec import max_finite, recast
 from .graph import BLOCK_ROWS, INF, DistMatrix, Graph
 
 MAGIC = b"APSP"
@@ -61,7 +61,7 @@ def write_distance_binary(m: DistMatrix, path: str | Path) -> None:
 
 def read_distance_binary(path: str | Path) -> DistMatrix:
     """The matrix write_distance_binary wrote, read BLOCK_ROWS rows at a
-    time into the result once the file's size matches its header."""
+    time and recast into the result once the file's size matches its header."""
     size = Path(path).stat().st_size
     if size < _HEADER.size:
         raise ValueError(f"expected a {_HEADER.size}-byte header, file has {size} bytes")
@@ -77,7 +77,7 @@ def read_distance_binary(path: str | Path) -> DistMatrix:
         out = np.empty((n, n))
         for i in range(0, n, BLOCK_ROWS):
             raw = np.fromfile(fh, "<u8", min(BLOCK_ROWS, n - i) * n).reshape(-1, n)
-            out[i : i + BLOCK_ROWS] = np.where(raw == INF_SENTINEL, INF, raw)
+            recast(raw, out[i : i + BLOCK_ROWS], INF_SENTINEL, INF)
     return DistMatrix(out)
 
 

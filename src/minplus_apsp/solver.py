@@ -20,10 +20,12 @@ the decoded product feeds the next epoch unchanged. An n x n matrix is
 built from CSR parts in one way only, by one scatter into a matrix filled
 with the value of unreachable (_densify): zeros, the code of unreachable,
 when the first dense epoch builds E from the codes of the stored values,
-UNREACHABLE16 when the solve ends sparse, and the relaxation's sentinel in
-its working copy when it starts from them. That copy is uint8 where the
-relaxation's start proves it safe, in the first bytes of an int16 matrix
-that it is widened into at the end, and int16 otherwise (_relax_edges).
+inf in the float64 result when the solve ends sparse, and the relaxation's
+sentinel in its working copy when it starts from them. That copy is uint8
+where the relaxation's start proves it safe, recast into a new int16 state
+at the end, and int16 otherwise (_relax_edges). Every row-block change of
+type and sentinel between a dense state, the relaxation's copy and the
+result is one codec.recast.
 Convergence compares two summaries, the finite count and the sum of the
 finite entries, in place of the two matrices (see _unchanged). The same
 scan finds the input's smallest off-diagonal entry, and keeps its edges for
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import kernels
 from .codec import UNREACHABLE16, EncodedMatrix, EncodeParams, base_for, decode_values
-from .codec import encode_table, from_int16, gather_code_rows, gather_codes, to_int16
+from .codec import encode_table, from_int16, gather_code_rows, gather_codes, recast, to_int16
 from .graph import BLOCK_ROWS, INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
 
@@ -54,8 +56,8 @@ from .kernels import DENSE, SPARSE
 # edge it relaxes, uint8 where its start allows (_relax_edges), and its cap,
 # counted in edge relaxations, depends on the state it starts from. On a
 # 2-vCPU Xeon a uint8 relaxation costs 0.31-0.33 ns per gathered entry, its
-# copy and widening included (wsf1600's: 53 143 edge relaxations at
-# n = 1600 in 0.027-0.028 s); in int16 it cost 0.6-1.0 ns. The caps were
+# copy and its recast to int16 included (wsf1600's: 53 143 edge relaxations
+# at n = 1600 in 0.027-0.028 s); in int16 it cost 0.6-1.0 ns. The caps were
 # set for int16 and are kept.
 # - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
 #   entries: about 0.045 s in int16 at n = 1600, no more than one float32
@@ -233,12 +235,10 @@ class _State:
 
     def distances(self) -> DistMatrix:
         """The distances as a new float64 DistMatrix, inf for unreachable,
-        cast from the dense state or from an int16 matrix built from the CSR
-        parts."""
-        d = self.dense
-        if d is None:
-            d = _densify(*self.csr, np.full((self.n, self.n), UNREACHABLE16, np.int16))
-        return from_int16(d)
+        cast from the dense state or the CSR parts scattered into inf."""
+        if self.dense is not None:
+            return from_int16(self.dense)
+        return DistMatrix._trusted(_densify(*self.csr, np.full((self.n, self.n), INF)))
 
 
 def _kernel_for(finite: int, n: int) -> str:
@@ -525,9 +525,10 @@ def _relax_edges(st: _State, cap: int) -> bool:
     happened when the largest finite entry plus w_max is below the
     sentinel, which is checked before the copy replaces D. A uint8 fixed
     point that fails the check runs once more in int16 from st, with the
-    same cap; a uint8 give-up stands. The copy takes one n x n int16
-    array, a uint8 one its first n * n bytes, widened in place at the end
-    (_widen), so the state between epochs is always int16.
+    same cap; a uint8 give-up stands. The copy is a new n x n array of its
+    type. A uint8 copy that replaces D is recast into a new int16 state
+    once D is dropped, so the state between epochs is always int16, and a
+    uint8 relaxation holds one n x n uint8 array beside D or the new state.
 
     A pass pulls (_pass_plan): a block's edges are gathered and weighted at
     once, min-reduced rank by rank into one candidate row per source, and
@@ -545,12 +546,11 @@ def _relax_edges(st: _State, cap: int) -> bool:
     n = st.n
     w_max = int(st.edges.weight.max(initial=0))
     s8 = 255 - w_max
-    buf = np.empty((n, n), np.int16)
     # uint8 where the start fits below s8; int16 from the start otherwise,
     # or again after a uint8 fixed point that fails the check
     narrow = [(np.uint8, s8)] if st.summary.top < s8 else []
     for dtype, sentinel in [*narrow, (np.int16, UNREACHABLE16)]:
-        d = _fill(st, buf.reshape(-1).view(dtype)[: n * n].reshape(n, n), sentinel)
+        d = _fill(st, np.empty((n, n), dtype), sentinel)
         touched = _relax_passes(st.edges, d, cap)
         if touched is None:
             return False
@@ -558,33 +558,27 @@ def _relax_edges(st: _State, cap: int) -> bool:
         summary = _dense_summary(d, sentinel) if touched else st.summary
         if summary.top + w_max < sentinel:
             break
+        # the uint8 copy goes before the int16 one is allocated
+        del d
     else:
         return False
     if touched:
+        st.csr = st.dense = None
         if d.dtype == np.uint8:
-            _widen(buf, sentinel)
-        st.csr, st.dense, st.summary = None, buf, summary
+            d = recast(d, np.empty((n, n), np.int16), sentinel, UNREACHABLE16)
+        st.dense, st.summary = d, summary
     return True
 
 
 def _fill(st: _State, d: np.ndarray, sentinel: int) -> np.ndarray:
     """d, an n x n matrix of the relaxation's type, holding st's distances,
     dense or CSR, with sentinel for unreachable; every finite entry of st
-    is below sentinel."""
+    is below sentinel. A dense state is recast: at n = 1600 into uint8 this
+    took 0.41 ms, one clipping np.minimum 1.27 ms (2-vCPU Xeon)."""
     if st.dense is not None:
-        # a cast of each block of rows, and a narrower sentinel set only in
-        # blocks that hold UNREACHABLE16, as _widen does: at n = 1600 into
-        # uint8 this took 0.41 ms, one clipping np.minimum 1.27 ms (2-vCPU
-        # Xeon)
-        for i in range(0, len(d), BLOCK_ROWS):
-            rows, b = st.dense[i : i + BLOCK_ROWS], d[i : i + BLOCK_ROWS]
-            np.copyto(b, rows, casting="unsafe")
-            if sentinel != UNREACHABLE16 and rows.max() >= UNREACHABLE16:
-                b[rows == UNREACHABLE16] = sentinel
-    else:
-        d.fill(sentinel)
-        _densify(*st.csr, d)
-    return d
+        return recast(st.dense, d, UNREACHABLE16, sentinel)
+    d.fill(sentinel)
+    return _densify(*st.csr, d)
 
 
 def _relax_passes(edges: _Edges, d: np.ndarray, cap: int) -> bool | None:
@@ -650,31 +644,6 @@ def _relax_passes(edges: _Edges, d: np.ndarray, cap: int) -> bool | None:
         left -= following
         touched = True
         active = changed[dst]
-
-
-def _widen(buf: np.ndarray, sentinel: int) -> None:
-    """Widen the uint8 matrix in the first n * n bytes of the n x n int16
-    array buf into buf, in place, sentinel becoming UNREACHABLE16.
-
-    Row blocks run from the last one back: block [i, j) writes bytes
-    [2in, 2jn), and the uint8 rows still to be read lie in [0, in), so no
-    block writes over them. Only the first block's output overlaps its own
-    input, which is copied first. Each block is cast, and its sentinel
-    masked only where the block holds it, as in from_int16: at n = 1600
-    with no sentinel this took 0.36 ms, and a gather through a 256-entry
-    table 2.7 ms (2-vCPU Xeon).
-    """
-    n = len(buf)
-    narrow = buf.reshape(-1).view(np.uint8)
-    for i in reversed(range(0, n, BLOCK_ROWS)):
-        j = min(i + BLOCK_ROWS, n)
-        rows = narrow[i * n : j * n]
-        rows = rows.copy() if 2 * i < j else rows
-        b = buf[i:j]
-        np.copyto(b.reshape(-1), rows)
-        # entries only fall, so none is above sentinel
-        if b.max() >= sentinel:
-            b[b == sentinel] = UNREACHABLE16
 
 
 def power_law_bound(w: DistMatrix) -> SolveResult:

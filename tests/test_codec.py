@@ -28,6 +28,7 @@ from minplus_apsp.codec import (
     encode_table,
     largest_float32_x_tilde,
 )
+from minplus_apsp.matio import INF_SENTINEL
 from conftest import minplus_square, random_dist_matrix
 
 
@@ -334,20 +335,34 @@ class TestDecode:
         dec = decode(EncodedMatrix(vals.reshape(2, 2)), p)
         assert dec.data.reshape(-1).tolist() == [0, 2, 1, INF]
 
-    @pytest.mark.parametrize("reachable", [False, True])
-    def test_from_int16_by_definition_over_row_blocks(self, reachable):
+    @pytest.mark.parametrize("where", ["sentinels", "none"])
+    @pytest.mark.parametrize(
+        "src, dst, sentinel, to",
+        [
+            ("int16", "uint8", codec.UNREACHABLE16, 250),
+            ("uint8", "int16", 250, codec.UNREACHABLE16),
+            ("int16", "float64", codec.UNREACHABLE16, INF),
+            ("uint64", "float64", INF_SENTINEL, INF),
+        ],
+        ids=["int16-uint8", "uint8-int16", "int16-float64", "uint64-float64"],
+    )
+    def test_recast_by_definition_over_row_blocks(self, src, dst, sentinel, to, where):
         # n = 200: blocks of rows 0-63, 64-127, 128-191 and 192-199; the
         # sentinel, when there is one, in the third block and the last
-        u = codec.UNREACHABLE16
         rng = np.random.default_rng(48)
         n = 200
-        d = rng.integers(0, 50, (n, n)).astype(np.int16)
-        if not reachable:
-            d[130, 7] = d[199, 198] = d[150:160, 20:30] = u
-        got = codec.from_int16(d).data
-        assert got.dtype == np.float64
-        assert np.array_equal(got, np.where(d == u, INF, d.astype(np.float64)))
-        assert np.isinf(got).sum() == (0 if reachable else 102)
+        a = rng.integers(0, 50, (n, n)).astype(src)
+        if where == "sentinels":
+            a[130, 7] = a[199, 198] = a[150:160, 20:30] = sentinel
+        want = a.astype(dst)
+        want[a == sentinel] = to
+        out = np.empty((n, n), dst)
+        assert codec.recast(a, out, sentinel, to) is out
+        assert np.array_equal(out, want)
+        assert np.count_nonzero(out == to) == (102 if where == "sentinels" else 0)
+        if src == "int16" and dst == "float64":
+            got = codec.from_int16(a).data
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 class TestDecodeExactAtLargeN:

@@ -1220,26 +1220,27 @@ def weighted_chain(weight: int) -> DistMatrix:
 class TestRelaxationType:
     """The type a relaxation works in, uint8 with sentinel 255 - w_max where
     every finite entry of its start lies below that, int16 otherwise, seen
-    through the copies it fills and widens; the results against
+    through the copies it fills and recasts into int16; the results against
     Floyd-Warshall."""
 
     @staticmethod
     def spy(monkeypatch) -> tuple[list, list]:
-        """Patch _fill and _widen to record the (type, sentinel) of each copy
-        a relaxation fills, and the sentinel of each uint8 copy it widens."""
+        """Patch _fill and recast to record the (type, sentinel) of each copy
+        a relaxation fills, and the sentinel of each uint8 copy it recasts."""
         fills, widened = [], []
-        fill, widen = solver._fill, solver._widen
+        fill, recast = solver._fill, solver.recast
 
         def spy_fill(st, d, sentinel):
             fills.append((d.dtype, sentinel))
             return fill(st, d, sentinel)
 
-        def spy_widen(buf, sentinel):
-            widened.append(sentinel)
-            widen(buf, sentinel)
+        def spy_recast(a, out, sentinel, to):
+            if a.dtype == np.uint8:
+                widened.append(sentinel)
+            return recast(a, out, sentinel, to)
 
         monkeypatch.setattr(solver, "_fill", spy_fill)
-        monkeypatch.setattr(solver, "_widen", spy_widen)
+        monkeypatch.setattr(solver, "recast", spy_recast)
         return fills, widened
 
     def test_uint8_from_csr_and_dense_states(self, monkeypatch):
@@ -1346,6 +1347,38 @@ class TestRelaxationType:
                 assert st.csr is parts and st.dense is dense and st.summary is summary
                 assert [(x.dtype, x.tobytes()) for x in parts or (dense,)] == before
         assert gave_up >= 8 and not widened
+
+    def test_uint8_relaxation_from_a_dense_state_holds_one_narrow_copy(self, monkeypatch):
+        # the unit BA tree after its first dense epoch. Traced from before
+        # the state is built, so dropping the old int16 state counts: above
+        # its start the relaxation may hold its n x n uint8 copy, the pass
+        # buffers (a block's weighted head rows, its sources' rows and their
+        # comparison), copies of the rows of a block's sources that fall and
+        # of their candidates, and eight 8-byte index words per node and per
+        # edge for the plan and the active edges; not a second n x n array
+        fills, widened = self.spy(monkeypatch)
+        n = 1200
+        w = to_distance_matrix(generate_scale_free(GenSpec(n=n, m_attach=1, seed=7)))
+        tracemalloc.start()
+        try:
+            st = _scan(w)
+            while _distance_product(st)[0] != "dense":
+                pass
+            edges = len(st.edges.src)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert solver._relax_edges(st, n * n // solver._EDGE_DIVISOR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        s8 = 255 - int(st.edges.weight.max())
+        assert fills == [(np.uint8, s8)] and widened == [s8]
+        passes = (solver._PULL_ROWS + 2 * solver._PULL_SOURCES) * n
+        fallen = 2 * solver._PULL_SOURCES * n
+        index = 64 * (n + edges)
+        assert peak - start <= n * n + passes + fallen + index, (peak - start) / n / n
+        assert held16(st)
+        assert np.array_equal(st.distances().data, shortest_path(w.data, method="D"))
 
     def test_a_pass_over_every_edge_is_planned_once(self, monkeypatch):
         # from the input of a hub-heavy digraph, whose first passes change
