@@ -63,8 +63,9 @@ def cmd_solve(args) -> int:
             print(f"error: cannot write output: {target}: {what}", file=sys.stderr)
             return 1
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
+        # the bytes as they are: the parser reads every line ending itself
+        text = Path(args.input).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     try:

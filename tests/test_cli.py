@@ -133,6 +133,13 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "missing.txt")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff\xfe\n")
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and len(err.splitlines()) == 1
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 zebra\n")

@@ -21,35 +21,124 @@ def edge_tuples(g: Graph) -> list[tuple[int, int, int]]:
     return list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
 
 
-def old_parse_matrix(text: str, directed: bool) -> np.ndarray:
-    """The earlier parser as reference: a per-line loop that merges duplicate
-    pairs into the lightest weight, then one matrix entry per merged pair."""
+_COUNT_RE = re.compile(r"-?\d+")
+
+
+def reference_parse_edge_list(text: str, directed: bool = False) -> Graph:
+    """The earlier parser, kept as the reference: a per-line loop of
+    ``str.split`` and one ``np.array(tokens, dtype=np.int64)``."""
+    lines = text.splitlines()
     declared_n = None
-    best: dict[tuple[int, int], int] = {}
-    max_id = -1
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    tokens: list[str] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            m = re.match(r"#n\s+(\d+)\s*$", line)
-            if m:
-                declared_n = int(m.group(1))
+        if parts[0] == "#n":
+            if len(parts) != 2 or not _COUNT_RE.fullmatch(parts[1]):
+                raise GraphFormatError(f"line {lineno}: expected '#n <count>', got {raw!r}")
+            declared_n = int(parts[1])
+            if declared_n <= 0:
+                raise GraphFormatError(
+                    f"line {lineno}: node count must be positive, got {declared_n}"
+                )
             continue
-        nums = [int(p) for p in line.split()]
-        u, v = nums[0], nums[1]
-        w = nums[2] if len(nums) == 3 else 1
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        best[key] = min(best.get(key, w), w)
-        max_id = max(max_id, u, v)
-    n = declared_n if declared_n is not None else max_id + 1
-    a = np.full((n, n), INF)
-    np.fill_diagonal(a, 0.0)
-    for (u, v), w in best.items():
-        a[u, v] = w
-        if not directed:
-            a[v, u] = w
-    return a
+        if parts[0][0] == "#":
+            continue
+        if len(parts) == 2:
+            parts.append("1")
+        elif len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected 'u v' or 'u v w', got {raw!r}")
+        tokens += parts
+        linenos.append(lineno)
+
+    if not linenos and declared_n is None:
+        raise GraphFormatError("empty graph: no edge lines and no '#n' header")
+    try:
+        edges = np.array(tokens, dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        for k, lineno in enumerate(linenos):
+            try:
+                np.array(tokens[3 * k : 3 * k + 3], dtype=np.int64)
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {lineno}: non-integer token in {lines[lineno - 1]!r}"
+                ) from None
+            except OverflowError:
+                raise GraphFormatError(
+                    f"line {lineno}: integer outside the int64 range in {lines[lineno - 1]!r}"
+                ) from None
+        raise GraphFormatError("non-integer token") from None
+    n = declared_n if declared_n is not None else max(int(edges[:, :2].max()) + 1, 1)
+    try:
+        return Graph(n, edges[:, 0], edges[:, 1], edges[:, 2], directed=directed)
+    except EdgeError as exc:
+        raise GraphFormatError(f"line {linenos[exc.index]}: {exc}") from None
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def parse_outcome(parse, text: str, directed: bool):
+    """What ``parse`` makes of ``text``: the graph's fields, or the message
+    of its GraphFormatError."""
+    try:
+        g = parse(text, directed=directed)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.n, g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.directed
+
+
+# ASCII whitespace that str.split splits on but str.splitlines does not
+# break at, and the ASCII line breaks of str.splitlines
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x1f"]
+_LINE_ENDS = ["\n"] * 6 + ["\r\n"] * 3 + ["\r"] * 2 + ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_COMMENTS = ["# a comment", "#", "#n5", "#nodes 5", "#\t1 2", "# 0 x", "# caf\u00e9"]
+_ODD_TOKENS = [
+    "x", "1.5", "+", "-", "1-", "--1", "+-1", "0x1", "1e3", "\x00", "#", "+5", "007", "-0",
+    "99999999999999999999", "-9223372036854775809", "9223372036854775808",
+    "9223372036854775807", "-9223372036854775808", "0000000000000000000000003",
+    "-00000000000000000009223372036854775808", "00000000000000000009223372036854775808",
+]
+_OUTCOMES = [
+    "empty graph", "expected 'u v' or 'u v w'", "expected '#n <count>'", "non-integer token",
+    "int64 range", "node count must be positive", "out of range for", "self-loop", "invalid weight",
+]
+_ODD_LINES = [
+    "0 1 2 3", "4", "#n", "#n 0", "#n -3", "#n 3x", "#n 4 5", "#n +4", "#n 99999999999999999999",
+    "2 2", "1 1 5", "0 1 0", "0 1 -4",
+]
+
+
+def random_edge_list(rng: np.random.Generator) -> str:
+    """An edge list, ASCII outside comments, that mixes headers on any line,
+    comments, blank lines, every ASCII whitespace and line ending, lines of
+    2 and 3 tokens, and now and then a malformed line or token."""
+    n = int(rng.integers(1, 12))
+    lines = []
+    for _ in range(int(rng.integers(0, 14))):
+        r = rng.random()
+        if r < 0.08:
+            lines.append(f"#n {int(rng.integers(1, 14))}")
+        elif r < 0.16:
+            lines.append(str(rng.choice(_COMMENTS)))
+        elif r < 0.24:
+            lines.append(str(rng.choice(["", " ", "\t", " \x0b "])))
+        elif r < 0.26:
+            lines.append(str(rng.choice(_ODD_LINES)))
+        else:
+            ids = [str(int(x)) for x in rng.choice(n + 1, 2, replace=False) - (rng.random() < 0.01)]
+            if rng.random() < 0.5:
+                ids.append(str(int(rng.integers(0 if rng.random() < 0.02 else 1, 9))))
+            if rng.random() < 0.03:
+                ids[int(rng.integers(len(ids)))] = str(rng.choice(_ODD_TOKENS))
+            lines.append(str(rng.choice(_SEPARATORS)).join(ids))
+        if rng.random() < 0.2:
+            lines[-1] = str(rng.choice(_SEPARATORS)) + lines[-1] + str(rng.choice(_SEPARATORS))
+    ends = [str(rng.choice(_LINE_ENDS)) for _ in lines]
+    if ends and rng.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 class TestParseEdgeList:
@@ -139,6 +228,10 @@ class TestParseEdgeList:
             ("0 1\n#n 3x\n", 2, "expected '#n <count>', got '#n 3x'"),
             ("0 1\n\n#n\n", 3, "expected '#n <count>', got '#n'"),
             ("#n 4 5\n0 1\n", 1, "expected '#n <count>'"),
+            # read by Python's int as 10, 1 and an edge of weight 2
+            ("0 1\n0 1_0\n", 2, "non-integer token in '0 1_0'"),
+            ("0 \u0661\n", 1, "non-integer token"),
+            ("# caf\u00e9\n0 1\u00a02\n", 2, "non-integer token"),
         ],
         ids=[
             "negative_id",
@@ -155,6 +248,9 @@ class TestParseEdgeList:
             "header_not_integer",
             "header_bare",
             "header_two_counts",
+            "underscore_in_token",
+            "non_ascii_digit",
+            "no_break_space",
         ],
     )
     def test_rejection_names_line(self, text, line, reason):
@@ -164,26 +260,50 @@ class TestParseEdgeList:
     @pytest.mark.parametrize("directed", [False, True])
     def test_equals_old_parse_loop(self, directed):
         rng = np.random.default_rng(17 + directed)
-        for _ in range(40):
-            n = int(rng.integers(2, 25))
-            lines = [f"#n {n}"] if rng.random() < 0.5 else []
-            pairs = []
-            for _ in range(int(rng.integers(1, 3 * n))):
-                u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-                pairs.append((u, v))
-                if rng.random() < 0.3:
-                    # a duplicate, in either orientation
-                    pairs.append((u, v) if rng.random() < 0.5 else (v, u))
-            for u, v in pairs:
-                if rng.random() < 0.1:
-                    lines.append("# comment" if rng.random() < 0.5 else "")
-                if rng.random() < 0.4:
-                    lines.append(f"{u} {v}")
-                else:
-                    lines.append(f" {u}\t{v}  {int(rng.integers(1, 9))} ")
-            text = "\n".join(lines)
-            got = to_distance_matrix(parse_edge_list(text, directed=directed)).data
-            assert np.array_equal(got, old_parse_matrix(text, directed))
+        seen = set()
+        for _ in range(3000):
+            text = random_edge_list(rng)
+            want = parse_outcome(reference_parse_edge_list, text, directed)
+            assert parse_outcome(parse_edge_list, text, directed) == want, text
+            seen |= {k for k in _OUTCOMES if k in str(want)} if isinstance(want, str) else {"graph"}
+        # the texts reach graphs and every kind of rejection
+        assert seen == {"graph", *_OUTCOMES}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the first malformed line or header wins, by line
+            "0 1 2 3\n#n\n",
+            "#n 0\n4\n",
+            # a malformed line or header after a bad token wins, by line
+            "0 x\n0 1 2 3\n",
+            "0 99999999999999999999\n#n 0\n",
+            "0 1 1.5\n\n#n\n",
+            # a bad token beats an edge error on an earlier line
+            "2 2\n0 x\n",
+            "#n 2\n0 5\n1 99999999999999999999\n",
+            # on one line the first bad token decides
+            "0 99999999999999999999 x\n",
+            "0 x 99999999999999999999\n",
+        ],
+    )
+    def test_error_order_equals_old_parse_loop(self, text):
+        want = parse_outcome(reference_parse_edge_list, text, False)
+        assert isinstance(want, str)
+        assert parse_outcome(parse_edge_list, text, False) == want
+
+    def test_large_graph_equals_old_parse_loop(self):
+        rng = np.random.default_rng(5)
+        n = 3000
+        u, v, w = rng.integers(0, n, 20000), rng.integers(0, n, 20000), rng.integers(1, 99, 20000)
+        keep = u != v
+        edges = zip(u[keep], v[keep], w[keep])
+        rows = [f"{a} {b}" if c % 3 else f"{a}\t{b} {c}" for a, b, c in edges]
+        rows[100:100] = ["# a comment", "#n 3000", ""]
+        text = "\r\n".join(rows)
+        want = parse_outcome(reference_parse_edge_list, text, True)
+        assert not isinstance(want, str)
+        assert parse_outcome(parse_edge_list, text, True) == want
 
 
 class TestGraphInvariants:
