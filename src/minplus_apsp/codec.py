@@ -13,12 +13,12 @@ EncodeParams.width is the float type in which codes are stored, multiplied
 and summed, and EncodeParams.is_feasible the one proof that such a product
 decodes exactly.
 
-Distances between products are int16, UNREACHABLE16 for unreachable, and
-one conversion leads each way: to_int16 from float64, gather_codes to
-codes (gather_code_rows for a whole matrix), from_int16 to a float64
-DistMatrix. The epochs, encode and decode share them. Every row-block
-change of type and sentinel, from_int16's and those of the solver and of
-the binary reader, is one recast.
+Distances between products are int16, UNREACHABLE16 for unreachable:
+to_int16 converts float64 distances, and gather_codes gathers their codes
+(gather_code_rows for a whole matrix). The epochs and encode share them.
+Every row-block change of type and sentinel, from int16 or the solver's
+uint8 to a float64 result, between the solver's states, and in the binary
+reader, is one recast.
 """
 from __future__ import annotations
 
@@ -223,12 +223,6 @@ def recast(a: np.ndarray, out: np.ndarray, sentinel: int, to: float) -> np.ndarr
     return out
 
 
-def from_int16(d: np.ndarray) -> DistMatrix:
-    """The int16 distances d as a new float64 DistMatrix, UNREACHABLE16 as
-    inf, by recast."""
-    return DistMatrix._trusted(recast(d, np.empty(d.shape), UNREACHABLE16, INF))
-
-
 def encode(m: DistMatrix, p: EncodeParams) -> EncodedMatrix:
     """Map finite entry a to 2**(k*(x_tilde - a) - c), unreachable to 0, as
     p.dtype, by to_int16 and gather_code_rows, as a dense epoch does.
@@ -297,12 +291,13 @@ def decode_values(arr: np.ndarray, p: EncodeParams, out: np.ndarray | None = Non
 
 def decode(c_prime: EncodedMatrix, p: EncodeParams) -> DistMatrix:
     """Recover distances from a product of two encoded matrices by
-    decode_values and from_int16.
+    decode_values, recast to float64.
 
     Entry v > 0 becomes 2*x_tilde - (e + 2c) // k, e the binary exponent of
     v; 0 becomes inf. The product is left unchanged.
     """
-    return from_int16(decode_values(c_prime.data, p))
+    d = decode_values(c_prime.data, p)
+    return DistMatrix._trusted(recast(d, np.empty(d.shape), UNREACHABLE16, INF))
 
 
 def precision_limits(n: int, width: int) -> PrecisionLimits:

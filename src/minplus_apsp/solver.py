@@ -16,16 +16,15 @@ between epochs; one scan (_scan), the only reader of the caller's float64
 matrix, converts it, and the float64 result is built once, at the end, by
 codec's conversions. While epochs run sparse, the state is the CSR parts of
 the finite entries: each sparse epoch encodes only the stored values, and
-the decoded product feeds the next epoch unchanged. An n x n matrix is
-built from CSR parts in one way only, by one scatter into a matrix filled
-with the value of unreachable (_densify): zeros, the code of unreachable,
-when the first dense epoch builds E from the codes of the stored values,
-inf in the float64 result when the solve ends sparse, and the relaxation's
-sentinel in its working copy when it starts from them. That copy is uint8
-where the relaxation's start proves it safe, recast into a new int16 state
-at the end, and int16 otherwise (_relax_edges). Every row-block change of
-type and sentinel between a dense state, the relaxation's copy and the
-result is one codec.recast.
+the decoded product feeds the next epoch unchanged. A relaxation works on a
+copy, uint8 where its start proves it safe and int16 otherwise
+(_relax_edges); one that reaches its fixed point ends the solve, and its
+copy, with the copy's sentinel, is the last state. One function (_fill)
+builds an n x n matrix from a state, the relaxation's copy and the float64
+result alike: it recasts a dense state (codec.recast), or scatters the CSR
+parts into a matrix filled with the value of unreachable (_densify), as the
+first dense epoch after sparse ones scatters the codes of the stored values
+into zeros, the code of unreachable.
 Convergence compares two summaries, the finite count and the sum of the
 finite entries, in place of the two matrices (see _unchanged). The same
 scan finds the input's smallest off-diagonal entry, and keeps its edges for
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .codec import UNREACHABLE16, EncodedMatrix, EncodeParams, base_for, decode_values
-from .codec import encode_table, from_int16, gather_code_rows, gather_codes, recast, to_int16
+from .codec import encode_table, gather_code_rows, gather_codes, recast, to_int16
 from .graph import BLOCK_ROWS, INF, DensityReport, DistMatrix
 from .kernels import DENSE, SPARSE
 
@@ -56,8 +55,9 @@ from .kernels import DENSE, SPARSE
 # edge it relaxes, uint8 where its start allows (_relax_edges), and its cap,
 # counted in edge relaxations, depends on the state it starts from. On a
 # 2-vCPU Xeon a uint8 relaxation costs 0.31-0.33 ns per gathered entry, its
-# copy and its recast to int16 included (wsf1600's: 53 143 edge relaxations
-# at n = 1600 in 0.027-0.028 s); in int16 it cost 0.6-1.0 ns. The caps were
+# copy included, and a recast to int16 that no longer follows it (wsf1600's:
+# 53 143 edge relaxations at n = 1600 in 0.027-0.028 s); in int16 it cost
+# 0.6-1.0 ns. The caps were
 # set for int16 and are kept.
 # - After a dense epoch the cap is n * n // _EDGE_DIVISOR edges, n**3 / 64
 #   entries: about 0.045 s in int16 at n = 1600, no more than one float32
@@ -207,17 +207,20 @@ class _State:
 
     While epochs run sparse the state is the CSR parts (indptr, indices,
     int16 values) of the finite entries, and no n x n array exists; once
-    they run dense it is an n x n int16 matrix, UNREACHABLE16 where
-    unreachable. edges, int16 weights too, is None when the input has more
-    than n * n // _EDGE_DIVISOR of them. symmetric tells whether every state
-    of the solve is symmetric; the first dense epoch decides it (_symmetric),
-    and it is None before.
+    they run dense it is an n x n matrix, sentinel where unreachable:
+    int16 with UNREACHABLE16 after every product, and after a relaxation
+    that reached its fixed point its copy, uint8 with 255 - w_max or int16
+    with UNREACHABLE16, which only the result reads. edges, int16 weights
+    too, is None when the input has more than n * n // _EDGE_DIVISOR of
+    them. symmetric tells whether every state of the solve is symmetric;
+    the first dense epoch decides it (_symmetric), and it is None before.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.dense: np.ndarray | None = None
         self.csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.sentinel: int = UNREACHABLE16
         self.summary: _Summary | None = None
         self.edges: _Edges | None = None
         self.w_min: float = INF
@@ -230,15 +233,12 @@ class _State:
 
     def set_dense(self, d: np.ndarray) -> None:
         self.csr = None
-        self.dense = d
+        self.dense, self.sentinel = d, UNREACHABLE16
         self.summary = _dense_summary(d)
 
     def distances(self) -> DistMatrix:
-        """The distances as a new float64 DistMatrix, inf for unreachable,
-        cast from the dense state or the CSR parts scattered into inf."""
-        if self.dense is not None:
-            return from_int16(self.dense)
-        return DistMatrix._trusted(_densify(*self.csr, np.full((self.n, self.n), INF)))
+        """The distances as a new float64 DistMatrix, inf for unreachable."""
+        return DistMatrix._trusted(_fill(self, np.empty((self.n, self.n)), INF))
 
 
 def _kernel_for(finite: int, n: int) -> str:
@@ -526,17 +526,16 @@ def _relax_edges(st: _State, cap: int) -> bool:
     sentinel, which is checked before the copy replaces D. A uint8 fixed
     point that fails the check runs once more in int16 from st, with the
     same cap; a uint8 give-up stands. The copy is a new n x n array of its
-    type. A uint8 copy that replaces D is recast into a new int16 state
-    once D is dropped, so the state between epochs is always int16, and a
-    uint8 relaxation holds one n x n uint8 array beside D or the new state.
+    type; at the fixed point it becomes st's dense state as it is, with its
+    sentinel, and D is dropped. The solve ends there, so only the result
+    reads it, and a uint8 relaxation holds one n x n uint8 array beside D.
 
     A pass pulls (_pass_plan): a block's edges are gathered and weighted at
     once, min-reduced rank by rank into one candidate row per source, and
     each source's row is compared with its candidate and written back once;
     the sources of a block are distinct, so one fancy assignment writes
     them all. A pass that takes every edge reuses the plan of the first
-    one. When a pass changed a row, the copy becomes the dense state; a
-    state no pass changed stays as it was, CSR or dense.
+    one. A copy no pass changed keeps st's summary.
 
     A change to row v puts every edge into v into the next pass, so the
     relaxation counts those edges as rows change, and gives up as soon as
@@ -554,31 +553,26 @@ def _relax_edges(st: _State, cap: int) -> bool:
         touched = _relax_passes(st.edges, d, cap)
         if touched is None:
             return False
-        # a matrix no pass changed keeps its form and summary
+        # a matrix no pass changed keeps its summary
         summary = _dense_summary(d, sentinel) if touched else st.summary
         if summary.top + w_max < sentinel:
-            break
+            st.csr = None
+            st.dense, st.sentinel, st.summary = d, sentinel, summary
+            return True
         # the uint8 copy goes before the int16 one is allocated
         del d
-    else:
-        return False
-    if touched:
-        st.csr = st.dense = None
-        if d.dtype == np.uint8:
-            d = recast(d, np.empty((n, n), np.int16), sentinel, UNREACHABLE16)
-        st.dense, st.summary = d, summary
-    return True
+    return False
 
 
-def _fill(st: _State, d: np.ndarray, sentinel: int) -> np.ndarray:
-    """d, an n x n matrix of the relaxation's type, holding st's distances,
-    dense or CSR, with sentinel for unreachable; every finite entry of st
-    is below sentinel. A dense state is recast: at n = 1600 into uint8 this
+def _fill(st: _State, out: np.ndarray, unreachable: float) -> np.ndarray:
+    """out, an n x n matrix, holding st's distances, dense or CSR, in out's
+    type with unreachable for unreachable; every finite entry of st is
+    below unreachable. A dense state is recast: at n = 1600 into uint8 this
     took 0.41 ms, one clipping np.minimum 1.27 ms (2-vCPU Xeon)."""
     if st.dense is not None:
-        return recast(st.dense, d, UNREACHABLE16, sentinel)
-    d.fill(sentinel)
-    return _densify(*st.csr, d)
+        return recast(st.dense, out, st.sentinel, unreachable)
+    out.fill(unreachable)
+    return _densify(*st.csr, out)
 
 
 def _relax_passes(edges: _Edges, d: np.ndarray, cap: int) -> bool | None:
@@ -614,7 +608,7 @@ def _relax_passes(edges: _Edges, d: np.ndarray, cap: int) -> bool | None:
             k, m = ks[0], len(e)
             # mode "clip" (the indices are in range) lets take gather straight
             # into out, where "raise" would buffer
-            cand = np.take(d, t[e], axis=0, out=through_buf[:m], mode="clip")
+            cand = d.take(t[e], axis=0, out=through_buf[:m], mode="clip")
             cand += wt[e]
             # fold each rank into the rank-0 slice, then what one source
             # has left in one reduction
@@ -627,7 +621,7 @@ def _relax_passes(edges: _Edges, d: np.ndarray, cap: int) -> bool | None:
             if lo < m:
                 np.minimum(cand[0], cand[lo:].min(axis=0), out=cand[0])
             u = s[e[:k]]
-            own = np.take(d, u, axis=0, out=own_buf[:k], mode="clip")
+            own = d.take(u, axis=0, out=own_buf[:k], mode="clip")
             cand = cand[:k]
             better = np.less(cand, own, out=less_buf[:k]).any(axis=1)
             if not better.any():

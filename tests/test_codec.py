@@ -342,9 +342,10 @@ class TestDecode:
             ("int16", "uint8", codec.UNREACHABLE16, 250),
             ("uint8", "int16", 250, codec.UNREACHABLE16),
             ("int16", "float64", codec.UNREACHABLE16, INF),
+            ("uint8", "float64", 250, INF),
             ("uint64", "float64", INF_SENTINEL, INF),
         ],
-        ids=["int16-uint8", "uint8-int16", "int16-float64", "uint64-float64"],
+        ids=["int16-uint8", "uint8-int16", "int16-float64", "uint8-float64", "uint64-float64"],
     )
     def test_recast_by_definition_over_row_blocks(self, src, dst, sentinel, to, where):
         # n = 200: blocks of rows 0-63, 64-127, 128-191 and 192-199; the
@@ -361,7 +362,14 @@ class TestDecode:
         assert np.array_equal(out, want)
         assert np.count_nonzero(out == to) == (102 if where == "sentinels" else 0)
         if src == "int16" and dst == "float64":
-            got = codec.from_int16(a).data
+            # decode recasts its int16 distances so: a float64 product whose
+            # entries decode to a, 0 where a holds the sentinel
+            p = EncodeParams(base=base_for(n), x_tilde=25, width=64)
+            k = p.base.bit_length() - 1
+            exps = k * (2 * p.x_tilde - a.astype(np.int64)) - 2 * codec._OFFSET[64]
+            prod = np.where(a == sentinel, 0.0, np.ldexp(1.0, exps))
+            assert np.array_equal(decode_values(prod, p), a)
+            got = decode(EncodedMatrix(prod), p).data
             assert got.dtype == np.float64 and np.array_equal(got, want)
 
 

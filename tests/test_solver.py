@@ -42,9 +42,14 @@ def state16(d: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(d), d, UNREACHABLE16).astype(np.int16)
 
 
-def held16(st: solver._State) -> bool:
-    """Whether st holds its distances, dense or CSR, in int16."""
-    return (st.dense if st.dense is not None else st.csr[2]).dtype == np.int16
+# the (type, sentinel) of every state a product leaves
+HELD16 = (np.dtype(np.int16), UNREACHABLE16)
+
+
+def held(st: solver._State) -> tuple[np.dtype, int]:
+    """The type of st's distances, dense or CSR, and the sentinel of its
+    dense matrix."""
+    return (st.dense if st.dense is not None else st.csr[2]).dtype, st.sentinel
 
 
 def path_matrix(n):
@@ -89,12 +94,12 @@ class TestDistanceProduct:
                     directed=bool(rng.integers(2)),
                 )
                 st = _scan(m)
-                assert held16(st)
+                assert held(st) == HELD16
                 single = st.summary.top <= largest_float32_x_tilde(n)
                 arithmetic = "float32" if single else "float64"
                 assert _distance_product(st) == (kernel, arithmetic)
                 ran.add((kernel, arithmetic))
-                assert held16(st)
+                assert held(st) == HELD16
                 assert np.array_equal(st.distances().data, minplus_square(m).data), (kernel, n)
         assert ran == {
             ("dense", "float32"), ("dense", "float64"), ("sparse", "float32"), ("sparse", "float64")
@@ -949,28 +954,35 @@ class TestRelaxFromSparse:
             m = sparse_weighted_few_edges(rng, n)
             dist = floyd_warshall(m).data
             fin = dist[np.isfinite(dist)]
+            s8 = 255 - int(input_edges(m).weight.max())
             for epochs in (1, 2):
                 st = _scan(m)
                 for _ in range(epochs):
                     assert _distance_product(st)[0] == "sparse"
-                assert st.csr is not None
+                assert st.csr is not None and held(st) == HELD16
                 # a cap no relaxation here reaches
                 assert solver._relax_edges(st, n * n), (case, epochs)
-                assert st.csr is None and held16(st)
+                # the uint8 copy is the state, its CSR parts dropped
+                assert st.csr is None and st.dense.shape == (n, n)
+                assert held(st) == (np.uint8, s8), (case, epochs)
                 assert np.array_equal(st.distances().data, dist), (case, epochs)
                 assert st.summary == (fin.size, fin.max(), fin.sum())
 
-    def test_state_at_the_fixed_point_keeps_its_form_and_summary(self):
+    def test_state_at_the_fixed_point_is_the_copy_with_its_summary(self):
         # a first pass that changes nothing fits a cap of one pass over the
-        # edges, and leaves the state, CSR or dense, and its summary as they were
+        # edges; the state, CSR or dense, becomes the relaxation's dense
+        # uint8 copy, and its summary is kept, not recomputed
         rng = np.random.default_rng(42)
         for _ in range(6):
             m = sparse_weighted_few_edges(rng, int(rng.integers(160, 256)))
             dist = floyd_warshall(m).data
+            s8 = 255 - int(input_edges(m).weight.max())
+            want = np.where(np.isfinite(dist), dist, s8).astype(np.uint8)
             for st in (csr_state(m, dist), edge_state(m, dist)):
-                parts, dense, summary = st.csr, st.dense, st.summary
+                dense, summary = st.dense, st.summary
                 assert solver._relax_edges(st, len(st.edges.src))
-                assert (st.csr, st.dense, st.summary) == (parts, dense, summary)
+                assert st.csr is None and st.dense is not dense
+                assert held(st) == (np.uint8, s8) and np.array_equal(st.dense, want)
                 assert st.summary is summary
                 assert np.array_equal(st.distances().data, dist)
 
@@ -1220,13 +1232,14 @@ def weighted_chain(weight: int) -> DistMatrix:
 class TestRelaxationType:
     """The type a relaxation works in, uint8 with sentinel 255 - w_max where
     every finite entry of its start lies below that, int16 otherwise, seen
-    through the copies it fills and recasts into int16; the results against
-    Floyd-Warshall."""
+    through the copies it fills and the state it leaves, which is the last
+    copy, never recast into int16; the results against Floyd-Warshall."""
 
     @staticmethod
     def spy(monkeypatch) -> tuple[list, list]:
         """Patch _fill and recast to record the (type, sentinel) of each copy
-        a relaxation fills, and the sentinel of each uint8 copy it recasts."""
+        a relaxation fills, and the sentinel of each uint8 matrix recast
+        into int16."""
         fills, widened = [], []
         fill, recast = solver._fill, solver.recast
 
@@ -1235,7 +1248,7 @@ class TestRelaxationType:
             return fill(st, d, sentinel)
 
         def spy_recast(a, out, sentinel, to):
-            if a.dtype == np.uint8:
+            if a.dtype == np.uint8 and out.dtype == np.int16:
                 widened.append(sentinel)
             return recast(a, out, sentinel, to)
 
@@ -1258,9 +1271,11 @@ class TestRelaxationType:
                 widened.clear()
                 st = state_of(m, m.data, form)
                 assert solver._relax_edges(st, m.n * m.n), (case, form)
-                assert fills == [(np.uint8, s8)] and widened == [s8], (case, form)
-                assert st.csr is None and st.dense.shape == (m.n, m.n) and held16(st)
+                assert fills == [(np.uint8, s8)], (case, form)
+                assert st.csr is None and st.dense.shape == (m.n, m.n)
+                assert held(st) == (np.uint8, s8), (case, form)
                 assert np.array_equal(st.distances().data, dist), (case, form)
+                assert widened == [], (case, form)
                 assert st.summary == (fin.size, fin.max(), fin.sum())
         assert unreachable >= 3
 
@@ -1274,7 +1289,7 @@ class TestRelaxationType:
         # s8 = 255 - weight: below it up to weight 84, so the relaxation
         # starts in uint8. Its fixed point, top 4 * weight, passes the check
         # top + weight < s8 at weight 20 only; at 60 (start 120 < 195, end
-        # 240) and 84 it reruns in int16
+        # 240) and 84 it reruns in int16. The last copy is the state
         fills, widened = self.spy(monkeypatch)
         m = weighted_chain(weight)
         dist = floyd_warshall(m).data
@@ -1289,17 +1304,18 @@ class TestRelaxationType:
             assert st.summary.top == 2 * weight
             assert solver._relax_edges(st, m.n * m.n), form
             assert fills == [(np.dtype(t), sentinels[t]) for t in types], form
-            assert widened == ([s8] if types == ["uint8"] else [])
-            assert st.csr is None and held16(st)
+            assert st.csr is None and held(st) == (np.dtype(types[-1]), sentinels[types[-1]])
             assert np.array_equal(st.distances().data, dist), form
+            assert widened == [], form
             assert st.summary == (fin.size, fin.max(), fin.sum())
 
     def test_dense_start_unreachable_only_in_the_partial_last_block(self, monkeypatch):
         # n = 130: row blocks of 64, 64 and 2. Nodes 0..127 are strongly
         # connected and 128 and 129 have in-edges only, so rows 128 and 129
         # alone hold unreachable pairs. The start raises finite entries of
-        # rows 0..127 above their distances, so the passes change rows and
-        # the uint8 copy is widened
+        # rows 0..127 above their distances, so the passes change rows, and
+        # the uint8 copy, s8 in the partial last block, is the state the
+        # result is recast from
         fills, widened = self.spy(monkeypatch)
         n = 130
         rng = np.random.default_rng(47)
@@ -1324,9 +1340,11 @@ class TestRelaxationType:
         assert np.array_equal(solver._fill(st, np.empty((n, n), np.uint8), s8), want)
         fills.clear()
         assert solver._relax_edges(st, n * n)
-        assert fills == [(np.uint8, s8)] and widened == [s8]
-        assert st.csr is None and held16(st)
+        assert fills == [(np.uint8, s8)]
+        assert st.csr is None and held(st) == (np.uint8, s8)
+        assert np.count_nonzero(st.dense == s8) == np.count_nonzero(np.isinf(dist))
         assert np.array_equal(st.distances().data, dist)
+        assert widened == []
 
     def test_uint8_give_up_leaves_the_state_bit_identical(self, monkeypatch):
         fills, widened = self.spy(monkeypatch)
@@ -1355,7 +1373,10 @@ class TestRelaxationType:
         # buffers (a block's weighted head rows, its sources' rows and their
         # comparison), copies of the rows of a block's sources that fall and
         # of their candidates, and eight 8-byte index words per node and per
-        # edge for the plan and the active edges; not a second n x n array
+        # edge for the plan and the active edges; not a second n x n array.
+        # Then the float64 result is recast from the copy, which is the
+        # state: 7 bytes per entry above the start, with the int16 start
+        # gone, where an int16 state recast from the copy would make it 8
         fills, widened = self.spy(monkeypatch)
         n = 1200
         w = to_distance_matrix(generate_scale_free(GenSpec(n=n, m_attach=1, seed=7)))
@@ -1369,16 +1390,21 @@ class TestRelaxationType:
             tracemalloc.reset_peak()
             assert solver._relax_edges(st, n * n // solver._EDGE_DIVISOR)
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            got = st.distances()
+            _, result_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         s8 = 255 - int(st.edges.weight.max())
-        assert fills == [(np.uint8, s8)] and widened == [s8]
+        # the relaxation's copy, then the result from it
+        assert fills == [(np.uint8, s8), (np.float64, INF)] and widened == []
         passes = (solver._PULL_ROWS + 2 * solver._PULL_SOURCES) * n
         fallen = 2 * solver._PULL_SOURCES * n
         index = 64 * (n + edges)
         assert peak - start <= n * n + passes + fallen + index, (peak - start) / n / n
-        assert held16(st)
-        assert np.array_equal(st.distances().data, shortest_path(w.data, method="D"))
+        assert result_peak - start <= 7 * n * n + passes, (result_peak - start) / n / n
+        assert held(st) == (np.uint8, s8)
+        assert np.array_equal(got.data, shortest_path(w.data, method="D"))
 
     def test_a_pass_over_every_edge_is_planned_once(self, monkeypatch):
         # from the input of a hub-heavy digraph, whose first passes change
@@ -1484,7 +1510,7 @@ class TestSymmetricEpochs:
                 assert (st.csr is not None) == (form == "sparse") and st.edges is not None
                 force_kernel("dense")
                 assert _distance_product(st) == ("dense", arithmetic)
-                assert st.symmetric and held16(st)
+                assert st.symmetric and held(st) == HELD16
                 assert np.array_equal(st.distances().data, once.data), (arithmetic, form)
                 _distance_product(st)
                 assert np.array_equal(st.distances().data, minplus_square(once).data)
